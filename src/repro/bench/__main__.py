@@ -51,10 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--wan", nargs="+", metavar="REGION", default=None,
                         help="deploy zones across these AWS regions instead of a LAN")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--fidelity", choices=["exact", "hybrid"], default="exact",
-        help="'hybrid' swaps steady-state followers for analytic surrogates "
-             "(faster, ~5%% accuracy band; see docs/PERFORMANCE.md)")
     # Table 3 workload parameters.
     parser.add_argument("--keys", "-K", type=int, default=1000)
     parser.add_argument("--write-ratio", "-W", type=float, default=0.5)
@@ -104,7 +100,6 @@ def _execute(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         batch_window=args.batch_window,
         pipeline_depth=args.pipeline_depth,
-        fidelity=args.fidelity,
     )
     if args.wan is not None:
         config = Config.wan(tuple(args.wan), args.nodes_per_zone, seed=args.seed, **batching)

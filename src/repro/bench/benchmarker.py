@@ -7,9 +7,10 @@ Two load modes:
   saturation.  This is how the paper finds maximum throughput ("increasing
   the concurrency level of the workload generator until the system is
   saturated").
-- :class:`OpenLoopBenchmark` — Poisson arrivals at a fixed rate,
-  independent of completions; this matches the analytic model's arrival
-  assumption and is used for the model cross-validation (Figure 4).
+- :class:`repro.bench.openloop.OpenLoopEngine` — arrivals at a rate that
+  is independent of completions; with ``PoissonArrivals`` this matches the
+  analytic model's arrival assumption and is used for the model
+  cross-validation (Figure 4).
 
 Latencies are recorded in milliseconds of virtual time; throughput is
 completed operations per virtual second within the measurement window.
@@ -157,36 +158,6 @@ class ClosedLoopBenchmark:
                 self._issue(client, generator)
 
         client.invoke(command, on_done=done)
-
-
-class OpenLoopBenchmark:
-    """Poisson arrivals at ``rate`` requests per virtual second.
-
-    A thin facade over :class:`repro.bench.openloop.OpenLoopEngine` with
-    the engine's defaults (memoryless arrivals, no patience timeout, no
-    retries) — kept because "Poisson at rate R" is the shape the model
-    cross-validation (Figure 4) and most call sites want.  The richer
-    arrival processes, robustness knobs, and goodput accounting live on
-    the engine itself.
-    """
-
-    def __init__(
-        self,
-        deployment: Deployment,
-        spec: SpecBySite,
-        rate: float,
-        sites: list[str] | None = None,
-    ) -> None:
-        from repro.bench.openloop import OpenLoopEngine, PoissonArrivals
-
-        self.deployment = deployment
-        self.rate = rate
-        self._engine = OpenLoopEngine(
-            deployment, spec, PoissonArrivals(rate), sites=sites
-        )
-
-    def run(self, duration: float = 1.0, warmup: float = 0.2, settle: float = 0.5) -> BenchmarkResult:
-        return self._engine.run(duration, warmup, settle)
 
 
 def run_closed_loop(

@@ -348,7 +348,6 @@ class Nemesis:
                     client.address for client in deployment.clients
                 }
                 minority = set(event.group)
-                deployment._hybrid_touch(None)  # partitions touch everyone
                 deployment.cluster.partition(
                     [minority, everyone - minority], event.duration, at=start
                 )

@@ -14,7 +14,7 @@ Arrival processes
 -----------------
 
 - :class:`PoissonArrivals` — memoryless arrivals at a fixed rate (the
-  analytic model's assumption; matches the legacy ``OpenLoopBenchmark``);
+  analytic model's assumption);
 - :class:`MMPPArrivals` — a two-state Markov-modulated Poisson process:
   calm/bursty rates with exponentially distributed dwell times, the
   standard bursty-traffic model;
@@ -318,10 +318,6 @@ class OpenLoopEngine:
     ``request_timeout`` is the per-request patience: overdue requests are
     abandoned (typed failure) and their deadline rides on the wire for
     ``shed_policy="deadline"`` replicas.
-
-    With the defaults (pure Poisson, no timeout, no retries) the engine's
-    event sequence is identical to the legacy ``OpenLoopBenchmark``'s —
-    which now delegates here.
     """
 
     def __init__(

@@ -28,13 +28,9 @@ def maybe_profiled(enabled: bool, label: str = "run", top: int = 20) -> Iterator
     if not enabled:
         yield
         return
-    from repro.sim.hybrid import HybridEngine
-
     events_before = EventLoop.total_events_fired
     batched_before = EventLoop.total_events_batched
     compactions_before = EventLoop.total_compactions
-    surrogate_before = HybridEngine.surrogate_requests
-    deabstract_before = HybridEngine.deabstractions
     profiler = cProfile.Profile()
     started = time.perf_counter()
     profiler.enable()
@@ -46,8 +42,6 @@ def maybe_profiled(enabled: bool, label: str = "run", top: int = 20) -> Iterator
         events = EventLoop.total_events_fired - events_before
         batched = EventLoop.total_events_batched - batched_before
         compactions = EventLoop.total_compactions - compactions_before
-        surrogate = HybridEngine.surrogate_requests - surrogate_before
-        deabstractions = HybridEngine.deabstractions - deabstract_before
         print()
         print(f"--- profile: {label} ---")
         print(
@@ -55,10 +49,5 @@ def maybe_profiled(enabled: bool, label: str = "run", top: int = 20) -> Iterator
             f"({events / wall:,.0f} events/s, {batched:,} batch-drained) | "
             f"{compactions} heap compaction(s)"
         )
-        if surrogate or deabstractions:
-            print(
-                f"hybrid: {surrogate:,} surrogate request(s) | "
-                f"{deabstractions} de-abstraction(s)"
-            )
         stats = pstats.Stats(profiler)
         stats.sort_stats("tottime").print_stats(top)

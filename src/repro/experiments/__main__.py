@@ -33,15 +33,6 @@ def main(argv: list[str] | None = None) -> int:
         "independent simulations (default 1 = serial, today's behavior)",
     )
     parser.add_argument(
-        "--fidelity",
-        choices=["exact", "hybrid"],
-        default="exact",
-        help="simulation fidelity for experiments that support it: 'hybrid' "
-        "replaces steady-state followers with analytic surrogates "
-        "(see docs/PERFORMANCE.md); experiments whose run() does not "
-        "accept a fidelity parameter run exact regardless",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="run under cProfile and print the hottest functions plus "
@@ -72,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.trace:
                 result = _run_traced(name, args.fast)
             else:
-                result = _invoke(name, args.fast, jobs, args.fidelity)
+                result = _invoke(name, args.fast, jobs)
         print(result.to_text())
         if args.plot:
             from repro.experiments.plotting import plot_result
@@ -86,19 +77,14 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _invoke(name: str, fast: bool, jobs: int, fidelity: str = "exact"):
-    """Call an experiment driver, passing ``jobs`` / ``fidelity`` only to
-    the drivers whose ``run`` accepts them."""
+def _invoke(name: str, fast: bool, jobs: int):
+    """Call an experiment driver, passing ``jobs`` only to the drivers
+    whose ``run`` accepts it."""
     fn = EXPERIMENTS[name]
     params = inspect.signature(fn).parameters
     kwargs = {}
     if jobs > 1 and "jobs" in params:
         kwargs["jobs"] = jobs
-    if fidelity != "exact":
-        if "fidelity" not in params:
-            print(f"{name} does not support --fidelity; running exact")
-        else:
-            kwargs["fidelity"] = fidelity
     return fn(fast, **kwargs)
 
 

@@ -8,21 +8,10 @@ hottest cell).  Because the fast paths are pinned bit-identical by the
 golden equivalence suite (``tests/test_equivalence_golden.py``), the
 event *count* for a given seed is a constant; only the wall clock moves.
 
-Three rows beyond the exact baseline:
+The cell reports its batching counter too (same-timestamp event
+draining, the bit-identical fast path that is on by default).
 
-- **vectorized**: the exact cell's batching counters (same-timestamp
-  event draining plus numpy-pooled RNG streams) — the bit-identical
-  fast path, on by default;
-- **hybrid**: the same cell under ``fidelity="hybrid"``
-  (:mod:`repro.sim.hybrid`), reported with its throughput delta vs the
-  exact run — the accuracy the speedup is paid with;
-- **hybrid_at_scale**: a 99-node cell where surrogates shine.  Hybrid
-  fidelity is scored in **effective events/s** — the events the exact
-  simulation *would have needed* (its measured events/op, from a short
-  exact calibration) times hybrid's wall-clock op rate — which makes it
-  directly comparable to the exact rows and carries the >= 10x gate.
-
-It also times a small sweep grid twice through
+The bench also times a small sweep grid twice through
 :func:`repro.bench.parallel.run_grid` — serially and with worker
 processes — and asserts the two produce byte-identical results, the
 determinism contract that makes ``--jobs N`` safe to use anywhere.
@@ -32,10 +21,9 @@ The results land in ``BENCH_simspeed.json``::
     python -m repro.experiments bench_simspeed [--fast]
 
 ``check_no_regression()`` is the CI gate: events/sec must stay above
-half the committed post-optimization floor, hybrid must stay inside the
-fidelity band and above the relative-speedup floor, the parallel grid
-must match the serial grid exactly, and (on multi-core machines) fanning
-out must not be slower than running serially.
+``FLOOR_EVENTS_PER_SEC``, the parallel grid must match the serial grid
+exactly, and (on multi-core machines) fanning out must not be slower
+than running serially.
 """
 
 from __future__ import annotations
@@ -45,7 +33,6 @@ import os
 import time
 
 from repro.bench.benchmarker import ClosedLoopBenchmark
-from repro.bench.fidelity import ACCURACY_BAND
 from repro.bench.parallel import run_grid
 from repro.bench.workload import WorkloadSpec
 from repro.experiments.common import ExperimentResult
@@ -53,7 +40,6 @@ from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.protocols.paxos import MultiPaxos
 from repro.sim.clock import EventLoop
-from repro.sim.hybrid import HybridEngine
 
 SEED = 55
 CONCURRENCY = 64
@@ -61,45 +47,31 @@ OUTPUT_FILE = "BENCH_simspeed.json"
 
 # Measured at commit ad6dbfd (before the fast-path work) on the reference
 # 1-CPU container, exact same workload: 1,989,306 events in 572.4s.  The
-# optimized loop must stay >= 3x this (measured: ~35x).
+# optimized loop must stay >= 3x this.
 PREOPT_EVENTS_PER_SEC = 3475.0
 TARGET_SPEEDUP = 3.0
-# Post-optimization measurement on the same reference container was
-# ~121,600 events/s; the gate allows a 2x machine-speed cushion below it.
+# Absolute floor of the gate; what a given machine actually measures is
+# the ``saturation`` row of the BENCH_simspeed.json it wrote.
 FLOOR_EVENTS_PER_SEC = 60000.0
 
-# The exact-mode events/s committed with the vectorized-batching work;
-# the hybrid at-scale row targets >= 10x this in effective events/s.
-COMMITTED_EXACT_EVENTS_PER_SEC = 118235.0
-HYBRID_TARGET_RATIO = 10.0
-# The at-scale cell: 99 nodes.  Exact simulation spends ~650 events per
-# op here (every follower ack is an event); hybrid spends ~10.
-SCALE_ZONES = 33
 
-
-def _cell(
-    zones: int, fidelity: str, duration: float, concurrency: int = CONCURRENCY
-) -> dict:
-    """One timed cell: MultiPaxos at saturation, fixed seed."""
-    config = Config.lan(zones, 3, seed=SEED, fidelity=fidelity)
+def _cell(duration: float) -> dict:
+    """The timed cell: MultiPaxos at saturation on the 9-node LAN, fixed seed."""
+    config = Config.lan(3, 3, seed=SEED)
     deployment = Deployment(config).start(MultiPaxos)
     bench = ClosedLoopBenchmark(
         deployment,
         WorkloadSpec(keys=1000, write_ratio=0.5),
-        concurrency=concurrency,
+        concurrency=CONCURRENCY,
     )
     events_before = EventLoop.total_events_fired
     batched_before = EventLoop.total_events_batched
-    requests_before = HybridEngine.surrogate_requests
-    deab_before = HybridEngine.deabstractions
     started = time.perf_counter()
     result = bench.run(duration=duration, warmup=0.1 * duration, settle=0.1 * duration)
     wall = time.perf_counter() - started
     events = EventLoop.total_events_fired - events_before
-    cell = {
-        "zones": zones,
+    return {
         "n": config.n,
-        "fidelity": fidelity,
         "duration_virtual_s": duration,
         "wall_s": round(wall, 3),
         "events": events,
@@ -109,14 +81,6 @@ def _cell(
         "completed_ops": result.completed,
         "throughput_ops_s": round(result.throughput, 1),
     }
-    if fidelity == "hybrid":
-        cell["surrogate_requests"] = HybridEngine.surrogate_requests - requests_before
-        cell["deabstractions"] = HybridEngine.deabstractions - deab_before
-    return cell
-
-
-def _rel_delta(hybrid: float, exact: float) -> float:
-    return abs(hybrid - exact) / exact if exact else 0.0
 
 
 def _grid_cell(seed: int) -> dict:
@@ -147,29 +111,8 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
     requested = jobs if jobs > 1 else min(4, cpu_count)
     workers = max(1, min(requested, cpu_count))
 
-    cell = _cell(3, "exact", duration)
+    cell = _cell(duration)
     speedup = cell["events_per_sec"] / PREOPT_EVENTS_PER_SEC
-    hybrid_cell = _cell(3, "hybrid", duration)
-    hybrid_delta = _rel_delta(hybrid_cell["throughput_ops_s"], cell["throughput_ops_s"])
-
-    # At scale, hybrid's op rate is scored against the events the exact
-    # engine needs per op — measured, not assumed, via a short exact
-    # calibration of the same cell (virtual time makes it deterministic).
-    # The calibration is never shortened below 0.15 virtual seconds: the
-    # 99-node bootstrap transient dominates anything briefer and both the
-    # events/op and the reference throughput come out inflated.
-    calibration = _cell(SCALE_ZONES, "exact", 0.15)
-    scale = _cell(SCALE_ZONES, "hybrid", 0.75 if fast else 2.0)
-    effective = calibration["events_per_op"] * scale["completed_ops"] / scale["wall_s"]
-    scale_delta = _rel_delta(scale["throughput_ops_s"], calibration["throughput_ops_s"])
-    at_scale = {
-        "exact_calibration": calibration,
-        "hybrid": scale,
-        "effective_events_per_sec": round(effective, 1),
-        "throughput_delta_vs_exact": round(scale_delta, 4),
-        "speedup_vs_committed": round(effective / COMMITTED_EXACT_EVENTS_PER_SEC, 2),
-        "speedup_vs_exact_here": round(effective / cell["events_per_sec"], 2),
-    }
 
     seeds = (7, 19, 101, 211)
     serial_wall, serial_results = _timed_grid(seeds, workers=1)
@@ -185,10 +128,6 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
         "saturation": cell,
         "preopt_events_per_sec": PREOPT_EVENTS_PER_SEC,
         "speedup_vs_preopt": round(speedup, 2),
-        "committed_exact_events_per_sec": COMMITTED_EXACT_EVENTS_PER_SEC,
-        "hybrid": dict(hybrid_cell, throughput_delta_vs_exact=round(hybrid_delta, 4)),
-        "hybrid_at_scale": at_scale,
-        "accuracy_band": ACCURACY_BAND,
         "parallel": {
             "grid_jobs": len(seeds),
             "requested_workers": requested,
@@ -213,17 +152,11 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
         ),
         headers=["metric", "value"],
     )
-    result.rows.append(["events/s (exact)", cell["events_per_sec"]])
+    result.rows.append(["events/s", cell["events_per_sec"]])
     result.rows.append(["speedup vs pre-opt", round(speedup, 2)])
     result.rows.append(["events batched", cell["events_batched"]])
     result.rows.append(["simulated events", cell["events"]])
     result.rows.append(["ops/s (virtual)", cell["throughput_ops_s"]])
-    result.rows.append(["hybrid ops/s (virtual)", hybrid_cell["throughput_ops_s"]])
-    result.rows.append(["hybrid throughput delta", f"{hybrid_delta:.1%}"])
-    result.rows.append(
-        [f"effective events/s (hybrid, {calibration['n']} nodes)", round(effective, 1)]
-    )
-    result.rows.append(["speedup vs committed exact", at_scale["speedup_vs_committed"]])
     result.rows.append(["wall (s)", cell["wall_s"]])
     result.rows.append(["grid serial wall (s)", round(serial_wall, 3)])
     result.rows.append([f"grid wall, {workers} workers (s)", round(parallel_wall, 3)])
@@ -231,13 +164,6 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
     result.notes.append(
         f"{cell['events_per_sec']:,.0f} events/s = {speedup:.1f}x the pre-optimization "
         f"baseline ({PREOPT_EVENTS_PER_SEC:,.0f} events/s at the same workload)"
-    )
-    result.notes.append(
-        f"hybrid at {calibration['n']} nodes: {effective:,.0f} effective events/s = "
-        f"{at_scale['speedup_vs_committed']:.1f}x the committed exact rate "
-        f"({calibration['events_per_op']:.0f} exact events/op x "
-        f"{scale['completed_ops'] / scale['wall_s']:,.0f} ops/s wall), "
-        f"throughput within {scale_delta:.1%} of exact"
     )
     result.notes.append(
         "parallel grid results identical to serial: " + str(identical)
@@ -259,11 +185,9 @@ def check_no_regression(path: str = OUTPUT_FILE) -> None:
     """CI gate for the simulator-speed baseline.
 
     Fails (``SystemExit``) if events/sec fell below the floor, if the
-    hybrid rows drifted out of the accuracy band or under the relative
-    speedup floor, if the parallel grid diverged from the serial grid,
-    or — on a multi-core machine — if fanning out was slower than running
-    serially (skipped on single-core machines, where a worker pool can
-    only add overhead).  Runs as
+    parallel grid diverged from the serial grid, or — on a multi-core
+    machine — if fanning out was slower than running serially (skipped on
+    single-core machines, where a worker pool can only add overhead).  Runs as
     ``python -c "from repro.experiments.bench_simspeed import check_no_regression; check_no_regression()"``.
     """
     if not os.path.exists(path):
@@ -280,35 +204,6 @@ def check_no_regression(path: str = OUTPUT_FILE) -> None:
             f"(pre-opt baseline {PREOPT_EVENTS_PER_SEC:,.0f} x target "
             f"{TARGET_SPEEDUP:g}x, halved for machine-speed cushion)"
         )
-    band = payload.get("accuracy_band", ACCURACY_BAND)
-    hybrid = payload.get("hybrid") or {}
-    at_scale = payload.get("hybrid_at_scale") or {}
-    # Accuracy runs on virtual time, so the deltas are machine-independent
-    # and gated at the full band with no cushion.
-    for label, delta in (
-        ("hybrid", hybrid.get("throughput_delta_vs_exact")),
-        ("hybrid_at_scale", at_scale.get("throughput_delta_vs_exact")),
-    ):
-        if delta is None:
-            failures.append(f"{label} row missing from {path!r} — regenerate the bench")
-        elif delta > band:
-            failures.append(f"{label} throughput delta {delta:.1%} > band {band:.0%}")
-    # The >= 10x criterion, gated machine-relatively: effective hybrid
-    # events/s over the exact events/s measured in the same run, so a
-    # slower CI machine scales both sides alike.
-    effective = at_scale.get("effective_events_per_sec", 0.0)
-    if events_per_sec and effective / events_per_sec < HYBRID_TARGET_RATIO:
-        failures.append(
-            f"hybrid effective {effective:,.0f} events/s is only "
-            f"{effective / events_per_sec:.1f}x this machine's exact rate "
-            f"(target {HYBRID_TARGET_RATIO:g}x)"
-        )
-    if effective < HYBRID_TARGET_RATIO * COMMITTED_EXACT_EVENTS_PER_SEC / 2:
-        failures.append(
-            f"hybrid effective {effective:,.0f} events/s < "
-            f"{HYBRID_TARGET_RATIO:g}x committed "
-            f"{COMMITTED_EXACT_EVENTS_PER_SEC:,.0f}, halved for machine cushion"
-        )
     if not parallel.get("results_identical"):
         failures.append("parallel grid results diverged from the serial run")
     if payload.get("cpu_count", 1) > 1:
@@ -323,7 +218,5 @@ def check_no_regression(path: str = OUTPUT_FILE) -> None:
         raise SystemExit("simspeed regression: " + "; ".join(failures))
     print(
         f"simspeed baseline ok: {events_per_sec:,.0f} events/s "
-        f"({payload.get('speedup_vs_preopt')}x pre-opt), hybrid "
-        f"{at_scale.get('speedup_vs_committed')}x committed exact within "
-        f"{band:.0%}, parallel grid identical"
+        f"({payload.get('speedup_vs_preopt')}x pre-opt), parallel grid identical"
     )

@@ -9,7 +9,7 @@ with open-loop (Poisson) load against the simulated Paxos.
 
 from __future__ import annotations
 
-from repro.bench.benchmarker import OpenLoopBenchmark
+from repro.bench.openloop import OpenLoopEngine, PoissonArrivals
 from repro.bench.workload import WorkloadSpec
 from repro.core.protocol_models import PaxosModel
 from repro.core.queueing import ALL_MODELS, make_model
@@ -62,7 +62,9 @@ def run(fast: bool = False) -> ExperimentResult:
 
 def _measure_paxi(rate: float, duration: float) -> float:
     deployment = Deployment(Config.lan(3, 3, seed=21)).start(MultiPaxos)
-    bench = OpenLoopBenchmark(deployment, WorkloadSpec(keys=1000), rate=rate, sites=["LAN"])
+    bench = OpenLoopEngine(
+        deployment, WorkloadSpec(keys=1000), PoissonArrivals(rate), sites=["LAN"]
+    )
     outcome = bench.run(duration=duration, warmup=duration * 0.3, settle=0.05)
     return outcome.latency.mean
 

@@ -29,7 +29,7 @@ PROTOCOLS = {
 }
 
 
-def run(fast: bool = False, jobs: int = 1, fidelity: str = "exact") -> ExperimentResult:
+def run(fast: bool = False, jobs: int = 1) -> ExperimentResult:
     concurrencies = (8, 64, 160) if fast else (1, 4, 16, 48, 96, 160, 224)
     duration = 0.25 if fast else 0.8
     spec = WorkloadSpec(keys=1000, write_ratio=0.5)
@@ -40,10 +40,7 @@ def run(fast: bool = False, jobs: int = 1, fidelity: str = "exact") -> Experimen
     )
     peaks: dict[str, float] = {}
     for name, factory in PROTOCOLS.items():
-        # Hybrid fidelity is safe for every row: protocols the surrogate
-        # engine has no message coverage for simply de-abstract back to
-        # exact on the first unrecognized broadcast.
-        make = DeploymentFactory(factory, Config.lan(3, 3, seed=55, fidelity=fidelity))
+        make = DeploymentFactory(factory, Config.lan(3, 3, seed=55))
         points = closed_loop_sweep(
             make,
             spec,

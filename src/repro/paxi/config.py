@@ -13,7 +13,6 @@ the standard deployments (LAN grids and AWS WAN grids).
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -28,9 +27,7 @@ from repro.sim.storage import DURABILITY_MODES, DiskProfile
 #: streams across shards never line up with each other).
 SHARD_SEED_STRIDE = 9973
 
-#: Knobs that live in the nested ``replication`` section of the JSON
-#: schema.  The flat spellings are still accepted for one release (with a
-#: DeprecationWarning) — see :meth:`Config.from_dict`.
+#: Knobs that live in the nested ``replication`` section of the JSON schema.
 _REPLICATION_KEYS = (
     "batch_window",
     "batch_size",
@@ -45,18 +42,6 @@ _ADMISSION_KEYS = ("max_inflight", "queue_limit", "shed_policy")
 
 #: What a replica does with a client request it will not queue.
 SHED_POLICIES = ("reject", "drop_oldest", "deadline")
-
-#: Simulation fidelity modes.  ``"exact"`` is the bit-reproducible
-#: discrete-event simulation; ``"hybrid"`` keeps the leader, the client
-#: edge, and any faulted node exact while steady-state followers are
-#: replaced by analytic service surrogates (see ``repro.sim.hybrid``).
-FIDELITY_MODES = ("exact", "hybrid")
-
-#: Protocol params that void the hybrid mode's surrogate assumptions: the
-#: surrogate ack synthesis models plain majority/threshold replication
-#: without lease grants, gray-failure detection, or thrifty target
-#: selection.  Runs that need those must use fidelity="exact".
-_HYBRID_INCOMPATIBLE_PARAMS = ("lease_duration", "detector", "thrifty")
 
 
 @dataclass
@@ -119,31 +104,7 @@ class Config:
     #: describes the (one and only) group.  With ``shards`` set, every
     #: shard gets its *own* grid of this shape — see ``Config.for_shard``.
     shards: ShardSpec | None = None
-    #: Simulation fidelity: ``"exact"`` (default, bit-reproducible) or
-    #: ``"hybrid"`` (analytic follower surrogates with automatic
-    #: de-abstraction; see ``repro.sim.hybrid`` and docs/PERFORMANCE.md).
-    fidelity: str = "exact"
-
     def __post_init__(self) -> None:
-        if self.fidelity not in FIDELITY_MODES:
-            raise ConfigError(
-                f"fidelity must be one of {FIDELITY_MODES}, got {self.fidelity!r}"
-            )
-        if self.fidelity == "hybrid":
-            if self.durability != "none":
-                raise ConfigError(
-                    "fidelity='hybrid' requires durability='none': surrogate "
-                    "followers do not model the WAL/fsync pipeline — use "
-                    "fidelity='exact' for durable runs"
-                )
-            bad = [k for k in _HYBRID_INCOMPATIBLE_PARAMS if self.params.get(k)]
-            if bad:
-                raise ConfigError(
-                    f"fidelity='hybrid' is incompatible with params {bad}: "
-                    "surrogate followers do not grant leases, feed failure "
-                    "detectors, or participate in thrifty target selection — "
-                    "use fidelity='exact' for those runs"
-                )
         if len(self.node_ids) != self.topology.n_nodes:
             raise ConfigError(
                 f"{len(self.node_ids)} node ids but topology places "
@@ -336,7 +297,6 @@ class Config:
         max_inflight: int | None = None,
         queue_limit: int | None = None,
         shed_policy: str = "reject",
-        fidelity: str = "exact",
         **params: Any,
     ) -> "Config":
         """A single-site LAN cluster (paper section 5.2: 9 nodes).
@@ -361,7 +321,6 @@ class Config:
             max_inflight=max_inflight,
             queue_limit=queue_limit,
             shed_policy=shed_policy,
-            fidelity=fidelity,
         )
 
     @staticmethod
@@ -380,7 +339,6 @@ class Config:
         max_inflight: int | None = None,
         queue_limit: int | None = None,
         shed_policy: str = "reject",
-        fidelity: str = "exact",
         **params: Any,
     ) -> "Config":
         """A multi-region WAN cluster; zone ``i`` lives in ``regions[i-1]``.
@@ -406,7 +364,6 @@ class Config:
             max_inflight=max_inflight,
             queue_limit=queue_limit,
             shed_policy=shed_policy,
-            fidelity=fidelity,
         )
 
     # ------------------------------------------------------------------
@@ -416,10 +373,8 @@ class Config:
     def to_json(self) -> str:
         """Serialize a standard (LAN or AWS WAN grid) deployment.
 
-        Emits the current nested schema: replication knobs live under
-        ``"replication"`` and the shard layout under ``"shards"``.
-        :meth:`from_dict` still reads the historical flat spellings (with a
-        deprecation warning), so old files keep loading.
+        Replication knobs live under ``"replication"`` and the shard layout
+        under ``"shards"``.
         """
         zones = self.zones
         nodes_per_zone = len(self.ids_in_zone(zones[0]))
@@ -464,7 +419,6 @@ class Config:
                 else None
             ),
             "shards": self.shards.to_dict() if self.shards is not None else None,
-            "fidelity": self.fidelity if self.fidelity != "exact" else None,
         }
         return json.dumps(payload, indent=2)
 
@@ -510,11 +464,6 @@ class Config:
         known = {
             "deployment", "regions", "zones", "nodes_per_zone", "seed",
             "profile", "params", "protocol", "replication", "admission", "shards",
-            "fidelity",
-            # Deprecated flat spellings of the replication knobs (one
-            # release of backward compatibility; see below).
-            "batch_window", "batch_size", "pipeline_depth",
-            "durability", "disk", "snapshot_interval",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -534,22 +483,6 @@ class Config:
                 f"unknown replication key(s) {bad_replication}; "
                 f"valid keys are {sorted(_REPLICATION_KEYS)}"
             )
-        flat = [k for k in _REPLICATION_KEYS if k in payload]
-        if flat:
-            conflicts = sorted(set(flat) & set(replication))
-            if conflicts:
-                raise ConfigError(
-                    f"{conflicts} given both at the top level and under "
-                    "'replication'; keep only the nested spelling"
-                )
-            warnings.warn(
-                f"flat configuration key(s) {flat} are deprecated; nest them "
-                "under 'replication' (e.g. {\"replication\": {\"batch_size\": 16}})",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            replication = {**replication, **{k: payload[k] for k in flat}}
-
         deployment = payload.get("deployment", "lan")
         if deployment not in ("lan", "wan"):
             raise ConfigError(
@@ -594,7 +527,7 @@ class Config:
         if migrated:
             raise ConfigError(
                 f"{migrated} are typed configuration fields, not protocol params; "
-                "move them out of 'params' to the top level of the document"
+                "move them out of 'params' into the 'replication' section"
             )
         n = zones * nodes_per_zone
         protocol = payload.get("protocol")
@@ -653,11 +586,6 @@ class Config:
             )
         shards_dict = payload.get("shards")
         shards = ShardSpec.from_dict(shards_dict) if shards_dict is not None else None
-        fidelity = payload.get("fidelity") or "exact"
-        if fidelity not in FIDELITY_MODES:
-            raise ConfigError(
-                f"fidelity must be one of {FIDELITY_MODES}, got {fidelity!r}"
-            )
         common = {
             "nodes_per_zone": nodes_per_zone,
             "seed": payload.get("seed", 0),
@@ -672,7 +600,6 @@ class Config:
             "max_inflight": admission.get("max_inflight"),
             "queue_limit": admission.get("queue_limit"),
             "shed_policy": admission.get("shed_policy") or "reject",
-            "fidelity": fidelity,
         }
         if deployment == "lan":
             return Config.lan(zones=zones, **common, **params)

@@ -51,10 +51,6 @@ class Deployment:
         self.history = HistoryRecorder()
         self.replicas: dict[NodeID, "Replica"] = {}
         self.clients: list["Client"] = []
-        #: Hybrid-fidelity engine (repro.sim.hybrid), attached by
-        #: :meth:`start` when ``config.fidelity == "hybrid"``; None in
-        #: exact mode.
-        self.hybrid = None
         #: Open-loop workload engines driving this deployment register here
         #: so rate-affecting faults find them: a Nemesis ``"burst"`` event
         #: calls ``apply_burst(at, duration, multiplier)`` on each entry
@@ -94,18 +90,7 @@ class Deployment:
                 )
             if self.replicas[node_id] is not replica:
                 raise SimulationError(f"replica mismatch at {node_id}")
-        if self.config.fidelity == "hybrid":
-            from repro.sim.hybrid import HybridEngine
-
-            self.hybrid = HybridEngine(self).activate()
         return self
-
-    def _hybrid_touch(self, *touched) -> None:
-        """Fault-injection hook: nodes a fault is about to touch leave the
-        hybrid surrogate set *now* (conservatively, even for faults
-        scheduled in the future) so the fault plays out exactly."""
-        if self.hybrid is not None:
-            self.hybrid.fault_touch(*touched)
 
     def attach_replica(self, replica: "Replica") -> Server:
         """Called from ``Replica.__init__``: create the machine and register
@@ -137,11 +122,6 @@ class Deployment:
         log entries — exactly like WanKeeper token transfer / Vertical
         Paxos reassignment splice migrated history via ``store.adopt``.
         """
-        if self.hybrid is not None:
-            # A rebalance splices foreign history into every replica;
-            # surrogates must materialize first so the adopt lands on a
-            # state-complete node.
-            self.hybrid.deabstract_all("rebalance")
         self._seeded_chains[key] = list(values)
         for replica in self.replicas.values():
             replica.store.adopt(key, values)
@@ -263,10 +243,6 @@ class Deployment:
         from repro.checkers.consensus import check_deployment
         from repro.checkers.linearizability import check_history
 
-        if self.hybrid is not None:
-            # The consensus checker compares per-replica logs; surrogates
-            # materialize (replaying their buffered history) first.
-            self.hybrid.deabstract_all("verify")
         return (
             check_history(self.history.snapshot()).ok,
             check_deployment(self).ok,
@@ -278,7 +254,6 @@ class Deployment:
         """Freeze ``node_id`` for ``duration`` seconds — the paper's
         ``Crash(t)``: volatile state survives, queued work resumes on thaw.
         ``duration=None`` is a permanent crash-stop."""
-        self._hybrid_touch(node_id)
         self.cluster.crash(node_id, duration, at)
 
     def reboot(
@@ -304,7 +279,6 @@ class Deployment:
             raise ConfigError(f"{node_id} is not in the configuration")
         if downtime < 0:
             raise SimulationError(f"negative downtime {downtime!r}")
-        self._hybrid_touch(node_id)
         when = self.now if at is None else at
         self.cluster.loop.call_at(when, self._take_down, node_id, mode, downtime)
 
@@ -381,7 +355,6 @@ class Deployment:
             raise SimulationError(f"cpu_factor must be positive, got {cpu_factor!r}")
         if not 0.0 <= nic_loss < 1.0:
             raise SimulationError(f"nic_loss must be in [0, 1), got {nic_loss!r}")
-        self._hybrid_touch(node_id)
         start = self.now if at is None else at
         loop = self.cluster.loop
         if cpu_factor != 1.0:
@@ -429,7 +402,6 @@ class Deployment:
             raise SimulationError(
                 f"partial_partition needs a positive duration, got {duration!r}"
             )
-        self._hybrid_touch(victim, *sources)
         for src in sources:
             if src == victim:
                 continue
@@ -441,16 +413,13 @@ class Deployment:
         comparisons observe the jump."""
         if node_id not in self.config.node_ids:
             raise ConfigError(f"{node_id} is not in the configuration")
-        self._hybrid_touch(node_id)
         when = self.now if at is None else at
         self.cluster.loop.call_at(when, self.clock_for(node_id).skew, delta)
 
     def drop(self, src: Hashable, dst: Hashable, duration: float, at: float | None = None) -> None:
-        self._hybrid_touch(src, dst)
         self.cluster.drop(src, dst, duration, at)
 
     def slow(self, src: Hashable, dst: Hashable, duration: float, at: float | None = None) -> None:
-        self._hybrid_touch(src, dst)
         self.cluster.slow(src, dst, duration, at)
 
     def flaky(
@@ -461,5 +430,4 @@ class Deployment:
         probability: float = 0.5,
         at: float | None = None,
     ) -> None:
-        self._hybrid_touch(src, dst)
         self.cluster.flaky(src, dst, duration, probability, at)

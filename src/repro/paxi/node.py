@@ -50,16 +50,6 @@ def _class_traits(cls: type) -> tuple[float, int, bool]:
     return traits
 
 
-def _wire_size(message: Any) -> int:
-    """Instance wire size when the message provides one, else the class's."""
-    _weight, size, has_wire = _class_traits(type(message))
-    return message.wire_size() if has_wire else size
-
-
-def _noop() -> None:
-    """Completion handler for pure queue-time charges (absorb_cost)."""
-
-
 def wal_record_bytes(command: Any) -> int:
     """WAL record size for a log entry carrying ``command``.
 
@@ -286,67 +276,6 @@ class Replica:
             )
         handler(src, message)
 
-    def receive_bundle(
-        self, items: list[tuple[Hashable, Any, int]], total_cost: float | None = None
-    ) -> None:
-        """Deliver several messages as one queue job (hybrid-fidelity mode).
-
-        The surrogate engine coalesces a quorum's worth of synthesized acks
-        into one delivery: the bundle occupies the queue for the *sum* of
-        the members' incoming costs (``total_cost`` when the caller has it
-        precomputed) — the same occupancy the messages would have charged
-        individually — and then dispatches them in order, so protocol
-        handlers observe the usual per-message sequence.
-        """
-        if self._halted:
-            return
-        if total_cost is not None:
-            self._server.submit(total_cost, self._dispatch_bundle, items)
-            return
-        profile = self._profile
-        total = 0.0
-        for _src, message, size_bytes in items:
-            total += profile.incoming_cost(size_bytes, _class_traits(type(message))[0])
-        self._server.submit(total, self._dispatch_bundle, items)
-
-    def _dispatch_bundle(self, items: list[tuple[Hashable, Any, int]]) -> None:
-        for src, message, _size in items:
-            self._dispatch(src, message)
-
-    def receive_bulk(
-        self,
-        prefix_srcs: list,
-        src: Hashable,
-        message: Any,
-        total_cost: float,
-        apply_fn: Callable[[Any, list, Any], None],
-    ) -> None:
-        """Hybrid fast path for a quorum of identical acks: one queue job
-        of the bundle's summed cost that folds ``prefix_srcs``' votes into
-        protocol state via ``apply_fn`` and dispatches only the final,
-        quorum-completing message through the normal handler."""
-        if self._halted:
-            return
-        self._server.submit(total_cost, self._apply_bulk, prefix_srcs, src, message, apply_fn)
-
-    def _apply_bulk(
-        self, prefix_srcs: list, src: Hashable, message: Any, apply_fn: Callable
-    ) -> None:
-        apply_fn(self, prefix_srcs, message)
-        self._dispatch(src, message)
-
-    def absorb_cost(self, cost: float) -> None:
-        """Charge queue time with no handler work.
-
-        Hybrid mode uses this for straggler acks whose exact handlers
-        would early-return: their protocol effect is nil, but their
-        receive cost still occupies this node's server and must keep
-        shaping its queueing delay.
-        """
-        if self._halted or cost <= 0.0:
-            return
-        self._server.submit(cost, _noop)
-
     # ------------------------------------------------------------------
     # Admission control / load shedding
     # ------------------------------------------------------------------
@@ -464,14 +393,11 @@ class Replica:
         if has_wire:
             size = message.wire_size()
         cost = self._profile.outgoing_cost(size, copies=len(targets), weight=weight)
-        self._server.submit(cost, self._transit_all, targets, message, size)
+        self._server.submit(cost, self._network.transit_all, self.id, targets, message, size)
 
     def broadcast(self, message: Any) -> None:
         """Send to every other replica."""
         self.multicast(self.peers, message)
-
-    def _transit_all(self, targets: list[Hashable], message: Any, size: int) -> None:
-        self._network.transit_all(self.id, targets, message, size)
 
     # ------------------------------------------------------------------
     # Tracing

@@ -11,9 +11,7 @@ with everything else running in the simulation.
 
 Session-level knobs are consolidated into :class:`SessionOptions`; the same
 dataclass doubles as a per-call override (``session.get(k,
-opts=SessionOptions(consistency="quorum"))``).  The old per-call ``target=``
-/ ``consistency=`` keyword arguments are still accepted for one release and
-emit a :class:`DeprecationWarning`.
+opts=SessionOptions(consistency="quorum"))``).
 
 Against a sharded cluster (:mod:`repro.shard`) the same facade routes each
 key through the placement map — see
@@ -25,7 +23,6 @@ the Paxi client library's "RESTful" surface.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping
 
@@ -192,22 +189,17 @@ class Session:
         key: Hashable,
         value: Any,
         opts: SessionOptions | None = None,
-        target: NodeID | None = None,
     ) -> Result:
         """Write ``key = value`` and wait for the committed reply."""
-        opts = _fold_call_kwargs(opts, target=target)
         return self.execute(Command.put(key, value), opts)
 
     def get(
         self,
         key: Hashable,
         opts: SessionOptions | None = None,
-        target: NodeID | None = None,
-        consistency: str | None = None,
     ) -> Result:
         """Read ``key`` and wait for the reply.  ``opts`` overrides the
         session options for this one read (e.g. a different read path)."""
-        opts = _fold_call_kwargs(opts, target=target, consistency=consistency)
         resolved = opts.merged_over(self.options) if opts else self.options
         return self.execute(
             Command.get(key, read_mode=resolved.consistency), opts
@@ -245,10 +237,8 @@ class Session:
         self,
         command: Command,
         opts: SessionOptions | None = None,
-        target: NodeID | None = None,
     ) -> Result:
         """Issue ``command`` and run the simulation until it resolves."""
-        opts = _fold_call_kwargs(opts, target=target)
         resolved = opts.merged_over(self.options) if opts else self.options
         max_wait = (
             resolved.max_wait if resolved.max_wait is not None else DEFAULT_MAX_WAIT
@@ -402,28 +392,3 @@ def _fold_legacy(
                 )
             options = replace(options, **{name: value})
     return options
-
-
-def _fold_call_kwargs(
-    opts: SessionOptions | None,
-    target: NodeID | None = None,
-    consistency: str | None = None,
-) -> SessionOptions | None:
-    """Fold the deprecated per-call ``target=`` / ``consistency=`` keyword
-    arguments into a per-call ``SessionOptions`` overlay."""
-    legacy = {}
-    if target is not None:
-        legacy["target"] = target
-    if consistency is not None:
-        legacy["consistency"] = consistency
-    if not legacy:
-        return opts
-    warnings.warn(
-        f"per-call {sorted(legacy)} keyword(s) are deprecated; pass "
-        "opts=SessionOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if opts is None:
-        return SessionOptions(**legacy)
-    return replace(opts, **legacy)

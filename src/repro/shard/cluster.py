@@ -455,11 +455,6 @@ class ShardedCluster:
             migration.deadline_handle = None
         src_group = self.groups[migration.src]
         dst_group = self.groups[migration.dst]
-        if src_group.hybrid is not None:
-            # Chains are read off the source replicas' stores, which for
-            # hybrid surrogates are empty until their history is replayed.
-            # (The destination group de-abstracts inside seed_chain.)
-            src_group.hybrid.deabstract_all("rebalance")
         # Longest committed chain per key across the source replicas: the
         # chain a quorum decided is on every up-to-date replica; laggards
         # have prefixes, so "longest" is the decided history.

@@ -189,32 +189,6 @@ class Network:
         # the one chokepoint every message crosses, so counting here keeps
         # the replica hot path untouched.
         self.metrics = metrics
-        # Hybrid-fidelity surrogate interception (repro.sim.hybrid): while
-        # a HybridEngine is attached, messages addressed to a surrogate
-        # node are diverted to the engine instead of being delivered.  None
-        # in exact mode, so the hot path pays a single falsy test.
-        self._hybrid = None
-        self._surrogates: set[Address] | None = None
-
-    def attach_hybrid(self, engine: Any, surrogates: set[Address]) -> None:
-        """Divert traffic addressed to ``surrogates`` into ``engine``.
-
-        The engine owns the set: de-abstracting a node mutates it in
-        place, which this method shares rather than copies.
-        """
-        self._hybrid = engine
-        self._surrogates = surrogates
-
-    def detach_hybrid(self) -> None:
-        self._hybrid = None
-        self._surrogates = None
-
-    def route_params(self, src: Address, dst: Address) -> tuple[float, float]:
-        """One-way (mean, sigma) delay between two endpoints in **seconds**
-        — the analytic counterpart of the sampled delay in :meth:`transit`,
-        used by the hybrid surrogate model."""
-        mean_ms, sigma_ms, _link = self._route(src, dst)
-        return mean_ms / 1e3, sigma_ms / 1e3
 
     @property
     def topology(self) -> Topology:
@@ -287,42 +261,14 @@ class Network:
     def transit_all(
         self, src: Address, targets: list, message: Any, size_bytes: int
     ) -> None:
-        """Carry one broadcast to every target.
-
-        In exact mode this is precisely ``transit`` per target, in order.
-        In hybrid mode the surrogate targets are peeled off into a single
-        :meth:`HybridEngine.wave` call — one wave, not one interception
-        per destination — and only the exactly-simulated targets take the
-        sampled-delay path.
-        """
-        surrogates = self._surrogates
-        if surrogates is None:
-            for dst in targets:
-                self.transit(src, dst, message, size_bytes)
-            return
-        live = [dst for dst in targets if dst in surrogates]
+        """Carry one broadcast to every target: ``transit`` per target, in order."""
         for dst in targets:
-            if dst not in surrogates:
-                self.transit(src, dst, message, size_bytes)
-        if live and not self._hybrid.wave(src, live, message, size_bytes):
-            # Unknown message type: the engine de-abstracted the members,
-            # so the broadcast reaches them through the exact path.
-            for dst in live:
-                self.transit(src, dst, message, size_bytes)
+            self.transit(src, dst, message, size_bytes)
 
     def transit(self, src: Address, dst: Address, message: Any, size_bytes: int) -> None:
         """Carry ``message`` from ``src`` to ``dst``, applying faults."""
         if dst not in self._receivers:
             raise SimulationError(f"unknown destination {dst!r}")
-        surrogates = self._surrogates
-        if surrogates is not None and dst in surrogates:
-            # Hybrid mode: the destination is currently an analytic
-            # surrogate.  The engine either absorbs the message (returning
-            # True) or de-abstracts the node — in which case it has left
-            # the surrogate set and the message falls through to the exact
-            # path below.
-            if self._hybrid.intercept(src, dst, message, size_bytes):
-                return
         # Delay is sampled before fault matching so a dropped message still
         # consumes exactly one delay draw — keeping the RNG stream, and
         # therefore every later sample in the run, identical with and

@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bench.benchmarker import ClosedLoopBenchmark, OpenLoopBenchmark
+from repro.bench.benchmarker import ClosedLoopBenchmark
+from repro.bench.openloop import OpenLoopEngine, PoissonArrivals
 from repro.bench.stats import LatencySummary, cdf, histogram, mean, percentile, stddev
 from repro.bench.sweep import SweepPoint, closed_loop_sweep, format_curve, max_throughput
 from repro.bench.workload import WorkloadSpec
@@ -100,12 +101,8 @@ class TestClosedLoop:
 
 
 class TestOpenLoop:
-    def test_rate_validated(self):
-        with pytest.raises(WorkloadError):
-            OpenLoopBenchmark(make_paxos(), WorkloadSpec(), rate=0.0)
-
     def test_achieves_offered_rate_below_saturation(self):
-        bench = OpenLoopBenchmark(make_paxos(), WorkloadSpec(keys=10), rate=2000.0)
+        bench = OpenLoopEngine(make_paxos(), WorkloadSpec(keys=10), PoissonArrivals(2000.0))
         result = bench.run(duration=0.5, warmup=0.1, settle=0.02)
         assert result.throughput == pytest.approx(2000.0, rel=0.15)
 
@@ -115,8 +112,11 @@ class TestOpenLoop:
         def make9():
             return Deployment(Config.lan(3, 3, seed=8)).start(MultiPaxos)
 
-        lo = OpenLoopBenchmark(make9(), WorkloadSpec(keys=10), rate=2000.0).run(0.4, 0.1, 0.02)
-        hi = OpenLoopBenchmark(make9(), WorkloadSpec(keys=10), rate=7600.0).run(0.4, 0.1, 0.02)
+        def run(rate):
+            engine = OpenLoopEngine(make9(), WorkloadSpec(keys=10), PoissonArrivals(rate))
+            return engine.run(0.4, 0.1, 0.02)
+
+        lo, hi = run(2000.0), run(7600.0)
         assert hi.latency.mean > 1.5 * lo.latency.mean
 
 

@@ -22,7 +22,7 @@ def test_from_dict_minimal_defaults():
 
 def test_from_dict_batching_fields_round_trip():
     cfg = Config.from_dict(
-        {"batch_size": 16, "batch_window": 0.001, "pipeline_depth": 8}
+        {"replication": {"batch_size": 16, "batch_window": 0.001, "pipeline_depth": 8}}
     )
     assert cfg.batch_size == 16
     assert cfg.batch_window == pytest.approx(0.001)
@@ -36,9 +36,18 @@ def test_from_dict_batching_fields_round_trip():
     )
 
 
-def test_from_dict_rejects_unknown_keys():
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"batchsize": 8},
+        {"fidelity": "hybrid"},
+        # Replication knobs are only read from the "replication" section.
+        {"batch_size": 16, "batch_window": 0.001},
+    ],
+)
+def test_from_dict_rejects_unknown_keys(payload):
     with pytest.raises(ConfigError, match="unknown configuration key"):
-        Config.from_dict({"batchsize": 8})
+        Config.from_dict(payload)
 
 
 def test_from_dict_rejects_unknown_protocol():
@@ -61,7 +70,7 @@ def test_from_dict_rejects_non_intersecting_quorum():
 
 def test_from_dict_rejects_negative_batch_window():
     with pytest.raises(ConfigError, match="batch_window"):
-        Config.from_dict({"batch_window": -0.5})
+        Config.from_dict({"replication": {"batch_window": -0.5}})
 
 
 def test_from_dict_rejects_batch_knobs_inside_params():
@@ -84,7 +93,7 @@ def test_from_dict_rejects_bad_shapes():
     with pytest.raises(ConfigError, match="nodes_per_zone"):
         Config.from_dict({"nodes_per_zone": 0})
     with pytest.raises(ConfigError, match="batch_size"):
-        Config.from_dict({"batch_size": "lots"})
+        Config.from_dict({"replication": {"batch_size": "lots"}})
     with pytest.raises(ConfigError, match="unknown profile key"):
         Config.from_dict({"profile": {"t_inn": 1e-5}})
 

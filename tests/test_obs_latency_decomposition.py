@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.benchmarker import OpenLoopBenchmark
+from repro.bench.openloop import OpenLoopEngine, PoissonArrivals
 from repro.bench.workload import WorkloadSpec
 from repro.core.protocol_models import PaxosModel
 from repro.paxi.config import Config
@@ -26,7 +26,7 @@ def _traced_run(load_fraction: float, seed: int = 29, duration: float = 0.4):
     deployment.cluster.obs.tracer.enabled = True
     model = PaxosModel(cfg.topology)
     rate = load_fraction * model.max_throughput()
-    bench = OpenLoopBenchmark(deployment, WorkloadSpec(keys=50), rate=rate)
+    bench = OpenLoopEngine(deployment, WorkloadSpec(keys=50), PoissonArrivals(rate))
     result = bench.run(duration=duration, warmup=0.3, settle=0.3)
     warmup_end = deployment.now - duration
     return deployment, model, rate, result, warmup_end

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.bench.benchmarker import OpenLoopBenchmark
 from repro.bench.openloop import (
     DiurnalArrivals,
     MMPPArrivals,
@@ -252,35 +251,6 @@ class TestOpenLoopEngine:
         width = result.window / 10
         total = round(sum(g * width for _t, g in result.goodput_timeline))
         assert total == result.completed
-
-
-class TestOpenLoopBenchmarkFacade:
-    def test_facade_matches_engine_bit_for_bit(self):
-        """The legacy OpenLoopBenchmark now delegates to the engine; the
-        two must produce identical runs from the same seed."""
-        dep_a = make_paxos()
-        legacy = OpenLoopBenchmark(dep_a, WorkloadSpec(keys=50), rate=1200.0, sites=["LAN"])
-        a = legacy.run(duration=0.3, warmup=0.1, settle=0.2)
-
-        dep_b = make_paxos()
-        engine = OpenLoopEngine(
-            dep_b, WorkloadSpec(keys=50), PoissonArrivals(1200.0), sites=["LAN"]
-        )
-        b = engine.run(duration=0.3, warmup=0.1, settle=0.2)
-
-        assert a.completed == b.completed
-        assert a.latencies_ms == b.latencies_ms
-        assert a.throughput == b.throughput
-
-    def test_facade_still_rejects_bad_rate(self):
-        dep = make_paxos()
-        with pytest.raises(WorkloadError):
-            OpenLoopBenchmark(dep, WorkloadSpec(keys=10), rate=0.0)
-
-    def test_facade_keeps_rate_attribute(self):
-        dep = make_paxos()
-        bench = OpenLoopBenchmark(dep, WorkloadSpec(keys=10), rate=500.0, sites=["LAN"])
-        assert bench.rate == 500.0
 
 
 class TestOpenLoopSweep:

@@ -99,18 +99,6 @@ def test_client_get_put_shims_are_gone():
     assert client.completed == 2
 
 
-def test_session_per_call_kwargs_deprecated_but_work():
-    """``target=`` / ``consistency=`` per-call keywords fold into a
-    SessionOptions overlay for one release, with a DeprecationWarning."""
-    deployment = _deployment()
-    session = deployment.new_session()
-    with pytest.deprecated_call():
-        assert session.put("k", 1, target=NodeID(1, 1)).ok
-    with pytest.deprecated_call():
-        got = session.get("k", target=NodeID(1, 1))
-    assert got.ok and got.value == 1
-
-
 def test_session_options_validation_and_strict_mode():
     with pytest.raises(InvalidOptions):
         SessionOptions(consistency="bogus")

@@ -39,29 +39,6 @@ class TestShardsSchema:
             )
 
 
-class TestFlatKeyDeprecation:
-    def test_flat_replication_keys_warn_but_work(self):
-        with pytest.deprecated_call(match="nest them under 'replication'"):
-            config = Config.from_dict({"batch_size": 16, "batch_window": 0.001})
-        assert config.batch_size == 16
-
-    def test_nested_spelling_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = Config.from_dict(
-                {"replication": {"batch_size": 16, "batch_window": 0.001}}
-            )
-        assert config.batch_size == 16
-
-    def test_both_spellings_conflict(self):
-        with pytest.raises(ConfigError, match="both at the top level"):
-            Config.from_dict(
-                {"batch_size": 8, "replication": {"batch_size": 16}}
-            )
-
-
 class TestForShard:
     def test_single_shard_config_is_identical_minus_spec(self):
         base = Config.lan(3, 3, seed=11)
