@@ -21,6 +21,7 @@ from repro.core.topology import lan
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
+from repro.paxi.session import SessionOptions
 from repro.protocols.paxos import MultiPaxos
 from repro.protocols.wpaxos import WPaxos
 
@@ -115,18 +116,16 @@ def test_ablation_wpaxos_steal_policy(benchmark):
     phase-1) while the three-consecutive policy keeps it put."""
 
     def ablation():
-        from repro.protocols.ballot import Ballot
-
         counters = {}
         for label, threshold in (("immediate", 1), ("three-consecutive", 3)):
             cfg = Config.lan(3, 3, seed=17, steal_threshold=threshold)
             dep = Deployment(cfg).start(WPaxos)
-            a = dep.new_client()
-            b = dep.new_client()
+            a = dep.new_session(SessionOptions(target=NodeID(1, 1)))
+            b = dep.new_session(SessionOptions(target=NodeID(2, 1)))
             for i in range(30):  # strictly interleaved accesses to one key
-                a.put("obj", f"a{i}", target=NodeID(1, 1))
+                a.put("obj", f"a{i}")
                 dep.run_for(0.02)
-                b.put("obj", f"b{i}", target=NodeID(2, 1))
+                b.put("obj", f"b{i}")
                 dep.run_for(0.02)
             # Ownership changes == ballot counter grows with each steal.
             top = max(

@@ -31,22 +31,13 @@ state transfer has caught it up to a donor's commit frontier.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.paxi.deployment import Deployment
-from repro.paxi.detector import (
-    DEGRADED,
-    HEALTHY,
-    AdaptiveTimeout,
-    NodeHealthMonitor,
-)
 from repro.paxi.ids import NodeID
-from repro.paxi.lease import FollowerGrant, LeaderLease
-from repro.paxi.message import Batch, ClientReply, ClientRequest, Command, Message
+from repro.paxi.message import Batch, ClientReply, ClientRequest, Message
 from repro.paxi.node import wal_record_bytes
-from repro.paxi.protocol import Protocol
 from repro.paxi.quorum import MajorityQuorum, Quorum
 from repro.paxi.recovery import (
     CatchupReply,
@@ -55,12 +46,12 @@ from repro.paxi.recovery import (
     entries_payload_bytes,
 )
 from repro.protocols.ballot import Ballot, ZERO, initial_ballot
+from repro.protocols.leaderlog import LeaderLog
 from repro.sim.storage import Snapshot
 from repro.protocols.log import (
     CommandLog,
     Entry,
     EntryCommand,
-    RequestInfo,
     entry_pairs,
     request_infos,
 )
@@ -153,47 +144,6 @@ class LeaseGrant(Message):
 
 
 @dataclass(frozen=True, slots=True)
-class ReadQuery(Message):
-    """Quorum read: ask an acceptor for its accepted-slot frontier."""
-
-    rid: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class ReadReply(Message):
-    """Quorum read: the acceptor's highest accepted slot."""
-
-    rid: int = 0
-    frontier: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class HandoffRequest(Message):
-    """Follower -> leader: "you look degraded; consider handing off".
-
-    Sent (rate-limited) by a follower whose φ-accrual monitor classifies
-    the leader as *degraded* — alive, heartbeating, but stretched well
-    past its healthy cadence.  The sender implicitly volunteers as the
-    successor: its request arriving at all is evidence it is reachable.
-    """
-
-    SIZE_BYTES = 40
-
-    ballot: Ballot = ZERO
-
-
-@dataclass(frozen=True, slots=True)
-class Handoff(Message):
-    """Old leader -> successor: "I have stopped; the log ends at
-    ``frontier``; campaign now with my consent"."""
-
-    SIZE_BYTES = 60
-
-    ballot: Ballot = ZERO
-    frontier: int = 0
-
-
-@dataclass(frozen=True, slots=True)
 class FillRequest(Message):
     """Ask the leader for slots this replica never received."""
 
@@ -207,8 +157,8 @@ class FillReply(Message):
     entries: tuple[EntrySnapshot, ...] = ()
 
 
-class MultiPaxos(Protocol):
-    """A MultiPaxos replica.
+class MultiPaxos(LeaderLog):
+    """A MultiPaxos replica: a slot map with gaps, ordered by ballots.
 
     Batching and pipelining come from the typed config fields
     (``Config.batch_size`` / ``batch_window`` / ``pipeline_depth``): the
@@ -216,14 +166,12 @@ class MultiPaxos(Protocol):
     :class:`~repro.paxi.node.Batcher` into one multi-command slot per
     flush, and bounds how many uncommitted slots it keeps in flight.
 
-    Recognized config params:
+    The read paths, leases, the failure detector, election timing and the
+    planned handoff — and their config params — are
+    :class:`~repro.protocols.leaderlog.LeaderLog`'s.  MultiPaxos's own:
 
-    - ``leader``: initial leader :class:`NodeID` (default: first node);
-    - ``heartbeat_interval``: seconds between commit/heartbeat broadcasts
-      (default 0.02; ``None`` disables);
-    - ``election_timeout``: base follower timeout before starting phase-1
-      (default ``None`` = failover disabled, the paper's steady-state
-      benchmarks);
+    - ``election_timeout``: defaults to ``None`` = failover disabled (the
+      paper's steady-state benchmarks) unless the detector is on;
     - ``thrifty``: leader sends P2a only to a minimal quorum (default False,
       the paper's full-replication evaluation setting);
     - ``relaxed_reads``: serve reads from any replica's local state machine
@@ -232,46 +180,14 @@ class MultiPaxos(Protocol):
       linearizability to bounded staleness, and to session consistency
       (read-your-writes + monotonic reads) when clients send version
       tokens (``Client.session_reads``);
-    - ``lease_duration``: leader lease length in seconds (default ``None``
-      = leases disabled).  Enables ``read_mode="lease"`` reads served from
-      the leader's local store while a grant quorum's promises are in
-      force (see :mod:`repro.paxi.lease` and ``docs/READS.md``);
-    - ``max_clock_skew``: bound on per-node clock drift the lease math
-      discounts (default 0.0; a ``skew`` fault larger than this voids the
-      lease safety argument — by design, for the adversarial tests);
-    - ``detector``: enable the φ-accrual failure detector (default False).
-      Followers grade the leader's heartbeat cadence; elections switch
-      from the fixed ``election_timeout`` to a Jacobson adaptive timeout
-      (and are armed even when ``election_timeout`` is unset), a spurious
-      expiry is vetoed while φ still reads healthy, and a *degraded*
-      (alive-but-slow) leader is handed off without an availability gap;
-    - ``phi_threshold``: suspicion level at which a silent leader counts
-      as failed (default 8.0 — a 1-in-10^8 silence);
-    - ``slow_ratio``: heartbeat-cadence stretch (recent mean over frozen
-      healthy baseline) at which the leader counts as degraded and a
-      handoff is solicited (default 2.5);
-    - ``handoff``: allow the planned-handoff reaction (default True when
-      the detector is on; False detects but never reacts);
-    - ``handoff_votes``: distinct followers that must report degradation
-      within ``handoff_vote_window`` seconds before the leader steps
-      aside (default 2, so one follower behind a bad link cannot trigger
-      a handoff on its own).
-
-    Per-command read paths (``Command.read_mode``, reachable through
-    ``Session(consistency=...)``): ``"lease"`` as above (falls back to a
-    full consensus round when the lease is invalid), ``"quorum"`` polls a
-    read quorum of acceptors for their accepted frontier and serves after
-    the local state machine has executed past it (linearizable, leader
-    off the critical path), ``"local"`` serves from any replica's store
-    (bounded staleness, like ``relaxed_reads`` but per-command).
+    - ``catchup_snapshot_gap`` (64) / ``catchup_max_entries`` (256): when a
+      catch-up donor ships a snapshot instead of log entries, and how many
+      committed entries one reply carries.
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
-        super().__init__(deployment, node_id)
+        super().__init__(deployment, node_id, stream="paxos", election_timeout=None)
         params = self.config.params
-        self.initial_leader: NodeID = params.get("leader", self.config.node_ids[0])
-        self.heartbeat_interval: float | None = params.get("heartbeat_interval", 0.02)
-        self.election_timeout: float | None = params.get("election_timeout")
         self.thrifty: bool = bool(params.get("thrifty", False))
         self.relaxed_reads: bool = bool(params.get("relaxed_reads", False))
         #: Catch-up donors ship a snapshot instead of log entries once the
@@ -283,93 +199,19 @@ class MultiPaxos(Protocol):
         self.promised: Ballot = ZERO
         self.ballot: Ballot = ZERO  # own ballot while leading / campaigning
         self.active = False  # completed phase-1 and currently leading
-        self.leader_hint: NodeID = self.initial_leader
         self.log = CommandLog()
+        if self._lease is not None:
+            # A grant quorum only has to intersect every phase-1 quorum:
+            # FPaxos's leases need |q2| grants, not a majority.
+            self._lease.quorum_size = self.phase2_quorum().size
 
         self._p1_quorum: Quorum | None = None
         self._p1_entries: dict[int, EntrySnapshot] = {}
-        self._buffered: list[tuple[Hashable, ClientRequest]] = []
-        self._request_cache: dict[tuple[Hashable, int], Any] = {}
         self._inflight: set[tuple[Hashable, int]] = set()
         self._fill_deadline = 0.0  # earliest time the next FillRequest may go out
-        self.retransmit_timeout: float = params.get("retransmit_timeout", 0.3)
         self._uncommitted_slots: dict[int, float] = {}  # slot -> last sent at
-        self._read_waiters: dict[Hashable, list[ClientRequest]] = {}
         self._heartbeat_armed = False
-        self._election_handle = None
-        self._rng = deployment.cluster.streams.stream(f"paxos-{node_id}")
-
-        # Leader leases and the non-default read paths (all strictly
-        # opt-in: with lease_duration unset and no read_mode commands,
-        # none of this machinery sends a byte or draws a random number).
-        self.lease_duration: float | None = params.get("lease_duration")
-        self.max_clock_skew: float = params.get("max_clock_skew", 0.0)
-        if self.lease_duration is not None:
-            self._lease: LeaderLease | None = LeaderLease(
-                self.clock,
-                self.lease_duration,
-                self.max_clock_skew,
-                self.phase2_quorum().size,
-                self.id,
-            )
-            self._grant: FollowerGrant | None = FollowerGrant(
-                self.clock, self.lease_duration
-            )
-            if self.restart_reason is not None:
-                # Whatever we granted before the restart is forgotten:
-                # block every candidate for one full duration.
-                self._grant.grant_unknown()
-        else:
-            self._lease = None
-            self._grant = None
-        self._read_barrier_slot = 0  # takeover frontier lease reads wait out
-        self._pending_lease_reads: list[ClientRequest] = []
-        self._quorum_reads: dict[int, list] = {}  # rid -> [request, quorum, frontier]
-        self._next_read_id = 0
-        self._rinse_waiters: list[list] = []  # [frontier, request]
-        self._read_rng = None  # lazily created: default runs never draw from it
-
-        # Gray-failure detection and planned handoff (strictly opt-in:
-        # with ``detector`` unset nothing below allocates a timer, sends a
-        # message, or draws a random number).
-        self.detector_enabled: bool = bool(params.get("detector", False))
-        self.phi_threshold: float = params.get("phi_threshold", 8.0)
-        self.slow_ratio: float = params.get("slow_ratio", 2.5)
-        self.handoff_enabled: bool = bool(params.get("handoff", True))
-        self.handoff_votes_needed: int = params.get("handoff_votes", 2)
-        self.handoff_vote_window: float = params.get("handoff_vote_window", 0.5)
-        self.handoff_cooldown: float = params.get("handoff_cooldown", 1.0)
-        if self.detector_enabled:
-            self._monitor: NodeHealthMonitor | None = NodeHealthMonitor(
-                phi_threshold=self.phi_threshold,
-                slow_ratio=self.slow_ratio,
-                window=params.get("phi_window", 64),
-                min_samples=params.get("detector_min_samples", 8),
-            )
-            hb = self.heartbeat_interval or 0.02
-            self._adaptive: AdaptiveTimeout | None = AdaptiveTimeout(
-                initial=self.election_timeout or 0.15,
-                floor=2.0 * hb,
-                ceiling=params.get("adaptive_ceiling", 2.0),
-            )
-            self.adaptive_multiplier: float = params.get("adaptive_multiplier", 4.0)
-        else:
-            self._monitor = None
-            self._adaptive = None
-        self._handing_off = False  # leader: drain in progress
-        self._handoff_point = 0  # leader: commit frontier the drain waits for
-        self._handoff_successor: NodeID | None = None
-        self._handoff_votes: dict[NodeID, float] = {}  # suspecting follower -> at
-        self._handoff_cooldown_until = 0.0
-        self._handoff_request_after = 0.0  # follower-side solicit rate limit
-        self._handoff_grant: NodeID | None = None  # consent token for next campaign
-        self.handoffs_completed = 0  # old-leader side
-        self.handoffs_received = 0  # successor side
-        self.handoff_requests_sent = 0
-
-        self.batcher = self.make_batcher(self.propose_batch)
-        self.pipeline_depth: int | None = self.config.pipeline_depth
-        self._proposal_queue: deque[list[ClientRequest]] = deque()
+        self._catchup: CatchupRunner | None = None
 
         self.register(P1a, self.on_p1a)
         self.register(P1b, self.on_p1b)
@@ -377,34 +219,41 @@ class MultiPaxos(Protocol):
         self.register(P2b, self.on_p2b)
         self.register(Commit, self.on_commit)
         self.register(LeaseGrant, self.on_lease_grant)
-        self.register(ReadQuery, self.on_read_query)
-        self.register(ReadReply, self.on_read_reply)
         self.register(FillRequest, self.on_fill_request)
         self.register(FillReply, self.on_fill_reply)
-        self.register(HandoffRequest, self.on_handoff_request)
-        self.register(Handoff, self.on_handoff)
         self.register(CatchupRequest, self.on_catchup_request)
         self.register(CatchupReply, self.on_catchup_reply)
+        self._start()
 
-        #: Learner mode: set while rejoining after a wipe (or a reboot with
-        #: no disk).  A recovering replica must not promise, vote, or
-        #: accept — its pre-failure promises are forgotten, so counting it
-        #: toward quorums could un-commit decided values.
-        self.recovering = False
-        self._catchup: CatchupRunner | None = None
-
-        if self.restart_reason is not None:
-            self._recover()
-        elif self.id == self.initial_leader:
-            self.set_timer(0.0, self.start_phase1)
-        elif self._failover_enabled:
-            self._reset_election_timer()
+    # ------------------------------------------------------------------
+    # The LeaderLog interface over a slot map
+    # ------------------------------------------------------------------
 
     @property
-    def _failover_enabled(self) -> bool:
-        """Whether this replica arms election timers at all: a fixed
-        ``election_timeout``, or the detector's adaptive timeout."""
-        return self.election_timeout is not None or self._monitor is not None
+    def epoch(self) -> Ballot:
+        return self.ballot
+
+    @property
+    def last_log_index(self) -> int:
+        return self.log.next_slot - 1
+
+    @property
+    def last_applied(self) -> int:
+        return self.log.execute_index - 1
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._uncommitted_slots)
+
+    def _superseded(self, epoch: Ballot) -> bool:
+        """Someone other than ``epoch``'s owner holds our newer promise."""
+        return epoch < self.promised and epoch.owner != self.promised.owner
+
+    def _read_hint(self, local: bool) -> NodeID | None:
+        return self.id if self.active and not local else None
+
+    def _handoff_ready(self, successor: NodeID) -> bool:
+        return self.log.commit_upto() >= self._handoff_point
 
     # ------------------------------------------------------------------
     # Quorum construction (overridden by FPaxos)
@@ -467,6 +316,8 @@ class MultiPaxos(Protocol):
             ),
         )
 
+    _campaign = start_phase1
+
     def _own_snapshots(self) -> tuple[EntrySnapshot, ...]:
         return tuple(
             (slot, e.ballot, e.command, e.request, e.committed)
@@ -499,41 +350,17 @@ class MultiPaxos(Protocol):
             pending.extend(self._proposal_queue.popleft())
         for m in pending:
             self._inflight.discard((m.client, m.request_id))
-        if not self._buffered and not pending:
+        if not self._parked and not pending:
             return
         self._p1_quorum = None
-        buffered, self._buffered = self._buffered, []
-        for _src, request in buffered:
-            self.send(self.leader_hint, request)
-        for m in pending:
+        parked, self._parked = self._parked, []
+        for m in parked + pending:
             self.send(self.leader_hint, m)
-
-    def _lease_blocks_promise(
-        self, candidate: NodeID, released_by: NodeID | None = None
-    ) -> bool:
-        """A live lease forbids promising to ``candidate``: either this
-        node granted someone else and the grant hasn't expired on its own
-        clock, or this node is the leaseholder itself and the counted
-        grants (send time + duration, un-discounted) are still in force.
-
-        ``released_by`` is a planned-handoff consent token: a grant held
-        by exactly that node releases early, because the holder stopped
-        serving lease reads before it signed the successor's campaign.
-        The leaseholder-side window never releases this way — only its
-        owner knows when it truly stopped serving."""
-        if self._grant is not None and self._grant.blocks(candidate):
-            if released_by is None or not self._grant.releases(released_by):
-                return True
-        return (
-            self._lease is not None
-            and candidate != self.id
-            and self.clock.now < self._lease.valid_until + self.max_clock_skew
-        )
 
     def on_p1a(self, src: Hashable, m: P1a) -> None:
         if self.recovering:
             return  # a learner's promise history is gone; abstain
-        if self._lease_blocks_promise(m.ballot.owner, released_by=m.handoff_from):
+        if self._lease_blocks(m.ballot.owner, released_by=m.handoff_from):
             self.send(src, P1b(ballot=self.promised, ok=False))
             return
         if m.ballot > self.promised:
@@ -584,7 +411,7 @@ class MultiPaxos(Protocol):
             # leader has executed locally (that leader may have replied to
             # clients for them already).
             self._lease.reset()
-            self._read_barrier_slot = max_slot
+            self._read_barrier = max_slot
         # Adopt committed entries; re-propose uncommitted ones with our
         # ballot; fill gaps with no-ops (paper section 2: the leader must
         # instruct followers to accept pending commands it learned).
@@ -606,9 +433,9 @@ class MultiPaxos(Protocol):
         if self.heartbeat_interval is not None and not self._heartbeat_armed:
             self._heartbeat_armed = True
             self.set_timer(self.heartbeat_interval, self._heartbeat)
-        buffered, self._buffered = self._buffered, []
-        for src, request in buffered:
-            self.on_request(src, request)
+        parked, self._parked = self._parked, []
+        for m in parked:
+            self.on_request(m.client, m)
 
     def _repropose(self, slot: int, command: EntryCommand, request: Any) -> None:
         quorum = self.phase2_quorum()
@@ -663,19 +490,7 @@ class MultiPaxos(Protocol):
     # Client requests
     # ------------------------------------------------------------------
 
-    def on_request(self, src: Hashable, m: ClientRequest) -> None:
-        if m.command.is_read:
-            mode = m.command.read_mode
-            if mode == "local" or (mode is None and self.relaxed_reads):
-                self._serve_local_read(m)
-                return
-            if mode == "quorum" and not self.recovering:
-                self._start_quorum_read(m)
-                return
-            if mode == "lease" and self._try_lease_read(m):
-                return
-            # lease invalid (or this replica isn't the leaseholder): fall
-            # through to the full consensus round — always linearizable.
+    def _submit(self, m: ClientRequest) -> None:
         key = (m.client, m.request_id)
         if key in self._request_cache:
             self.send(
@@ -694,14 +509,14 @@ class MultiPaxos(Protocol):
             if self.leader_hint != self.id:
                 self.send(self.leader_hint, m)
             else:
-                self._buffered.append((src, m))
+                self._parked.append(m)
             return
         if self.active:
             if self._handing_off:
                 # Mid-handoff drain: no new slots past the transfer point.
                 # The request follows the successor on completion (or is
                 # replayed here if the handoff aborts).
-                self._buffered.append((src, m))
+                self._parked.append(m)
                 return
             if key in self._inflight:
                 return  # duplicate while the original is still committing
@@ -713,7 +528,7 @@ class MultiPaxos(Protocol):
         elif self.leader_hint != self.id:
             self.send(self.leader_hint, m)  # forward to the believed leader
         else:
-            self._buffered.append((src, m))
+            self._parked.append(m)
 
     def propose_batch(self, requests: list[ClientRequest]) -> None:
         """Replicate a coalesced group of requests as one log entry.
@@ -728,174 +543,6 @@ class MultiPaxos(Protocol):
                 self.on_request(m.client, m)
             return
         self._submit_group(list(requests))
-
-    def _submit_group(self, group: list[ClientRequest]) -> None:
-        """Propose ``group`` now, or queue it behind the pipeline bound."""
-        if (
-            self.pipeline_depth is not None
-            and len(self._uncommitted_slots) >= self.pipeline_depth
-        ):
-            self._proposal_queue.append(group)
-            return
-        self._propose_group(group)
-
-    def _propose_group(self, group: list[ClientRequest]) -> None:
-        if len(group) == 1:
-            m = group[0]
-            self._propose(m.command, RequestInfo(m.client, m.request_id))
-        else:
-            self._propose(
-                Batch(tuple(m.command for m in group)),
-                tuple(RequestInfo(m.client, m.request_id) for m in group),
-            )
-
-    def _release_pipeline(self) -> None:
-        while self._proposal_queue and (
-            self.pipeline_depth is None
-            or len(self._uncommitted_slots) < self.pipeline_depth
-        ):
-            self._propose_group(self._proposal_queue.popleft())
-
-    def _serve_local_read(self, m: ClientRequest) -> None:
-        """Relaxed read: answer from the local state machine.  A session
-        token (``min_version``) defers the reply until this replica has
-        executed that many writes to the key, giving read-your-writes and
-        monotonic reads without a consensus round."""
-        key = m.command.key
-        if self.store.version(key) < m.command.min_version:
-            self._read_waiters.setdefault(key, []).append(m)
-            return
-        self.send(
-            m.client,
-            ClientReply(
-                request_id=m.request_id,
-                ok=True,
-                value=self.store.read(key),
-                replied_by=self.id,
-                version=self.store.version(key),
-            ),
-        )
-
-    def _drain_read_waiters(self, key: Hashable) -> None:
-        waiters = self._read_waiters.get(key)
-        if not waiters:
-            return
-        ready = [m for m in waiters if self.store.version(key) >= m.command.min_version]
-        if ready:
-            self._read_waiters[key] = [m for m in waiters if m not in ready]
-            for m in ready:
-                self._serve_local_read(m)
-
-    # ------------------------------------------------------------------
-    # Linearizable read paths: leader leases and quorum reads
-    # ------------------------------------------------------------------
-
-    def _lease_valid(self) -> bool:
-        """Whether this node's leader lease currently permits serving
-        local reads.  Override hook: the adversarial tests plant broken
-        variants here and let the linearizability checker catch them."""
-        return self._lease is not None and self._lease.valid
-
-    def _try_lease_read(self, m: ClientRequest) -> bool:
-        """Serve (or park) a lease read; False = caller must fall back."""
-        if not self.active or not self._lease_valid():
-            return False
-        if self.log.execute_index > self._read_barrier_slot:
-            self._serve_read_from_store(m)
-        else:
-            self._pending_lease_reads.append(m)
-        return True
-
-    def _serve_read_from_store(self, m: ClientRequest) -> None:
-        key = m.command.key
-        self.send(
-            m.client,
-            ClientReply(
-                request_id=m.request_id,
-                ok=True,
-                value=self.store.read(key),
-                replied_by=self.id,
-                leader_hint=self.id if self.active else None,
-                version=self.store.version(key),
-            ),
-        )
-
-    def _start_quorum_read(self, m: ClientRequest) -> None:
-        """PQR-style quorum read: poll a read quorum for its accepted
-        frontier; any replica (not just the leader) coordinates."""
-        quorum = self.read_quorum()
-        quorum.ack(self.id)
-        frontier = self.log.next_slot - 1
-        if quorum.satisfied():  # single-node cluster
-            self._finish_quorum_read(m, frontier)
-            return
-        self._next_read_id += 1
-        rid = self._next_read_id
-        self._quorum_reads[rid] = [m, quorum, frontier]
-        self.multicast(self._read_targets(quorum.size - 1), ReadQuery(rid=rid))
-
-    def _read_targets(self, needed: int) -> list[NodeID]:
-        """Random sample of peers so concurrent readers spread the member
-        work instead of piling onto the same acceptors."""
-        peers = self.peers
-        if needed >= len(peers):
-            return peers
-        if self._read_rng is None:
-            self._read_rng = self.deployment.cluster.streams.stream(
-                f"paxos-read-{self.id}"
-            )
-        return self._read_rng.sample(peers, needed)
-
-    def on_read_query(self, src: Hashable, m: ReadQuery) -> None:
-        if self.recovering:
-            return  # an incomplete log would under-report the frontier
-        self.send(src, ReadReply(rid=m.rid, frontier=self.log.next_slot - 1))
-
-    def on_read_reply(self, src: Hashable, m: ReadReply) -> None:
-        state = self._quorum_reads.get(m.rid)
-        if state is None:
-            return
-        state[2] = max(state[2], m.frontier)
-        quorum = state[1]
-        quorum.ack(src)
-        if quorum.satisfied():
-            del self._quorum_reads[m.rid]
-            self._finish_quorum_read(state[0], state[2])
-
-    def _finish_quorum_read(self, m: ClientRequest, frontier: int) -> None:
-        """Rinse: a committed write anywhere is accepted at some polled
-        member, so the highest accepted slot bounds it — serve only after
-        the local state machine has executed past that frontier."""
-        if self.log.execute_index > frontier:
-            self._serve_read_from_store(m)
-        else:
-            self._rinse_waiters.append([frontier, m])
-
-    def _drain_read_backlog(self) -> None:
-        """Execution advanced: settle rinse waiters and barrier-parked
-        lease reads (re-admitting the latter if the lease lapsed)."""
-        if self._rinse_waiters:
-            still: list[list] = []
-            for waiter in self._rinse_waiters:
-                if self.log.execute_index > waiter[0]:
-                    self._serve_read_from_store(waiter[1])
-                else:
-                    still.append(waiter)
-            self._rinse_waiters = still
-        if self._pending_lease_reads:
-            pending, self._pending_lease_reads = self._pending_lease_reads, []
-            for m in pending:
-                if not self.active or not self._lease_valid():
-                    self.on_request(m.client, m)  # fall back to consensus
-                elif self.log.execute_index > self._read_barrier_slot:
-                    self._serve_read_from_store(m)
-                else:
-                    self._pending_lease_reads.append(m)
-
-    def _lease_stamp(self) -> int:
-        """Open a lease grant round for an outgoing broadcast (0 = leases
-        are off, and the field stays at its wire-neutral default)."""
-        return self._lease.stamp() if self._lease is not None else 0
 
     def _propose(self, command: EntryCommand, request: Any) -> None:
         quorum = self.phase2_quorum()
@@ -982,12 +629,8 @@ class MultiPaxos(Protocol):
         if self.active:
             self._release_pipeline()
         self._advance_execution()
-        if (
-            self._handing_off
-            and self.active
-            and self.log.commit_upto() >= self._handoff_point
-        ):
-            self._complete_handoff()
+        if self._handing_off:
+            self._maybe_complete_handoff()
 
     # ------------------------------------------------------------------
     # Commit propagation and execution
@@ -1147,192 +790,6 @@ class MultiPaxos(Protocol):
                         commit_upto=upto,
                     ),
                 )
-
-    def _reset_election_timer(self) -> None:
-        if not self._failover_enabled:
-            return
-        if self._election_handle is not None:
-            self._election_handle.cancel()
-        delay = self._election_delay() * (1.0 + self._rng.random())
-        self._election_handle = self.set_timer(delay, self._election_expired)
-
-    def _election_delay(self) -> float:
-        """Base follower timeout before campaigning.  With the detector on
-        this is the Jacobson estimate over observed heartbeat cadence (so
-        it self-tunes to the topology instead of being hand-set); the
-        fixed ``election_timeout`` otherwise."""
-        adaptive = self._adaptive
-        if adaptive is not None and adaptive.samples >= 4:
-            return adaptive.timeout * self.adaptive_multiplier
-        return self.election_timeout if self.election_timeout is not None else 0.15
-
-    def _election_expired(self) -> None:
-        if self.active or self.recovering:
-            return
-        if self._grant is not None and self._grant.blocks(self.id):
-            # A live lease grant forbids campaigning: a P1a from us would
-            # be refused anyway, so wait out the window instead.
-            self._reset_election_timer()
-            return
-        if self._monitor is not None:
-            leader = self.leader_hint
-            if (
-                leader != self.id
-                and self._monitor.samples(leader) > 0
-                and self._monitor.assess(leader, self.clock.now) == HEALTHY
-            ):
-                # φ veto: the timer fired but the accrual evidence says the
-                # leader is fine (an unlucky jitter streak, not a failure).
-                # Degraded and silent leaders fall through to the campaign.
-                self._reset_election_timer()
-                return
-        self.start_phase1()
-        self._reset_election_timer()
-
-    # ------------------------------------------------------------------
-    # Gray-failure detection and planned leader handoff
-    # ------------------------------------------------------------------
-
-    def _observe_leader(
-        self, src: NodeID, ballot: Ballot, delay: float | None = None
-    ) -> None:
-        """Heartbeat receipt: feed the φ-accrual monitor and the adaptive
-        timeout, then grade the leader.  A *degraded* verdict (alive but
-        stretched past ``slow_ratio``) solicits a planned handoff instead
-        of waiting for a disruptive election that may never trigger."""
-        interval = self._monitor.observe(src, self.clock.now, delay=delay)
-        if interval is not None and self._adaptive is not None:
-            self._adaptive.observe(interval)
-        if not self.handoff_enabled or self.active or self.recovering:
-            return
-        if self.now < self._handoff_request_after:
-            return
-        if self._monitor.assess(src, self.clock.now) != DEGRADED:
-            return
-        self._handoff_request_after = self.now + self.handoff_vote_window / 2.0
-        self.handoff_requests_sent += 1
-        self.send(src, HandoffRequest(ballot=ballot))
-
-    def on_handoff_request(self, src: Hashable, m: HandoffRequest) -> None:
-        """Leader side: tally degradation reports; once enough distinct
-        followers agree within the vote window, hand off to the latest
-        reporter (its request arriving proves it is reachable)."""
-        if (
-            not self.active
-            or self.recovering
-            or self._handing_off
-            or m.ballot != self.ballot
-            or not self.handoff_enabled
-        ):
-            return
-        now = self.now
-        if now < self._handoff_cooldown_until:
-            return
-        horizon = now - self.handoff_vote_window
-        self._handoff_votes = {
-            peer: at for peer, at in self._handoff_votes.items() if at >= horizon
-        }
-        self._handoff_votes[src] = now
-        if len(self._handoff_votes) >= self.handoff_votes_needed:
-            self._begin_handoff(src)
-
-    def _begin_handoff(self, successor: NodeID) -> None:
-        """Handoff phase 1: stop proposing and drain to a transfer point.
-
-        The transfer point is the current log frontier — everything at or
-        below it must commit before leadership moves, so no slot this
-        leader may already have answered a client for can be lost in the
-        transition.  Requests arriving during the drain buffer and follow
-        the successor once it takes over."""
-        self._handing_off = True
-        self._handoff_successor = successor
-        self._handoff_votes = {}
-        self._handoff_cooldown_until = self.now + self.handoff_cooldown
-        if self.batcher is not None:
-            self.batcher.flush()
-        while self._proposal_queue:
-            self._propose_group(self._proposal_queue.popleft())
-        self._handoff_point = self.log.next_slot - 1
-        if self.log.commit_upto() >= self._handoff_point:
-            self._complete_handoff()
-            return
-        # Liveness fallback: if the drain cannot finish (lost acks, a
-        # crashed follower holding a slot open), resume normal leadership
-        # rather than wedging the group in a half-handoff.
-        successor_token = self._handoff_successor
-        self.set_timer(
-            self.retransmit_timeout,
-            lambda: self._handoff_drain_expired(successor_token),
-        )
-
-    def _handoff_drain_expired(self, successor: NodeID) -> None:
-        if self._handing_off and self._handoff_successor == successor:
-            self._handing_off = False
-            self._handoff_successor = None
-            # Still the leader: requests parked during the drain resume.
-            buffered, self._buffered = self._buffered, []
-            for src, request in buffered:
-                self.on_request(src, request)
-
-    def _complete_handoff(self) -> None:
-        """Handoff phase 2: release the lease, step down, and solicit the
-        successor's campaign.  Ordering matters: our own validity window
-        dies *before* the Handoff leaves, so by the time the successor's
-        consent-bearing P1a releases the followers' grant windows this
-        node can no longer serve a lease read."""
-        successor = self._handoff_successor
-        self._handing_off = False
-        self._handoff_successor = None
-        if successor is None or not self.active:
-            return
-        if self._lease is not None:
-            self._lease.valid_until = float("-inf")
-            # Clears in-flight grant rounds too, so a straggling grant
-            # reply cannot resurrect the window we just released.
-            self._lease.reset()
-        self.active = False
-        self.leader_hint = successor
-        self.handoffs_completed += 1
-        ballot = self.ballot
-        self.send(
-            successor,
-            Handoff(ballot=ballot, frontier=self.log.next_slot - 1),
-        )
-        self.set_timer(
-            self.retransmit_timeout,
-            lambda: self._retransmit_handoff(successor, ballot, 3),
-        )
-        self._drain_buffered()
-        self._reset_election_timer()
-
-    def _retransmit_handoff(
-        self, successor: NodeID, ballot: Ballot, attempts: int
-    ) -> None:
-        """Liveness: the Handoff travels over the same lossy network as
-        everything else.  Re-send until the successor's campaign shows up
-        (our promise advances past the handed-off ballot); the ordinary
-        election timer is the ultimate fallback."""
-        if self.active or self.recovering or self.promised > ballot or attempts <= 0:
-            return
-        self.send(
-            successor, Handoff(ballot=ballot, frontier=self.log.next_slot - 1)
-        )
-        self.set_timer(
-            self.retransmit_timeout,
-            lambda: self._retransmit_handoff(successor, ballot, attempts - 1),
-        )
-
-    def on_handoff(self, src: Hashable, m: Handoff) -> None:
-        """Successor side: campaign immediately, carrying the old leader's
-        consent so follower grant windows release instead of stalling the
-        election for a lease duration."""
-        if self.recovering or self.active:
-            return
-        if m.ballot < self.promised and m.ballot.owner != self.promised.owner:
-            return  # a newer leader already exists; stale handoff
-        self.handoffs_received += 1
-        self._handoff_grant = m.ballot.owner
-        self.start_phase1()
 
     # ------------------------------------------------------------------
     # Crash recovery: WAL replay, catch-up, and state transfer

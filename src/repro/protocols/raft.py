@@ -23,28 +23,19 @@ only after catching up to the commit frontier it observed at rejoin.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.paxi.deployment import Deployment
-from repro.paxi.detector import (
-    DEGRADED,
-    HEALTHY,
-    AdaptiveTimeout,
-    NodeHealthMonitor,
-)
 from repro.paxi.ids import NodeID
-from repro.paxi.lease import FollowerGrant, LeaderLease
-from repro.paxi.message import Batch, ClientReply, ClientRequest, Command, Message
+from repro.paxi.message import Batch, ClientReply, ClientRequest, Message
 from repro.paxi.node import wal_record_bytes
-from repro.paxi.protocol import Protocol
-from repro.paxi.quorum import MajorityQuorum
-from repro.protocols.log import RequestInfo, entry_pairs
+from repro.protocols.leaderlog import LeaderLog
+from repro.protocols.log import EntryCommand, entry_pairs
 from repro.sim.storage import Snapshot
 
 # One replicated log record: (term, command-or-batch, request-info(s))
-LogRecord = tuple[int, "Command | Batch | None", Any]
+LogRecord = tuple[int, EntryCommand, Any]
 
 FOLLOWER, CANDIDATE, LEADER = "follower", "candidate", "leader"
 
@@ -102,40 +93,6 @@ class AppendReply(Message):
 
 
 @dataclass(frozen=True, slots=True)
-class HandoffRequest(Message):
-    """Follower → leader: 'your heartbeats read degraded; hand off to me'.
-    The sender volunteers as successor — its request arriving at all
-    proves it is reachable from the leader."""
-
-    SIZE_BYTES = 40
-
-    term: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class Handoff(Message):
-    """Old leader → successor: leadership transferred; campaign now.  The
-    sender has stopped replicating, released its lease, and stepped down."""
-
-    SIZE_BYTES = 60
-
-    term: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class ReadQuery(Message):
-    """Quorum-read poll: asks a peer for its log frontier."""
-
-    rid: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class ReadReply(Message):
-    rid: int = 0
-    frontier: int = 0
-
-
-@dataclass(frozen=True, slots=True)
 class InstallSnapshot(Message):
     """State transfer for a follower too far behind to repair from the log
     (wiped disk, or compacted leader log).  Answered with an
@@ -152,52 +109,36 @@ class InstallSnapshot(Message):
         return self.SIZE_BYTES + size
 
 
-class Raft(Protocol):
-    """A Raft replica.
+class Raft(LeaderLog):
+    """A Raft replica: a contiguous list of records, ordered by terms.
 
     Batching and pipelining honor the typed config fields: the leader
     coalesces admitted requests into one multi-command log record per
     batch flush, and ``pipeline_depth`` bounds how many uncommitted
     indices it keeps in flight.
 
-    Recognized config params:
+    The read paths, leases, the failure detector, election timing and the
+    planned handoff — and their config params — are
+    :class:`~repro.protocols.leaderlog.LeaderLog`'s.  A lease read here is
+    lease-based ReadIndex: served locally by the leader once its term-start
+    no-op barrier is applied.  A handoff additionally waits for the
+    successor's ``matchIndex`` to reach the transfer point — a successor
+    missing entries could not win the election the handoff solicits.
+    Raft's own params:
 
-    - ``leader``: node that runs the first election immediately (avoids a
-      cold-start election race in benchmarks; default first node);
-    - ``heartbeat_interval``: leader heartbeat period (default 0.02 s);
-    - ``election_timeout``: base election timeout (default 0.15 s);
-    - ``lease_duration``: leader-lease window (seconds on each node's own
-      clock); enables ``consistency="lease"`` reads (lease-based
-      ReadIndex: served locally by the leader after its term-start no-op
-      barrier is applied, no quorum round);
-    - ``max_clock_skew``: bound on per-node clock drift assumed by the
-      lease safety argument (see ``repro.paxi.lease``);
-    - ``detector``: enable the φ-accrual gray-failure detector
-      (``repro.paxi.detector``): followers grade the leader from
-      sender-stamped heartbeats, the election timeout becomes a
-      Jacobson-adaptive estimate over the observed cadence, and a
-      degraded-but-alive leader is replaced by a planned handoff (see
-      ``handoff``) instead of being tolerated forever;
-    - ``phi_threshold`` (8.0) / ``slow_ratio`` (2.5): suspicion level for
-      *failed* and emission-delay stretch for *degraded* verdicts;
-    - ``handoff`` (True, needs ``detector``): when ``handoff_votes``
-      distinct followers report the leader degraded within
-      ``handoff_vote_window`` seconds, the leader drains to its log
-      frontier, waits for the successor to match it, releases its lease,
-      and steps down with zero availability gap.
-
-    Per-command read paths (``Command.read_mode``): ``"lease"`` as above,
-    ``"quorum"`` polls a majority for the max log frontier and serves
-    after applying through it (linearizable without a leader), and
-    ``"local"`` answers from the local state machine (bounded staleness).
+    - ``election_timeout``: defaults to 0.15 s (failover is always on);
+    - ``catchup_snapshot_gap`` (64): the leader switches from log repair to
+      snapshot transfer once a follower trails the commit frontier by this
+      many entries; ``snapshot_retransmit`` (0.3 s) is the minimum interval
+      between transfers to the same follower.
     """
 
+    #: A Raft leader (or learner) keeps its election timer ticking idle.
+    election_timer_free_runs = True
+
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
-        super().__init__(deployment, node_id)
+        super().__init__(deployment, node_id, stream="raft", election_timeout=0.15)
         params = self.config.params
-        self.heartbeat_interval: float = params.get("heartbeat_interval", 0.02)
-        self.election_timeout: float = params.get("election_timeout", 0.15)
-        bootstrap_leader: NodeID = params.get("leader", self.config.node_ids[0])
         #: The leader switches from log repair to snapshot transfer once a
         #: follower's nextIndex trails the commit frontier by this many slots.
         self.catchup_snapshot_gap: int = params.get("catchup_snapshot_gap", 64)
@@ -207,7 +148,6 @@ class Raft(Protocol):
         self.term = 0
         self.state = FOLLOWER
         self.voted_for: NodeID | None = None
-        self.leader_hint: NodeID | None = bootstrap_leader
         self.log: list[tuple[int, LogRecord]] = []  # [(index, record)], 1-based
         self.commit_index = 0
         self.last_applied = 0
@@ -222,102 +162,41 @@ class Raft(Protocol):
         self._next_index: dict[NodeID, int] = {}
         self._match_index: dict[NodeID, int] = {}
         self._snap_sent: dict[NodeID, float] = {}
-        self._request_cache: dict[tuple[Hashable, int], Any] = {}
-        self._election_handle = None
-        self._rng = deployment.cluster.streams.stream(f"raft-{node_id}")
-
-        # Gray-failure detection and planned handoff (opt-in; see the
-        # class docstring and repro.paxi.detector).
-        self.detector_enabled: bool = bool(params.get("detector", False))
-        self.handoff_enabled: bool = bool(params.get("handoff", True))
-        self.handoff_votes_needed: int = params.get("handoff_votes", 2)
-        self.handoff_vote_window: float = params.get("handoff_vote_window", 0.5)
-        self.handoff_cooldown: float = params.get("handoff_cooldown", 1.0)
-        self.handoff_retransmit: float = params.get("handoff_retransmit", 0.3)
-        if self.detector_enabled:
-            self._monitor: NodeHealthMonitor | None = NodeHealthMonitor(
-                phi_threshold=params.get("phi_threshold", 8.0),
-                slow_ratio=params.get("slow_ratio", 2.5),
-                window=params.get("phi_window", 64),
-                min_samples=params.get("detector_min_samples", 8),
-            )
-            self._adaptive: AdaptiveTimeout | None = AdaptiveTimeout(
-                initial=self.election_timeout,
-                floor=2.0 * self.heartbeat_interval,
-                ceiling=params.get("adaptive_ceiling", 2.0),
-            )
-            self.adaptive_multiplier: float = params.get("adaptive_multiplier", 4.0)
-        else:
-            self._monitor = None
-            self._adaptive = None
-        self._handing_off = False
-        self._handoff_point = 0
-        self._handoff_successor: NodeID | None = None
-        self._handoff_votes: dict[NodeID, float] = {}
-        self._handoff_cooldown_until = 0.0
-        self._handoff_request_after = 0.0
-        self._handoff_buffer: list[ClientRequest] = []
-        self._handoff_grant: NodeID | None = None
-        self.handoffs_completed = 0
-        self.handoffs_received = 0
-        self.handoff_requests_sent = 0
-
-        self.batcher = self.make_batcher(self.propose_batch)
-        self.pipeline_depth: int | None = self.config.pipeline_depth
-        self._proposal_queue: deque[list[ClientRequest]] = deque()
-
-        # Leader leases (lease-based ReadIndex): grants piggyback on
-        # AppendEntries and are echoed in AppendReply; reads additionally
-        # wait for the term-start no-op barrier to be applied.
-        self.lease_duration: float | None = params.get("lease_duration")
-        self.max_clock_skew: float = params.get("max_clock_skew", 0.0)
-        if self.lease_duration is not None:
-            majority = len(self.config.node_ids) // 2 + 1
-            self._lease: LeaderLease | None = LeaderLease(
-                self.clock, self.lease_duration, self.max_clock_skew, majority, self.id
-            )
-            self._grant: FollowerGrant | None = FollowerGrant(
-                self.clock, self.lease_duration
-            )
-            if self.restart_reason is not None:
-                # The pre-restart grant (if any) is forgotten; block every
-                # candidate for one full window rather than double-vote.
-                self._grant.grant_unknown()
-        else:
-            self._lease = None
-            self._grant = None
-        self._lease_barrier = 0
-        self._pending_lease_reads: list[ClientRequest] = []
-        self._quorum_reads: dict[int, list] = {}  # rid -> [request, quorum, frontier]
-        self._next_read_id = 0
-        self._rinse_waiters: list[list] = []  # [frontier, request]
-        self._read_rng = None
-        self._read_waiters: dict[Hashable, list[ClientRequest]] = {}
+        #: A non-voting learner (``recovering``) votes again only once it
+        #: has re-learned the commit frontier it saw at rejoin.  It still
+        #: accepts AppendEntries — that is how the leader repairs it.
+        self._catchup_target: int | None = None
 
         self.register(RequestVote, self.on_request_vote)
         self.register(VoteReply, self.on_vote_reply)
         self.register(AppendEntries, self.on_append_entries)
         self.register(AppendReply, self.on_append_reply)
         self.register(InstallSnapshot, self.on_install_snapshot)
-        self.register(HandoffRequest, self.on_handoff_request)
-        self.register(Handoff, self.on_handoff)
-        self.register(ReadQuery, self.on_read_query)
-        self.register(ReadReply, self.on_read_reply)
+        self._start()
 
-        #: Non-voting learner mode after a wipe (or a reboot without a
-        #: disk): the node's vote history is gone, so it must not grant
-        #: votes until it has re-learned the commit frontier it saw at
-        #: rejoin (``_catchup_target``).  It still accepts AppendEntries —
-        #: that is how the leader repairs it.
-        self.recovering = False
-        self._catchup_target: int | None = None
+    # ------------------------------------------------------------------
+    # The LeaderLog interface over a contiguous log
+    # ------------------------------------------------------------------
 
-        if self.restart_reason is not None:
-            self._recover()
-        elif self.id == bootstrap_leader:
-            self.set_timer(0.0, self._start_election)
-        else:
-            self._reset_election_timer()
+    @property
+    def active(self) -> bool:
+        return self.state == LEADER
+
+    @active.setter
+    def active(self, leading: bool) -> None:
+        self.state = LEADER if leading else FOLLOWER
+
+    @property
+    def epoch(self) -> int:
+        return self.term
+
+    @property
+    def in_flight(self) -> int:
+        return self.last_log_index - self.commit_index
+
+    def _handoff_ready(self, successor: NodeID) -> bool:
+        point = self._handoff_point
+        return self.commit_index >= point and self._match_index.get(successor, 0) >= point
 
     # ------------------------------------------------------------------
     # Log helpers
@@ -345,48 +224,7 @@ class Raft(Protocol):
     # Elections
     # ------------------------------------------------------------------
 
-    def _reset_election_timer(self) -> None:
-        if self._election_handle is not None:
-            self._election_handle.cancel()
-        delay = self._election_delay() * (1.0 + self._rng.random())
-        self._election_handle = self.set_timer(delay, self._election_expired)
-
-    def _election_delay(self) -> float:
-        """Base follower timeout before campaigning: the Jacobson estimate
-        over observed heartbeat cadence with the detector on (self-tuning
-        to the topology), the fixed ``election_timeout`` otherwise."""
-        adaptive = self._adaptive
-        if adaptive is not None and adaptive.samples >= 4:
-            return adaptive.timeout * self.adaptive_multiplier
-        return self.election_timeout
-
-    def _election_expired(self) -> None:
-        if (
-            self.state != LEADER
-            and not self.recovering
-            # A live lease grant forbids campaigning: our RequestVote
-            # would be refused anyway, so wait out the window instead.
-            and not (self._grant is not None and self._grant.blocks(self.id))
-            # φ veto: don't campaign against a leader the accrual evidence
-            # says is fine (an unlucky jitter streak, not a failure).
-            # Degraded and silent leaders fall through to the campaign.
-            and not self._leader_reads_healthy()
-        ):
-            self._start_election()
-        self._reset_election_timer()
-
-    def _leader_reads_healthy(self) -> bool:
-        if self._monitor is None:
-            return False
-        leader = self.leader_hint
-        return (
-            leader is not None
-            and leader != self.id
-            and self._monitor.samples(leader) > 0
-            and self._monitor.assess(leader, self.clock.now) == HEALTHY
-        )
-
-    def _start_election(self) -> None:
+    def _campaign(self) -> None:
         self.term += 1
         self.state = CANDIDATE
         self.voted_for = self.id
@@ -407,38 +245,16 @@ class Raft(Protocol):
             handoff_from=token,
         )
         self.persist(
-            "term", (term, self.id), then=lambda: self._campaign(term, request)
+            "term", (term, self.id), then=lambda: self._solicit_votes(term, request)
         )
 
-    def _campaign(self, term: int, request: RequestVote) -> None:
+    def _solicit_votes(self, term: int, request: RequestVote) -> None:
         if self.term != term or self.state != CANDIDATE:
             return  # superseded while the vote record was syncing
         self.broadcast(request)
 
-    def _lease_blocks_vote(
-        self, candidate: Hashable, released_by: NodeID | None = None
-    ) -> bool:
-        """Voting for ``candidate`` would break a lease this node is party
-        to — either a grant it gave someone else, or (as leader) its own
-        lease, skew-padded because granters run their refusal windows on
-        their own clocks.
-
-        ``released_by`` is a planned-handoff consent token: a grant held
-        by exactly that node releases early, because the holder stopped
-        serving lease reads before it signed the successor's campaign.
-        The leaseholder-side window never releases this way — only its
-        owner knows when it truly stopped serving."""
-        if self._grant is not None and self._grant.blocks(candidate):
-            if released_by is None or not self._grant.releases(released_by):
-                return True
-        return (
-            self._lease is not None
-            and candidate != self.id
-            and self.clock.now < self._lease.valid_until + self.max_clock_skew
-        )
-
     def on_request_vote(self, src: Hashable, m: RequestVote) -> None:
-        if self._lease_blocks_vote(src, released_by=m.handoff_from):
+        if self._lease_blocks(src, released_by=m.handoff_from):
             # Refuse without adopting the term: a partitioned candidate
             # must not depose a live leaseholder by term inflation alone.
             self.send(src, VoteReply(term=self.term, granted=False))
@@ -491,27 +307,14 @@ class Raft(Protocol):
         self._snap_sent = {}
         if self._lease is not None:
             self._lease.reset()
-            self._append_noop_barrier()
-            self._replicate()
+            # Raft's term-start no-op: committing an own-term entry is the
+            # only way a new leader learns the true commit frontier, so
+            # lease reads wait until it has been *applied*.
+            self._read_barrier = self.last_log_index + 1
+            self._propose(None, None)
         else:
             self._broadcast_heartbeat()
         self.set_timer(self.heartbeat_interval, self._heartbeat_tick)
-
-    def _append_noop_barrier(self) -> None:
-        """Raft's term-start no-op: committing an own-term entry is the only
-        way a new leader learns the true commit frontier, so lease reads
-        wait until it has been *applied* (the read barrier)."""
-        index = self.last_log_index + 1
-        record: LogRecord = (self.term, None, None)
-        self.log.append((index, record))
-        self._lease_barrier = index
-        self.persist(
-            "append",
-            (index, record),
-            slot=index,
-            size_bytes=wal_record_bytes(None),
-            then=lambda: self._mark_durable(index),
-        )
 
     def _step_down(self, term: int) -> None:
         self.term = term
@@ -529,8 +332,8 @@ class Raft(Protocol):
         )
         while self._proposal_queue:
             pending.extend(self._proposal_queue.popleft())
-        pending.extend(self._handoff_buffer)
-        self._handoff_buffer = []
+        pending.extend(self._parked)
+        self._parked = []
         for m in pending:
             if self.leader_hint is not None and self.leader_hint != self.id:
                 self.send(self.leader_hint, m)
@@ -539,19 +342,7 @@ class Raft(Protocol):
     # Client requests
     # ------------------------------------------------------------------
 
-    def on_request(self, src: Hashable, m: ClientRequest) -> None:
-        if m.command.is_read:
-            mode = m.command.read_mode
-            if mode == "local":
-                self._serve_local_read(m)
-                return
-            if mode == "quorum" and not self.recovering:
-                self._start_quorum_read(m)
-                return
-            if mode == "lease" and self._try_lease_read(m):
-                return
-            # lease invalid (or this replica isn't the leaseholder): fall
-            # through to the full consensus round — always linearizable.
+    def _submit(self, m: ClientRequest) -> None:
         key = (m.client, m.request_id)
         if key in self._request_cache:
             self.send(
@@ -574,7 +365,7 @@ class Raft(Protocol):
             # Mid-handoff drain: no new records past the transfer point.
             # The request follows the successor on completion (or is
             # replayed here if the handoff aborts).
-            self._handoff_buffer.append(m)
+            self._parked.append(m)
             return
         if self.batcher is not None:
             self.batcher.add(m)
@@ -590,26 +381,9 @@ class Raft(Protocol):
             return
         self._submit_group(list(requests))
 
-    def _submit_group(self, group: list[ClientRequest]) -> None:
-        if (
-            self.pipeline_depth is not None
-            and self.last_log_index - self.commit_index >= self.pipeline_depth
-        ):
-            self._proposal_queue.append(group)
-            return
-        self._append_group(group)
-
-    def _append_group(self, group: list[ClientRequest]) -> None:
+    def _propose(self, command: EntryCommand, request: Any) -> None:
         index = self.last_log_index + 1
-        if len(group) == 1:
-            m = group[0]
-            record: LogRecord = (self.term, m.command, RequestInfo(m.client, m.request_id))
-        else:
-            record = (
-                self.term,
-                Batch(tuple(m.command for m in group)),
-                tuple(RequestInfo(m.client, m.request_id) for m in group),
-            )
+        record: LogRecord = (self.term, command, request)
         self.log.append((index, record))
         # The leader's own record joins the commit count only once durable
         # (synchronously for in-memory configs, after the fsync otherwise);
@@ -622,134 +396,6 @@ class Raft(Protocol):
             then=lambda: self._mark_durable(index),
         )
         self._replicate()
-
-    def _release_pipeline(self) -> None:
-        while self._proposal_queue and (
-            self.pipeline_depth is None
-            or self.last_log_index - self.commit_index < self.pipeline_depth
-        ):
-            self._append_group(self._proposal_queue.popleft())
-
-    # ------------------------------------------------------------------
-    # Read paths: lease-based ReadIndex, quorum reads, and local reads
-    # ------------------------------------------------------------------
-
-    def _lease_valid(self) -> bool:
-        """Whether this node's leader lease currently permits serving
-        local reads.  Override hook for the adversarial read tests."""
-        return self._lease is not None and self._lease.valid
-
-    def _try_lease_read(self, m: ClientRequest) -> bool:
-        """Serve (or park) a lease read; False = caller must fall back."""
-        if self.state != LEADER or not self._lease_valid():
-            return False
-        if self.last_applied >= self._lease_barrier:
-            self._serve_read_from_store(m)
-        else:
-            self._pending_lease_reads.append(m)
-        return True
-
-    def _serve_read_from_store(self, m: ClientRequest) -> None:
-        key = m.command.key
-        self.send(
-            m.client,
-            ClientReply(
-                request_id=m.request_id,
-                ok=True,
-                value=self.store.read(key),
-                replied_by=self.id,
-                leader_hint=self.leader_hint,
-                version=self.store.version(key),
-            ),
-        )
-
-    def _serve_local_read(self, m: ClientRequest) -> None:
-        """Bounded-staleness local read; a session token (``min_version``)
-        parks the reply until this replica has applied that many writes to
-        the key (read-your-writes / monotonic reads)."""
-        key = m.command.key
-        if self.store.version(key) < m.command.min_version:
-            self._read_waiters.setdefault(key, []).append(m)
-            return
-        self._serve_read_from_store(m)
-
-    def _drain_read_waiters(self, key: Hashable) -> None:
-        waiters = self._read_waiters.get(key)
-        if not waiters:
-            return
-        ready = [m for m in waiters if self.store.version(key) >= m.command.min_version]
-        if ready:
-            self._read_waiters[key] = [m for m in waiters if m not in ready]
-            for m in ready:
-                self._serve_local_read(m)
-
-    def _start_quorum_read(self, m: ClientRequest) -> None:
-        """PQR-style quorum read: poll a majority for its log frontier;
-        any replica (not just the leader) coordinates."""
-        quorum = MajorityQuorum(self.config.node_ids)
-        quorum.ack(self.id)
-        frontier = self.last_log_index
-        if quorum.satisfied():  # single-node cluster
-            self._finish_quorum_read(m, frontier)
-            return
-        self._next_read_id += 1
-        rid = self._next_read_id
-        self._quorum_reads[rid] = [m, quorum, frontier]
-        self.multicast(self._read_targets(quorum.size - 1), ReadQuery(rid=rid))
-
-    def _read_targets(self, needed: int) -> list[NodeID]:
-        peers = self.peers
-        if needed >= len(peers):
-            return peers
-        if self._read_rng is None:
-            self._read_rng = self.deployment.cluster.streams.stream(
-                f"raft-read-{self.id}"
-            )
-        return self._read_rng.sample(peers, needed)
-
-    def on_read_query(self, src: Hashable, m: ReadQuery) -> None:
-        if self.recovering:
-            return  # an incomplete log would under-report the frontier
-        self.send(src, ReadReply(rid=m.rid, frontier=self.last_log_index))
-
-    def on_read_reply(self, src: Hashable, m: ReadReply) -> None:
-        state = self._quorum_reads.get(m.rid)
-        if state is None:
-            return
-        state[2] = max(state[2], m.frontier)
-        quorum = state[1]
-        quorum.ack(src)
-        if quorum.satisfied():
-            del self._quorum_reads[m.rid]
-            self._finish_quorum_read(state[0], state[2])
-
-    def _finish_quorum_read(self, m: ClientRequest, frontier: int) -> None:
-        """Rinse: a committed write is in the log of at least one polled
-        member, so the max frontier bounds it — serve only after this
-        replica has applied through that index."""
-        if self.last_applied >= frontier:
-            self._serve_read_from_store(m)
-        else:
-            self._rinse_waiters.append([frontier, m])
-
-    def _drain_read_backlog(self) -> None:
-        if self._rinse_waiters:
-            still: list[list] = []
-            for waiter in self._rinse_waiters:
-                if self.last_applied >= waiter[0]:
-                    self._serve_read_from_store(waiter[1])
-                else:
-                    still.append(waiter)
-            self._rinse_waiters = still
-        if self._pending_lease_reads:
-            pending, self._pending_lease_reads = self._pending_lease_reads, []
-            for m in pending:
-                if self.state != LEADER or not self._lease_valid():
-                    self.on_request(m.client, m)  # fall back to consensus
-                elif self.last_applied >= self._lease_barrier:
-                    self._serve_read_from_store(m)
-                else:
-                    self._pending_lease_reads.append(m)
 
     def _mark_durable(self, index: int) -> None:
         """Our own log record hit disk; it may now count toward commit."""
@@ -819,7 +465,7 @@ class Raft(Protocol):
         self.leader_hint = src
         if self._monitor is not None and not m.entries and m.sent_at > 0.0:
             # Sender-stamped heartbeat: feed the gray-failure detector.
-            self._observe_leader(src, self.clock.now - m.sent_at)
+            self._observe_leader(src, self.term, self.clock.now - m.sent_at)
         # Granting is independent of log consistency: the promise not to
         # vote for others holds even while our log is being repaired.
         lease_seq = m.lease_seq if self._grant is not None else 0
@@ -1108,160 +754,7 @@ class Raft(Protocol):
                 prev_term=self.last_log_term,
                 entries=(),
                 leader_commit=self.commit_index,
-                lease_seq=self._lease.stamp() if self._lease is not None else 0,
+                lease_seq=self._lease_stamp(),
                 sent_at=self.clock.now if self.detector_enabled else 0.0,
             )
         )
-
-    # ------------------------------------------------------------------
-    # Gray-failure detection and planned leader handoff
-    # ------------------------------------------------------------------
-
-    def _observe_leader(self, src: NodeID, delay: float) -> None:
-        """Heartbeat receipt: feed the φ-accrual monitor and the adaptive
-        timeout, then grade the leader.  A *degraded* verdict (alive but
-        its emission delay stretched past ``slow_ratio``) solicits a
-        planned handoff instead of waiting for an election that a
-        still-heartbeating leader will never trigger."""
-        now = self.clock.now
-        interval = self._monitor.observe(src, now, delay=delay)
-        if interval is not None and self._adaptive is not None:
-            self._adaptive.observe(interval)
-        if not self.handoff_enabled or self.state == LEADER or self.recovering:
-            return
-        if self.now < self._handoff_request_after:
-            return
-        if self._monitor.assess(src, now) != DEGRADED:
-            return
-        self._handoff_request_after = self.now + self.handoff_vote_window / 2.0
-        self.handoff_requests_sent += 1
-        self.send(src, HandoffRequest(term=self.term))
-
-    def on_handoff_request(self, src: Hashable, m: HandoffRequest) -> None:
-        """Leader side: tally degradation reports; once enough distinct
-        followers agree within the vote window, hand off to the latest
-        reporter."""
-        if (
-            self.state != LEADER
-            or self.recovering
-            or self._handing_off
-            or m.term != self.term
-            or not self.handoff_enabled
-        ):
-            return
-        now = self.now
-        if now < self._handoff_cooldown_until:
-            return
-        horizon = now - self.handoff_vote_window
-        self._handoff_votes = {
-            peer: at for peer, at in self._handoff_votes.items() if at >= horizon
-        }
-        self._handoff_votes[src] = now
-        if len(self._handoff_votes) >= self.handoff_votes_needed:
-            self._begin_handoff(src)
-
-    def _begin_handoff(self, successor: NodeID) -> None:
-        """Handoff phase 1: stop appending and drain to a transfer point.
-
-        The transfer point is the current log frontier: leadership moves
-        only once everything at or below it has committed AND the
-        successor's matchIndex has reached it — Raft's extra obligation,
-        because a successor missing entries could not win the election
-        the handoff solicits (the up-to-date check would refuse it)."""
-        self._handing_off = True
-        self._handoff_successor = successor
-        self._handoff_votes = {}
-        self._handoff_cooldown_until = self.now + self.handoff_cooldown
-        if self.batcher is not None:
-            self.batcher.flush()
-        while self._proposal_queue:
-            self._append_group(self._proposal_queue.popleft())
-        self._handoff_point = self.last_log_index
-        if not self._maybe_complete_handoff():
-            # Liveness fallback: if the drain cannot finish (lost acks, a
-            # crashed successor), resume normal leadership rather than
-            # wedging the group in a half-handoff.
-            self.set_timer(
-                self.handoff_retransmit,
-                lambda: self._handoff_drain_expired(successor),
-            )
-
-    def _handoff_drain_expired(self, successor: NodeID) -> None:
-        if self._handing_off and self._handoff_successor == successor:
-            self._handing_off = False
-            self._handoff_successor = None
-            # Still the leader: requests parked during the drain resume.
-            buffered, self._handoff_buffer = self._handoff_buffer, []
-            for m in buffered:
-                self.on_request(m.client, m)
-
-    def _maybe_complete_handoff(self) -> bool:
-        successor = self._handoff_successor
-        if (
-            successor is None
-            or self.commit_index < self._handoff_point
-            or self._match_index.get(successor, 0) < self._handoff_point
-        ):
-            return False
-        self._complete_handoff(successor)
-        return True
-
-    def _complete_handoff(self, successor: NodeID) -> None:
-        """Handoff phase 2: release the lease, step to follower, and
-        solicit the successor's campaign.  Ordering matters: our own
-        validity window dies *before* the Handoff leaves, so by the time
-        the successor's consent-bearing RequestVote releases the
-        followers' grant windows this node can no longer serve a lease
-        read."""
-        self._handing_off = False
-        self._handoff_successor = None
-        if self._lease is not None:
-            self._lease.valid_until = float("-inf")
-            # Clears in-flight grant rounds too, so a straggling grant
-            # echo cannot resurrect the window we just released.
-            self._lease.reset()
-        self.state = FOLLOWER
-        self.leader_hint = successor
-        self.handoffs_completed += 1
-        term = self.term
-        self.send(successor, Handoff(term=term))
-        self.set_timer(
-            self.handoff_retransmit,
-            lambda: self._retransmit_handoff(successor, term, 3),
-        )
-        buffered, self._handoff_buffer = self._handoff_buffer, []
-        for m in buffered:
-            self.send(successor, m)
-        self._reset_election_timer()
-
-    def _retransmit_handoff(
-        self, successor: NodeID, term: int, attempts: int
-    ) -> None:
-        """Liveness: the Handoff travels over the same lossy network as
-        everything else.  Re-send until the successor's campaign shows up
-        (our term advances past the handed-off one); the ordinary
-        election timer is the ultimate fallback."""
-        if (
-            self.state == LEADER
-            or self.recovering
-            or self.term > term
-            or attempts <= 0
-        ):
-            return
-        self.send(successor, Handoff(term=term))
-        self.set_timer(
-            self.handoff_retransmit,
-            lambda: self._retransmit_handoff(successor, term, attempts - 1),
-        )
-
-    def on_handoff(self, src: Hashable, m: Handoff) -> None:
-        """Successor side: campaign immediately, carrying the old leader's
-        consent so follower grant windows release instead of stalling the
-        election for a lease duration."""
-        if self.recovering or self.state == LEADER:
-            return
-        if m.term < self.term:
-            return  # a newer term already exists; stale handoff
-        self.handoffs_received += 1
-        self._handoff_grant = src
-        self._start_election()

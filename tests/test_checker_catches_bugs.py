@@ -22,8 +22,11 @@ from repro.paxi.message import ClientReply, ClientRequest, Command, Message
 from repro.paxi.node import Replica
 from repro.paxi.session import SessionOptions
 from repro.protocols.paxos import MultiPaxos
+from repro.protocols.raft import Raft
 from dataclasses import dataclass
 from typing import Any, Hashable
+
+import pytest
 
 
 @dataclass(frozen=True)
@@ -217,8 +220,8 @@ def test_staleness_checker_bounds_the_local_read_variants():
 
 
 # ----------------------------------------------------------------------
-# The planted broken lease: a real MultiPaxos deployment whose leader
-# ignores lease expiry.  The linearizability checker must catch the stale
+# The planted broken lease: a real MultiPaxos or Raft deployment whose
+# leader ignores lease expiry (one override of the shared ``_lease_valid``).  The linearizability checker must catch the stale
 # read it serves during a partition — and the *correct* implementation
 # must survive the identical scenario.
 # ----------------------------------------------------------------------
@@ -227,13 +230,16 @@ OLD_LEADER = NodeID(1, 1)
 LEASE_PARAMS = dict(lease_duration=0.2, max_clock_skew=0.005, election_timeout=0.1)
 
 
-class BrokenLeasePaxos(MultiPaxos):
+def broken_lease(protocol):
     """Lease validity stubbed to 'always valid': the textbook broken lease.
     A deposed leader keeps serving local reads long after its grants
     expired and a new leader committed writes on the other side."""
-
-    def _lease_valid(self):
-        return self._lease is not None  # ignores expiry entirely
+    return type(
+        f"BrokenLease{protocol.__name__}",
+        (protocol,),
+        # ignores expiry entirely
+        {"_lease_valid": lambda self: self._lease is not None},
+    )
 
 
 def _expired_lease_scenario(factory):
@@ -257,8 +263,9 @@ def _expired_lease_scenario(factory):
     return dep, read
 
 
-def test_linearizability_checker_flags_broken_lease():
-    dep, read = _expired_lease_scenario(BrokenLeasePaxos)
+@pytest.mark.parametrize("protocol", [MultiPaxos, Raft])
+def test_linearizability_checker_flags_broken_lease(protocol):
+    dep, read = _expired_lease_scenario(broken_lease(protocol))
     # The broken leaseholder happily serves its stale store.
     assert read.ok and read.value == "v1" and read.read_mode == "lease"
     result = check_history(dep.history.snapshot())
@@ -267,10 +274,11 @@ def test_linearizability_checker_flags_broken_lease():
     assert not check_history_graph(dep.history.operations)
 
 
-def test_correct_lease_survives_the_same_partition():
+@pytest.mark.parametrize("protocol", [MultiPaxos, Raft])
+def test_correct_lease_survives_the_same_partition(protocol):
     """Same schedule, real lease arithmetic: the deposed leader's lease has
     expired, so the read falls back to a consensus round it cannot win
     while partitioned — it blocks instead of lying."""
-    dep, read = _expired_lease_scenario(MultiPaxos)
+    dep, read = _expired_lease_scenario(protocol)
     assert not read.ok or read.value == "v2"
     assert check_history(dep.history.snapshot()).ok

@@ -22,40 +22,35 @@ from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
 from repro.paxi.session import SessionOptions
-from repro.protocols.paxos import HandoffRequest, MultiPaxos
+from repro.protocols.leaderlog import HandoffRequest
+from repro.protocols.paxos import MultiPaxos
 from repro.protocols.raft import Raft
 
 OLD_LEADER = NodeID(1, 1)
 HANDOFF_PARAMS = dict(lease_duration=0.2, max_clock_skew=0.005, detector=True)
 
 
-class BrokenHandoffPaxos(MultiPaxos):
-    """Hands the ballot to the successor but 'forgets' to release its own
+def broken_handoff(protocol):
+    """Hands the epoch to the successor but 'forgets' to release its own
     lease or step down: the split-brain bug the release-before-solicit
-    ordering in ``_complete_handoff`` exists to prevent."""
-
-    def _complete_handoff(self):
-        from repro.protocols.paxos import Handoff
-
-        successor = self._handoff_successor
-        self._handing_off = False
-        self._handoff_successor = None
-        if successor is None or not self.active:
-            return
-        self.handoffs_completed += 1
-        self.send(
-            successor,
-            Handoff(ballot=self.ballot, frontier=self.log.next_slot - 1),
-        )
-        # BUG: no lease release, no active=False -- this node keeps
-        # serving lease reads while the successor takes over.
+    ordering in ``_complete_handoff`` exists to prevent.  One override of
+    the shared step — this node keeps serving lease reads while the
+    successor takes over."""
+    return type(
+        f"BrokenHandoff{protocol.__name__}",
+        (protocol,),
+        {"_stop_leading": lambda self: None},
+    )
 
 
 def _handoff_scenario(factory):
-    """Trigger a planned handoff, then immediately partition the old
-    leader (with a lease reader) away from the majority and commit a new
-    value on the other side.  A correct old leader released its lease at
-    the transfer point; a broken one serves the stale store."""
+    """Trigger a planned handoff and, the instant the successor holds the
+    Handoff, partition the old leader (with a lease reader) away from the
+    majority; then commit a new value on the other side.  A correct old
+    leader released its lease at the transfer point; a broken one serves
+    the stale store.  (The cut has to come before the successor's first
+    message as leader: a Raft AppendEntries from the newer term would
+    depose even the broken old leader and mask the bug.)"""
     dep = Deployment(Config.lan(1, 5, seed=13, **HANDOFF_PARAMS)).start(factory)
     writer = dep.new_session(max_wait=1.0)
     reader = dep.new_session(max_wait=1.0, consistency="lease")
@@ -66,21 +61,24 @@ def _handoff_scenario(factory):
     # Two followers report the leader degraded (the detector's verdict,
     # delivered by hand so the schedule is exact and load-free).
     for peer in [r.id for r in dep.replicas.values() if r.id != OLD_LEADER][:2]:
-        leader.on_handoff_request(peer, HandoffRequest(ballot=leader.ballot))
-    dep.run_for(0.1)  # handoff completes; the successor campaigns
-    new_leader = next(
-        r.id for r in dep.replicas.values() if r.active and r.id != OLD_LEADER
-    )
+        leader.on_handoff_request(peer, HandoffRequest(epoch=leader.epoch))
+    while not any(r.handoffs_received for r in dep.replicas.values()):
+        dep.run_for(0.0001)
     everyone = set(dep.config.node_ids) | {c.address for c in dep.clients}
     minority = {OLD_LEADER, reader.client.address}
     dep.cluster.partition([minority, everyone - minority], 3.0, at=dep.now)
+    dep.run_for(0.1)  # the successor campaigns and wins on the majority side
+    new_leader = next(
+        r.id for r in dep.replicas.values() if r.active and r.id != OLD_LEADER
+    )
     assert writer.put("k", "v2", opts=SessionOptions(target=new_leader)).ok
     read = reader.get("k", opts=SessionOptions(target=OLD_LEADER))
     return dep, read
 
 
-def test_linearizability_checker_flags_broken_handoff():
-    dep, read = _handoff_scenario(BrokenHandoffPaxos)
+@pytest.mark.parametrize("protocol", [MultiPaxos, Raft])
+def test_linearizability_checker_flags_broken_handoff(protocol):
+    dep, read = _handoff_scenario(broken_handoff(protocol))
     # The un-deposed old leader happily serves its stale store.
     assert read.ok and read.value == "v1" and read.read_mode == "lease"
     result = check_history(dep.history.snapshot())
@@ -89,11 +87,12 @@ def test_linearizability_checker_flags_broken_handoff():
     assert not check_history_graph(dep.history.operations)
 
 
-def test_correct_handoff_survives_the_same_schedule():
+@pytest.mark.parametrize("protocol", [MultiPaxos, Raft])
+def test_correct_handoff_survives_the_same_schedule(protocol):
     """Same schedule, real completion: the old leader's lease died before
     the Handoff left, so the partitioned read cannot be served locally —
     it blocks instead of lying."""
-    dep, read = _handoff_scenario(MultiPaxos)
+    dep, read = _handoff_scenario(protocol)
     assert not read.ok or read.value == "v2"
     assert check_history(dep.history.snapshot()).ok
     assert dep.replicas[OLD_LEADER].handoffs_completed == 1

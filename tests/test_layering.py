@@ -44,3 +44,50 @@ def test_lower_layer_does_not_import_upward(layer):
             if parts[0] == "repro" and len(parts) > 1 and parts[1] in UPPER_LAYERS:
                 offenders.append(f"{path.relative_to(SRC.parent)} imports {name}")
     assert not offenders, "\n".join(offenders)
+
+
+# ----------------------------------------------------------------------
+# One leader-log layer: the read paths, election timing and the planned
+# handoff live in repro.protocols.leaderlog, not in each protocol.
+# ----------------------------------------------------------------------
+
+PROTOCOLS_DIR = SRC / "protocols"
+
+#: Mechanisms LeaderLog owns; a protocol class body defining one of them
+#: has pasted a copy back.
+SHARED_MECHANISMS = {
+    "_try_lease_read", "_lease_valid", "_serve_read_from_store",
+    "_serve_local_read", "_drain_read_waiters", "_start_quorum_read",
+    "_read_targets", "on_read_query", "on_read_reply", "_finish_quorum_read",
+    "_drain_read_backlog", "_reset_election_timer", "_election_delay",
+    "_election_expired", "_observe_leader", "on_handoff_request",
+    "_begin_handoff", "_handoff_drain_expired", "_complete_handoff",
+    "_retransmit_handoff", "on_handoff", "on_request",
+}  # fmt: skip
+#: Protocol/Replica extension points both protocols legitimately override.
+EXTENSION_POINTS = {"propose_batch", "snapshot_payload", "_recover", "_become_leader"}
+
+
+def test_leaderlog_sits_below_the_protocols_built_on_it():
+    upward = {f"repro.protocols.{name}" for name in ("paxos", "raft", "fpaxos")}
+    imported = _imported_modules(PROTOCOLS_DIR / "leaderlog.py")
+    assert not imported & upward, sorted(imported & upward)
+    assert "repro.protocols.raft" not in _imported_modules(PROTOCOLS_DIR / "paxos.py")
+    assert "repro.protocols.paxos" not in _imported_modules(PROTOCOLS_DIR / "raft.py")
+
+
+def test_paxos_and_raft_share_only_the_leaderlog_interface():
+    from repro.protocols.leaderlog import LeaderLog
+    from repro.protocols.paxos import MultiPaxos
+    from repro.protocols.raft import Raft
+
+    both = {
+        name
+        for name in vars(MultiPaxos).keys() & vars(Raft).keys()
+        if not (name.startswith("__") and name.endswith("__")) and name != "_abc_impl"
+    }
+    assert not both & SHARED_MECHANISMS, sorted(both & SHARED_MECHANISMS)
+    assert len(both) <= 12, sorted(both)
+    # Whatever both define is a hook declared on the base, or an extension point.
+    declared = vars(LeaderLog).keys() | LeaderLog.__annotations__.keys() | EXTENSION_POINTS
+    assert both <= declared, sorted(both - declared)

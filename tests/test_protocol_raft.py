@@ -88,7 +88,7 @@ def test_vote_denied_to_stale_log():
     follower = dep.replicas[c]
     follower.log = follower.log[:1]  # amputate its log
     follower.commit_index = min(follower.commit_index, 1)
-    follower._start_election()
+    follower._campaign()
     dep.run_for(0.1)
     assert follower.state != LEADER
 
