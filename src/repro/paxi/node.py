@@ -440,9 +440,13 @@ class Replica:
         Queued server jobs are killed separately by
         :meth:`repro.sim.server.Server.power_off`; this flag covers event
         -loop timers and in-flight network deliveries that still reference
-        the old instance.
+        the old instance.  Nothing dispatches to a halted replica, so its
+        handler table goes too: the bound methods in it are a reference
+        cycle that would keep the whole dead incarnation (log, quorums,
+        store) waiting for a full garbage collection.
         """
         self._halted = True
+        self._handlers.clear()
 
     # ------------------------------------------------------------------
     # Durability

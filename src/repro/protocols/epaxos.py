@@ -30,7 +30,7 @@ experiments exercise only the failure-free path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.paxi.deployment import Deployment
@@ -115,7 +115,7 @@ class CommitMsg(Message):
     seq: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Instance:
     command: Command | None
     deps: frozenset[InstanceID]
@@ -123,7 +123,8 @@ class _Instance:
     status: str
     request: RequestInfo | None = None
     acks: int = 0
-    union_deps: set[InstanceID] = field(default_factory=set)
+    # Command leader only, and only while its PreAccept round is open.
+    union_deps: set[InstanceID] | None = None
     max_seq: int = 0
     changed: bool = False
 
@@ -145,6 +146,12 @@ class EPaxos(Protocol):
         self.slow_quorum_size: int = n // 2 + 1
         self._instances: dict[InstanceID, _Instance] = {}
         self._next_instance = 0
+        # Execution frontier: the committed instances still waiting to
+        # execute, and for every unexecuted instance some other instance
+        # names as a dependency, who names it (stale names are kept: they
+        # only widen a search, see _try_execute).
+        self._frontier: set[InstanceID] = set()
+        self._dependents: dict[InstanceID, set[InstanceID]] = {}
         # Interference tracking: per key, the last write and the reads that
         # followed it — the "latest" instances a new command must depend on.
         self._last_write: dict[Hashable, InstanceID] = {}
@@ -180,6 +187,21 @@ class EPaxos(Protocol):
             self._reads_since_write[command.key] = []
         else:
             self._reads_since_write.setdefault(command.key, []).append(instance)
+
+    def _index_deps(self, instance: InstanceID, deps: frozenset[InstanceID]) -> None:
+        """Record that ``instance`` names ``deps``.  Called wherever an
+        instance's ``deps`` are set.  An executed dependency gets no entry:
+        nothing ever waits for it, and nothing would release the entry."""
+        instances = self._instances
+        dependents = self._dependents
+        for dep in deps:
+            known = instances.get(dep)
+            if known is None or known.status != EXECUTED:
+                waiting = dependents.get(dep)
+                if waiting is None:
+                    dependents[dep] = {instance}
+                else:
+                    waiting.add(instance)
 
     def _seq_of(self, deps: set[InstanceID] | frozenset[InstanceID]) -> int:
         highest = 0
@@ -221,6 +243,7 @@ class EPaxos(Protocol):
             max_seq=seq,
         )
         self._instances[instance] = record
+        self._index_deps(instance, record.deps)
         self._track(instance, m.command)
         self.broadcast(
             PreAccept(instance=instance, command=m.command, deps=record.deps, seq=seq)
@@ -236,11 +259,13 @@ class EPaxos(Protocol):
         record.changed = record.changed or m.changed
         if record.acks < self.fast_quorum_size:
             return
+        union, record.union_deps = record.union_deps, None  # the round is over
         if not record.changed:
             self._commit(m.instance, record)  # fast path
             return
         # Slow path: fix the union and run the Accept round.
-        record.deps = frozenset(record.union_deps)
+        record.deps = frozenset(union)
+        self._index_deps(m.instance, record.deps)
         record.seq = record.max_seq
         record.status = ACCEPTED
         record.acks = 1
@@ -263,6 +288,7 @@ class EPaxos(Protocol):
 
     def _commit(self, instance: InstanceID, record: _Instance) -> None:
         record.status = COMMITTED
+        self._frontier.add(instance)
         self.trace_mark(record.request)
         self.broadcast(
             CommitMsg(
@@ -272,7 +298,7 @@ class EPaxos(Protocol):
                 seq=record.seq,
             )
         )
-        self._try_execute()
+        self._try_execute(instance)
 
     # ------------------------------------------------------------------
     # Replica (acceptor) path
@@ -285,12 +311,14 @@ class EPaxos(Protocol):
         changed = merged != set(m.deps)
         existing = self._instances.get(m.instance)
         if existing is None or existing.status == PREACCEPTED:
-            self._instances[m.instance] = _Instance(
+            record = _Instance(
                 command=m.command,
                 deps=frozenset(merged),
                 seq=seq,
                 status=PREACCEPTED,
             )
+            self._instances[m.instance] = record
+            self._index_deps(m.instance, record.deps)
             self._track(m.instance, m.command)
         self.send(
             src,
@@ -303,11 +331,13 @@ class EPaxos(Protocol):
             self._instances[m.instance] = _Instance(
                 command=m.command, deps=m.deps, seq=m.seq, status=ACCEPTED
             )
+            self._index_deps(m.instance, m.deps)
             self._track(m.instance, m.command)
         elif existing.status in (PREACCEPTED, ACCEPTED):
             existing.deps = m.deps
             existing.seq = m.seq
             existing.status = ACCEPTED
+            self._index_deps(m.instance, m.deps)
         self.send(src, AcceptOK(instance=m.instance))
 
     def on_commit(self, src: Hashable, m: CommitMsg) -> None:
@@ -317,63 +347,84 @@ class EPaxos(Protocol):
                 command=m.command, deps=m.deps, seq=m.seq, status=COMMITTED
             )
             self._track(m.instance, m.command)
-        elif existing.status != EXECUTED:
+        elif existing.status == EXECUTED:
+            return
+        else:
             existing.deps = m.deps
             existing.seq = m.seq
             existing.status = COMMITTED
-        self._try_execute()
+        self._index_deps(m.instance, m.deps)
+        self._frontier.add(m.instance)
+        self._try_execute(m.instance)
 
     # ------------------------------------------------------------------
     # Execution: SCCs of the dependency graph, dependencies first
     # ------------------------------------------------------------------
 
-    def _try_execute(self) -> None:
-        ready = [
-            iid
-            for iid, record in self._instances.items()
-            if record.status == COMMITTED
-        ]
-        if not ready:
+    def _try_execute(self, committed: InstanceID) -> None:
+        """Execute whatever the commit of ``committed`` made runnable.
+
+        Every other committed instance was already found blocked when it
+        (or the last thing it waited for) committed, and only a commit can
+        unblock one, so the only candidates are ``committed`` and the
+        instances that reach it through dependency edges.  Restricting
+        Tarjan to that set — uncommitted members included, or a root that
+        reaches ``committed`` through one would be visited in a different
+        order — emits its components in the order a walk over every
+        instance would: no instance outside the set has an edge into it.
+        Execution (hence reply) order feeds the network's seeded delay
+        stream, so "the same order" is what keeps simulated results
+        bit-identical.
+        """
+        instances = self._instances
+        deps = instances[committed].deps
+        # A dependency this replica has not seen committed blocks
+        # ``committed`` and with it everything that reaches it.  Tested
+        # before the walk: a chain committed newest-first would otherwise
+        # re-walk its whole tail on every commit.
+        for dep in deps:
+            known = instances.get(dep)
+            if known is None or known.status not in (COMMITTED, EXECUTED):
+                return
+        reach = {committed}
+        pending = [committed]
+        dependents = self._dependents
+        while pending:
+            for waiter in dependents.get(pending.pop(), ()):
+                if waiter not in reach and instances[waiter].status != EXECUTED:
+                    reach.add(waiter)
+                    pending.append(waiter)
+        # A committed dependency that does not reach ``committed`` is as
+        # blocked as it was before this commit.
+        for dep in deps:
+            if dep not in reach and instances[dep].status != EXECUTED:
+                return
+        if len(reach) == 1:
+            self._execute_instance(committed)
             return
 
         def successors(iid: InstanceID) -> list[InstanceID]:
-            record = self._instances.get(iid)
-            if record is None:
-                return []
-            return [
-                dep
-                for dep in record.deps
-                if dep in self._instances and self._instances[dep].status != EXECUTED
-            ]
+            return [dep for dep in instances[iid].deps if dep in reach]
 
-        executed_now: set[InstanceID] = set()
-        blocked: set[InstanceID] = set()
-        for component in tarjan_sccs(sorted(ready), successors):
-            component_blocked = False
+        for component in tarjan_sccs(sorted(reach & self._frontier), successors):
             members = set(component)
-            for iid in component:
-                record = self._instances.get(iid)
-                if record is None or record.status not in (COMMITTED, EXECUTED):
-                    component_blocked = True
-                    break
-                for dep in record.deps:
-                    if dep in members or dep in executed_now:
-                        continue
-                    dep_record = self._instances.get(dep)
-                    if dep_record is None or dep_record.status != EXECUTED:
-                        component_blocked = True
-                        break
-                if component_blocked:
-                    break
-            if component_blocked:
-                blocked.update(members)
+            if any(self._blocked(iid, members) for iid in component):
                 continue
-            for iid in sorted(
-                (i for i in component if self._instances[i].status == COMMITTED),
-                key=lambda i: (self._instances[i].seq, i),
-            ):
+            for iid in sorted(component, key=lambda i: (instances[i].seq, i)):
                 self._execute_instance(iid)
-                executed_now.add(iid)
+
+    def _blocked(self, instance: InstanceID, component: set[InstanceID]) -> bool:
+        """Whether ``instance`` is uncommitted or waits for an unexecuted
+        dependency outside its own ``component``."""
+        record = self._instances[instance]
+        if record.status != COMMITTED:
+            return True
+        for dep in record.deps:
+            if dep not in component:
+                known = self._instances.get(dep)
+                if known is None or known.status != EXECUTED:
+                    return True
+        return False
 
     def _execute_instance(self, instance: InstanceID) -> None:
         record = self._instances[instance]
@@ -381,6 +432,8 @@ class EPaxos(Protocol):
         if record.command is not None:
             value = self.store.execute(record.command)
         record.status = EXECUTED
+        self._frontier.discard(instance)
+        self._dependents.pop(instance, None)
         if record.request is not None and instance[0] == self.id:
             cache_key = (record.request.client, record.request.request_id)
             self._request_cache[cache_key] = value

@@ -9,7 +9,7 @@ under a hot-key workload, so the traversal must be iterative.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 Node = Hashable
 
@@ -36,12 +36,12 @@ def tarjan_sccs(
         if root in indexes:
             continue
         # Iterative Tarjan: work items are (node, iterator over successors).
-        work: list[tuple[Node, Iterable[Node]]] = []
+        work: list[tuple[Node, Iterator[Node]]] = []
         indexes[root] = lowlinks[root] = index_counter
         index_counter += 1
         stack.append(root)
         on_stack.add(root)
-        work.append((root, iter(list(successors(root)))))
+        work.append((root, iter(successors(root))))
         while work:
             node, it = work[-1]
             advanced = False
@@ -51,18 +51,20 @@ def tarjan_sccs(
                     index_counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(list(successors(succ)))))
+                    work.append((succ, iter(successors(succ))))
                     advanced = True
                     break
-                if succ in on_stack:
-                    lowlinks[node] = min(lowlinks[node], indexes[succ])
+                if succ in on_stack and indexes[succ] < lowlinks[node]:
+                    lowlinks[node] = indexes[succ]
             if advanced:
                 continue
             work.pop()
+            low = lowlinks[node]
             if work:
                 parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
-            if lowlinks[node] == indexes[node]:
+                if low < lowlinks[parent]:
+                    lowlinks[parent] = low
+            if low == indexes[node]:
                 component: list[Node] = []
                 while True:
                     member = stack.pop()

@@ -9,7 +9,8 @@ Determinism: events scheduled for the same instant fire in scheduling order
 identical run.
 
 Performance notes (see ``docs/PERFORMANCE.md``): the run loops bind
-``heapq`` functions and hot attributes to locals, cancelled events are
+``heapq`` functions and hot attributes to locals, the cyclic collector is
+paced while a loop drains (``_GC_GEN0_THRESHOLD``), cancelled events are
 counted and the heap is compacted when cancellations dominate (client retry
 timers are cancelled on nearly every reply, so an uncompacted heap would
 grow with *issued* requests rather than *outstanding* ones), and dispatch
@@ -19,6 +20,7 @@ entries and therefore cannot reorder anything.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 from typing import Any, Callable
@@ -38,6 +40,23 @@ _FIRED = object()
 # removed each time it runs.
 _COMPACT_RATIO = 2
 _COMPACT_MIN = 512
+
+# Generation-0 threshold while a loop drains (CPython's default is 700).  A
+# run retains a large heap that holds no cycles — logs, version chains, the
+# operation history — and every collection the allocation counter triggers
+# rescans part of it to free next to nothing.  Collection still runs, 70x
+# less often; the caller's thresholds come back when the drain returns.
+_GC_GEN0_THRESHOLD = 50_000
+
+
+def _pace_gc() -> tuple[int, int, int]:
+    """Raise the generation-0 threshold for the duration of a drain and
+    return the thresholds to restore.  A caller that has switched the
+    collector off, or already set a higher threshold, keeps its setting."""
+    thresholds = gc.get_threshold()
+    if 0 < thresholds[0] < _GC_GEN0_THRESHOLD:
+        gc.set_threshold(_GC_GEN0_THRESHOLD, *thresholds[1:])
+    return thresholds
 
 
 class EventHandle:
@@ -174,6 +193,7 @@ class EventLoop:
         fired_sentinel = _FIRED
         fired = 0
         batched = 0
+        gc_thresholds = _pace_gc()
         try:
             while heap and not self._stopped:
                 when = heap[0][0]
@@ -210,6 +230,7 @@ class EventLoop:
                     if heap is not self._heap:
                         heap = self._heap
         finally:
+            gc.set_threshold(*gc_thresholds)
             self._events_fired += fired
             self._events_batched += batched
             EventLoop.total_events_fired += fired
@@ -226,6 +247,7 @@ class EventLoop:
         fired_sentinel = _FIRED
         fired = 0
         batched = 0
+        gc_thresholds = _pace_gc()
         try:
             while heap and not self._stopped:
                 if max_events is not None and fired >= max_events:
@@ -263,6 +285,7 @@ class EventLoop:
                     if heap is not self._heap:
                         heap = self._heap
         finally:
+            gc.set_threshold(*gc_thresholds)
             self._events_fired += fired
             self._events_batched += batched
             EventLoop.total_events_fired += fired

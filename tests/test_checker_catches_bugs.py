@@ -3,14 +3,16 @@ must be caught.
 
 A checker that never fires is worthless; these tests implement unsound
 replication schemes — reply-before-replicate with stale follower reads,
-divergent state machines, and a leader lease that ignores its own expiry —
-and assert the linearizability and consensus checkers flag them.  The
-read-anomaly histories (stale lease read, split-brain read, non-monotonic
-quorum read) are also replayed against ``checkers.staleness`` to pin the
+divergent state machines, a leader lease that ignores its own expiry, and
+an EPaxos executor that ignores dependencies — and assert the
+linearizability and consensus checkers flag them.  The read-anomaly
+histories (stale lease read, split-brain read, non-monotonic quorum read)
+are also replayed against ``checkers.staleness`` to pin the
 boundary: the local-read variants are *accepted* within their staleness
 bound and rejected beyond it.
 """
 
+from repro.bench.workload import WorkloadSpec
 from repro.checkers.consensus import check_deployment
 from repro.checkers.linearizability import check_history, check_history_graph
 from repro.checkers.staleness import check_bounded_staleness, check_session
@@ -21,12 +23,15 @@ from repro.paxi.ids import NodeID
 from repro.paxi.message import ClientReply, ClientRequest, Command, Message
 from repro.paxi.node import Replica
 from repro.paxi.session import SessionOptions
+from repro.protocols.epaxos import EPaxos
 from repro.protocols.paxos import MultiPaxos
 from repro.protocols.raft import Raft
 from dataclasses import dataclass
 from typing import Any, Hashable
 
 import pytest
+
+from tests.conftest import assert_correct, run_protocol
 
 
 @dataclass(frozen=True)
@@ -282,3 +287,45 @@ def test_correct_lease_survives_the_same_partition(protocol):
     dep, read = _expired_lease_scenario(protocol)
     assert not read.ok or read.value == "v2"
     assert check_history(dep.history.snapshot()).ok
+
+
+# ----------------------------------------------------------------------
+# The planted broken executor: an EPaxos that runs a committed instance
+# the moment it commits, whether or not its dependencies have run.  Commits
+# reach the replicas in different orders, so interfering writes are applied
+# in different orders — exactly what the dependency-ordered executor exists
+# to prevent, and what the checkers must see when it does not.
+# ----------------------------------------------------------------------
+
+
+def broken_executor(protocol):
+    """Execution that does not wait for dependencies."""
+    return type(
+        f"BrokenExecutor{protocol.__name__}",
+        (protocol,),
+        {"_try_execute": lambda self, committed: self._execute_instance(committed)},
+    )
+
+
+def _conflicting_epaxos_run(factory):
+    return run_protocol(
+        factory,
+        Config.lan(3, 3, seed=20),
+        WorkloadSpec(keys=100, write_ratio=0.5, conflict_ratio=0.4),
+        concurrency=32,
+    )[0]
+
+
+def test_consensus_checker_flags_execution_that_ignores_dependencies():
+    """The consensus checker is the one that fires: replicas disagree on
+    the hot key's write order.  (Clients rarely notice — the key is
+    overwritten faster than a second read can observe the fork — which is
+    the paper's case for checking the replicas and not only the history.)"""
+    dep = _conflicting_epaxos_run(broken_executor(EPaxos))
+    consensus = check_deployment(dep)
+    assert not consensus.ok
+    assert consensus.violations[0].key == 0  # the hot key
+
+
+def test_correct_executor_survives_the_same_conflicting_run():
+    assert_correct(_conflicting_epaxos_run(EPaxos))

@@ -1,5 +1,7 @@
 """Unit tests for the virtual clock / event loop."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -223,3 +225,65 @@ class TestCancelledEventCompaction:
         assert loop.pending() == 0
         assert loop.live_pending() == 0
         assert loop.events_fired == 3
+
+
+both_drains = pytest.mark.parametrize(
+    "drain", [lambda loop: loop.run_until(2.0), lambda loop: loop.run()], ids=["run_until", "run"]
+)
+
+
+class TestGcPacing:
+    """A drain raises the collector's generation-0 threshold and always
+    hands the caller's thresholds back."""
+
+    @pytest.fixture(autouse=True)
+    def _callers_thresholds(self):
+        before = gc.get_threshold()
+        gc.set_threshold(700, 10, 10)
+        yield
+        gc.set_threshold(*before)
+
+    @both_drains
+    def test_raised_inside_restored_after(self, drain):
+        from repro.sim.clock import _GC_GEN0_THRESHOLD
+
+        loop = EventLoop()
+        seen = []
+        loop.call_at(1.0, lambda: seen.append(gc.get_threshold()))
+        drain(loop)
+        assert seen == [(_GC_GEN0_THRESHOLD, 10, 10)]
+        assert gc.get_threshold() == (700, 10, 10)
+
+    @both_drains
+    def test_restored_when_a_handler_raises(self, drain):
+        loop = EventLoop()
+        loop.call_at(1.0, lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            drain(loop)
+        assert gc.get_threshold() == (700, 10, 10)
+
+    def test_nested_run_until_leaves_the_outer_drain_paced(self):
+        from repro.sim.clock import _GC_GEN0_THRESHOLD
+
+        loop = EventLoop()
+        seen = []
+
+        def nested():
+            loop.run_until(1.5)  # a handler that drives the loop itself
+            seen.append(gc.get_threshold())
+
+        loop.call_at(1.0, nested)
+        loop.call_at(1.2, lambda: seen.append(gc.get_threshold()))
+        loop.run_until(2.0)
+        assert seen == [(_GC_GEN0_THRESHOLD, 10, 10)] * 2
+        assert gc.get_threshold() == (700, 10, 10)
+
+    def test_a_disabled_or_laxer_collector_is_left_alone(self):
+        loop = EventLoop()
+        seen = []
+        for caller in ((0, 10, 10), (1_000_000, 10, 10)):
+            gc.set_threshold(*caller)
+            loop.call_after(1.0, lambda: seen.append(gc.get_threshold()))
+            loop.run()
+            assert gc.get_threshold() == caller
+        assert seen == [(0, 10, 10), (1_000_000, 10, 10)]
