@@ -228,6 +228,11 @@ class Client:
             client=self.address,
             request_id=request_id,
             deadline=pending.deadline,
+            # Everything below the oldest request still pending here is
+            # concluded for good; ``_pending`` is insertion-ordered and ids
+            # only grow, so its first key is the oldest.  A retransmission
+            # stamps a fresher value (the watermark is monotone).
+            ack_upto=next(iter(self._pending)) - 1,
         )
         self._network.transit(self.address, pending.target, request, ClientRequest.SIZE_BYTES)
         if self.retry_timeout is not None:

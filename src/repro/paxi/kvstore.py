@@ -4,7 +4,8 @@ Each replica owns a private store used as its deterministic state machine.
 Every write creates a new version, and the full per-key version history is
 retained so the consensus checker can compare state-machine histories across
 nodes (the paper's consensus checker verifies all nodes' per-record
-histories share a common prefix).
+histories share a common prefix).  A key's chain is the plain list of the
+values written to it, oldest first: version ``n`` is ``chain[n - 1]``.
 """
 
 from __future__ import annotations
@@ -13,14 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.paxi.message import CAS, Command
-
-
-@dataclass(frozen=True)
-class Version:
-    """One committed version of a key."""
-
-    number: int
-    value: Any
 
 
 @dataclass(frozen=True)
@@ -41,7 +34,7 @@ class MultiVersionStore:
     """A deterministic multi-version map from keys to version chains."""
 
     def __init__(self) -> None:
-        self._chains: dict[Hashable, list[Version]] = {}
+        self._chains: dict[Hashable, list[Any]] = {}
         self.executions = 0
 
     def execute(self, command: Command) -> Any:
@@ -55,30 +48,30 @@ class MultiVersionStore:
         self.executions += 1
         chain = self._chains.get(command.key)
         if command.is_read:
-            return chain[-1].value if chain else None
+            return chain[-1] if chain else None
         if command.op == CAS:
-            current = chain[-1].value if chain else None
+            current = chain[-1] if chain else None
             if current != command.expect:
                 return CasFailed(current)
         if chain is None:
             chain = []
             self._chains[command.key] = chain
-        chain.append(Version(len(chain) + 1, command.value))
+        chain.append(command.value)
         return command.value
 
     def read(self, key: Hashable) -> Any:
         """Current value of ``key`` without counting as an execution."""
         chain = self._chains.get(key)
-        return chain[-1].value if chain else None
+        return chain[-1] if chain else None
 
     def version(self, key: Hashable) -> int:
         """Number of committed writes to ``key``."""
         chain = self._chains.get(key)
-        return chain[-1].number if chain else 0
+        return len(chain) if chain else 0
 
     def history(self, key: Hashable) -> list[Any]:
         """All values ever written to ``key``, oldest first."""
-        return [v.value for v in self._chains.get(key, [])]
+        return list(self._chains.get(key, ()))
 
     def adopt(self, key: Hashable, values: list[Any]) -> None:
         """Replace ``key``'s chain with ``values`` if it is an extension.
@@ -92,7 +85,7 @@ class MultiVersionStore:
         current = self._chains.get(key, [])
         if len(values) <= len(current):
             return
-        self._chains[key] = [Version(i + 1, v) for i, v in enumerate(values)]
+        self._chains[key] = list(values)
 
     def dump(self) -> dict[Hashable, list[Any]]:
         """Full per-key histories, for snapshots / state transfer.
@@ -101,15 +94,12 @@ class MultiVersionStore:
         restored replica stays common-prefix consistent with its peers
         under the consensus checker.
         """
-        return {key: [v.value for v in chain] for key, chain in self._chains.items()}
+        return {key: list(chain) for key, chain in self._chains.items()}
 
     def restore(self, dump: dict[Hashable, list[Any]]) -> None:
         """Replace the store's contents with a :meth:`dump` (state transfer
         into a wiped or snapshot-restored replica)."""
-        self._chains = {
-            key: [Version(i + 1, v) for i, v in enumerate(values)]
-            for key, values in dump.items()
-        }
+        self._chains = {key: list(values) for key, values in dump.items()}
 
     def keys(self) -> list[Hashable]:
         return list(self._chains)

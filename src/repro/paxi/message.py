@@ -156,6 +156,11 @@ class ClientRequest(Message):
     ``"deadline"`` shed policy drop requests whose deadline cannot be met
     before spending leader CPU on them; ``None`` means "no deadline" and
     is the default everywhere.
+
+    ``ack_upto`` tells the replicas which replies they may stop caching:
+    the client has concluded every request of its own with an id at or
+    below it, so it will never retransmit them (see
+    :mod:`repro.paxi.replies`).  0 — a hand-built request — evicts nothing.
     """
 
     SIZE_BYTES = 120
@@ -164,6 +169,7 @@ class ClientRequest(Message):
     client: Hashable = None
     request_id: int = 0
     deadline: float | None = None
+    ack_upto: int = 0
 
 
 @dataclass(frozen=True, slots=True)

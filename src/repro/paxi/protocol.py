@@ -19,6 +19,10 @@ and *uses* the inherited runtime surface:
   — the non-blocking messaging primitives,
 - :meth:`~repro.paxi.node.Replica.trace_mark` — annotate a request's span
   at the protocol's commit point,
+- ``self.replies`` — the at-most-once table
+  (:class:`~repro.paxi.replies.ReplyTable`): :meth:`answer_duplicate` on
+  the way in, ``self.replies.execute(info, self.store.execute, command)``
+  where commands execute,
 - :meth:`make_batcher` — construct a :class:`~repro.paxi.node.Batcher`
   honoring the deployment's typed batching knobs (``Config.batch_size`` /
   ``Config.batch_window``), or ``None`` when batching is disabled.
@@ -31,8 +35,9 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Callable, Hashable
 
-from repro.paxi.message import ClientRequest
+from repro.paxi.message import ClientReply, ClientRequest
 from repro.paxi.node import Batcher, Replica
+from repro.paxi.replies import ReplyTable
 
 if TYPE_CHECKING:
     from repro.paxi.deployment import Deployment
@@ -50,11 +55,31 @@ class Protocol(Replica, abc.ABC):
 
     def __init__(self, deployment: "Deployment", node_id: "NodeID") -> None:
         super().__init__(deployment, node_id)
+        #: Which client requests executed here, and the replies their
+        #: clients may still ask for again.
+        self.replies = ReplyTable()
         self.register(ClientRequest, self.on_request)
 
     @abc.abstractmethod
     def on_request(self, src: Hashable, m: ClientRequest) -> None:
         """Handle one client request (forward, propose, or serve it)."""
+
+    def answer_duplicate(self, m: ClientRequest, leader_hint: Hashable = None) -> bool:
+        """Answer ``m`` from the reply table if it already executed here
+        (a retransmission, or a copy the network delayed); True = done."""
+        if not self.replies.seen(m):
+            return False
+        self.send(
+            m.client,
+            ClientReply(
+                request_id=m.request_id,
+                ok=True,
+                value=self.replies.value(m),
+                replied_by=self.id,
+                leader_hint=leader_hint,
+            ),
+        )
+        return True
 
     def propose_batch(self, requests: list[ClientRequest]) -> None:
         """Admit a coalesced group of requests as one proposal.

@@ -1,0 +1,199 @@
+"""At-most-once execution: the client table every protocol shares.
+
+A client retransmits a request until it is answered, so a replica must
+recognise a command it has already executed — and must keep recognising
+it for as long as a delayed copy can still arrive, which is forever.  What
+it does *not* have to keep forever is the reply: once the client has
+concluded a request it never retransmits it and drops any answer to it.
+
+:class:`ReplyTable` keeps the two apart.  Per client it remembers
+
+- **that** a request executed, exactly and forever, in O(1) space: ``upto``
+  (every id at or below it has executed) plus the ids executed out of
+  order above it (a sparse set that drains as the gaps fill);
+- the reply **value** only inside the retransmit window: each request
+  carries ``ack_upto``, the highest id below which its client has
+  concluded everything (:meth:`repro.paxi.client.Client._transmit`), and
+  executing a request drops that client's values at or below it.
+
+This is the client-session table of the Raft dissertation (section 6.3)
+and Viewstamped Replication's client table, with one difference: a late
+duplicate of an evicted id is still *recognised* (and skipped, and answered
+with ``value=None`` — the client has concluded it and drops the answer),
+where those designs may only assume it never comes.  Forgetting that a
+request executed would re-apply an acknowledged write over a newer one.
+
+A *request* below is anything with ``client``, ``request_id`` and
+``ack_upto`` attributes: a :class:`~repro.paxi.message.ClientRequest`, or
+the ``RequestInfo`` a protocol stores in its log.  Request ids are the
+positive integers :class:`~repro.paxi.client.Client` counts out.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Hashable
+
+#: What ``above`` and ``inflight`` start as: most rows never need either
+#: (ids execute in order; only a proposer admits), and an empty ``set`` is
+#: the bulk of a row's footprint.
+_EMPTY: frozenset[int] = frozenset()
+
+
+class _ClientRow:
+    """One client's executed ids, retained replies and in-flight marks."""
+
+    __slots__ = ("upto", "above", "values", "acked", "inflight")
+
+    def __init__(self) -> None:
+        self.upto = 0  # every id in 1..upto has executed
+        self.above: set[int] | frozenset[int] = _EMPTY  # executed ids > upto (out of order)
+        self.values: dict[int, Any] = {}  # replies for executed ids > acked
+        self.acked = 0  # highest ack_upto executed for this client
+        self.inflight: set[int] | frozenset[int] = _EMPTY  # admitted here, not yet executed
+
+    def seen(self, request_id: int) -> bool:
+        return 0 < request_id <= self.upto or request_id in self.above
+
+    def record(self, request_id: int, value: Any) -> None:
+        """First execution of ``request_id`` (the caller checked ``seen``)."""
+        if request_id == self.upto + 1:
+            upto, above = request_id, self.above
+            while upto + 1 in above:
+                upto += 1
+                above.remove(upto)
+            self.upto = upto
+        elif self.above is _EMPTY:
+            self.above = {request_id}
+        else:
+            self.above.add(request_id)
+        if request_id > self.acked:
+            self.values[request_id] = value
+        if self.inflight:
+            self.inflight.discard(request_id)
+
+    def evict(self, ack_upto: int) -> None:
+        """The client concluded every id <= ``ack_upto``: drop their replies."""
+        if ack_upto > self.acked:
+            self.acked = ack_upto
+            values = self.values
+            for request_id in [r for r in values if r <= ack_upto]:
+                del values[request_id]
+
+
+class ReplyTable:
+    """Which client requests this replica has executed, and the replies a
+    client may still ask for again."""
+
+    __slots__ = ("_rows", "_recorded")
+
+    def __init__(self) -> None:
+        self._rows: dict[Hashable, _ClientRow] = {}
+        self._recorded = 0
+
+    def _row(self, client: Hashable) -> _ClientRow:
+        row = self._rows.get(client)
+        if row is None:
+            row = self._rows[client] = _ClientRow()
+        return row
+
+    def seen(self, request: Any) -> bool:
+        """Whether ``request`` has executed here (exact, never forgotten)."""
+        row = self._rows.get(request.client)
+        return row is not None and row.seen(request.request_id)
+
+    def value(self, request: Any) -> Any:
+        """The reply ``request`` got, or ``None`` once its client has
+        acknowledged it (the answer would be dropped on arrival)."""
+        row = self._rows.get(request.client)
+        return row.values.get(request.request_id) if row is not None else None
+
+    def execute(self, request: Any, run: Callable[[Any], Any], command: Any) -> Any:
+        """``run(command)`` unless ``request`` already executed here; either
+        way return its reply and apply the ``ack_upto`` it carries.
+
+        This is the one call a protocol makes per executed command, so it
+        fetches the client's row once.  ``request`` may be ``None`` (a
+        recovered entry that lost its routing): the command just runs.
+        """
+        if request is None:
+            return run(command)
+        row = self._rows.get(request.client)
+        if row is None:
+            row = self._rows[request.client] = _ClientRow()
+        request_id = request.request_id
+        acked = row.acked
+        if 0 < request_id <= row.upto or request_id in row.above:
+            value = row.values.get(request_id)
+        else:
+            value = run(command)
+            self._recorded += 1
+            # _ClientRow.record, inlined: ids nearly always arrive in order.
+            if request_id == row.upto + 1 and not row.above:
+                row.upto = request_id
+                if request_id > acked:
+                    row.values[request_id] = value
+                if row.inflight:
+                    row.inflight.discard(request_id)
+            else:
+                row.record(request_id, value)
+        ack_upto = request.ack_upto
+        if ack_upto > acked:  # _ClientRow.evict, inlined
+            row.acked = ack_upto
+            values = row.values
+            for stale in [r for r in values if r <= ack_upto]:
+                del values[stale]
+        return value
+
+    def record(self, request: Any, value: Any) -> None:
+        """Note a reply computed outside :meth:`execute` (EPaxos executes
+        every instance and caches on the command leader only); a repeat
+        overwrites the retained value, as a dict store would."""
+        row = self._row(request.client)
+        if row.seen(request.request_id):
+            if request.request_id > row.acked:
+                row.values[request.request_id] = value
+        else:
+            row.record(request.request_id, value)
+            self._recorded += 1
+        row.evict(request.ack_upto)
+
+    def admit(self, request: Any) -> bool:
+        """Proposer side: mark ``request`` in flight here.  False means a
+        copy is already committing and this one should be dropped."""
+        row = self._row(request.client)
+        if request.request_id in row.inflight:
+            return False
+        if row.inflight is _EMPTY:
+            row.inflight = {request.request_id}
+        else:
+            row.inflight.add(request.request_id)
+        return True
+
+    def withdraw(self, request: Any) -> None:
+        """The proposal was handed elsewhere before it was appended."""
+        row = self._rows.get(request.client)
+        if row is not None and row.inflight:
+            row.inflight.discard(request.request_id)
+
+    def retained(self) -> int:
+        """Reply values currently held (bounded by the clients' windows)."""
+        return sum(len(row.values) for row in self._rows.values())
+
+    def __len__(self) -> int:
+        """Requests recorded, evicted or not — what an unbounded cache's
+        ``len`` would be; snapshots size their modelled payload from it."""
+        return self._recorded
+
+    def copy(self) -> "ReplyTable":
+        """An independent copy for a snapshot or a state transfer: one row
+        per client, without the in-flight marks (those are the proposer's
+        own, not applied state)."""
+        clone = ReplyTable()
+        clone._recorded = self._recorded
+        for client, row in self._rows.items():
+            twin = clone._rows[client] = _ClientRow()
+            twin.upto = row.upto
+            twin.above = set(row.above) or _EMPTY
+            twin.values = dict(row.values)
+            twin.acked = row.acked
+        return clone

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Hashable
 
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
@@ -156,7 +156,6 @@ class EPaxos(Protocol):
         # followed it — the "latest" instances a new command must depend on.
         self._last_write: dict[Hashable, InstanceID] = {}
         self._reads_since_write: dict[Hashable, list[InstanceID]] = {}
-        self._request_cache: dict[tuple[Hashable, int], Any] = {}
 
         self.register(PreAccept, self.on_preaccept)
         self.register(PreAcceptOK, self.on_preaccept_ok)
@@ -216,17 +215,7 @@ class EPaxos(Protocol):
     # ------------------------------------------------------------------
 
     def on_request(self, src: Hashable, m: ClientRequest) -> None:
-        cache_key = (m.client, m.request_id)
-        if cache_key in self._request_cache:
-            self.send(
-                m.client,
-                ClientReply(
-                    request_id=m.request_id,
-                    ok=True,
-                    value=self._request_cache[cache_key],
-                    replied_by=self.id,
-                ),
-            )
+        if self.answer_duplicate(m):
             return
         self._next_instance += 1
         instance: InstanceID = (self.id, self._next_instance)
@@ -237,7 +226,7 @@ class EPaxos(Protocol):
             deps=frozenset(deps),
             seq=seq,
             status=PREACCEPTED,
-            request=RequestInfo(m.client, m.request_id),
+            request=RequestInfo.of(m),
             acks=1,  # self-vote
             union_deps=set(deps),
             max_seq=seq,
@@ -435,8 +424,7 @@ class EPaxos(Protocol):
         self._frontier.discard(instance)
         self._dependents.pop(instance, None)
         if record.request is not None and instance[0] == self.id:
-            cache_key = (record.request.client, record.request.request_id)
-            self._request_cache[cache_key] = value
+            self.replies.record(record.request, value)
             self.send(
                 record.request.client,
                 ClientReply(

@@ -67,7 +67,7 @@ class GFillReply(Message):
 RETRANSMIT_GRACE = 0.3  # seconds before an unacked accept is re-sent
 
 
-@dataclass
+@dataclass(slots=True)
 class _GroupSlot:
     item: Any
     quorum: GroupQuorum | None = None
@@ -140,8 +140,10 @@ class GroupEngine:
             self._commit(m.slot)
 
     def _commit(self, slot: int) -> None:
-        self._slots[slot].committed = True
-        self._mark_quorum(self._slots[slot].item)
+        entry = self._slots[slot]
+        entry.committed = True
+        entry.quorum = None  # commitment is final: the votes are spent
+        self._mark_quorum(entry.item)
         self._dirty = True
         self._advance()
 

@@ -200,7 +200,6 @@ class LeaderLog(Protocol):
         self.leader_hint: NodeID | None = self.initial_leader
         #: Learner mode after a wipe (or a reboot without a disk).
         self.recovering = False
-        self._request_cache: dict[tuple[Hashable, int], Any] = {}
         self._parked: list[ClientRequest] = []  # held while nobody here can propose
         self._election_handle = None
         self._stream = stream
@@ -328,11 +327,11 @@ class LeaderLog(Protocol):
     def _propose_group(self, group: list[ClientRequest]) -> None:
         if len(group) == 1:
             m = group[0]
-            self._propose(m.command, RequestInfo(m.client, m.request_id))
+            self._propose(m.command, RequestInfo.of(m))
         else:
             self._propose(
                 Batch(tuple(m.command for m in group)),
-                tuple(RequestInfo(m.client, m.request_id) for m in group),
+                tuple(RequestInfo.of(m) for m in group),
             )
 
     def _release_pipeline(self) -> None:

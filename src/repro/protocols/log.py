@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from repro.errors import ProtocolError
-from repro.paxi.message import Batch, Command
+from repro.paxi.message import Batch, ClientRequest, Command
 from repro.paxi.quorum import Quorum
 from repro.protocols.ballot import Ballot
 
@@ -22,12 +22,22 @@ EntryCommand = Command | Batch | None
 EntryRequest = "RequestInfo | tuple[RequestInfo, ...] | None"
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestInfo:
-    """Where to send the reply once a command executes."""
+    """Where to send the reply once a command executes.
+
+    ``ack_upto`` rides along from the :class:`ClientRequest` so every
+    replica applies the same reply-eviction watermark at the same log
+    position (see :mod:`repro.paxi.replies`); 0 evicts nothing.
+    """
 
     client: Hashable
     request_id: int
+    ack_upto: int = 0
+
+    @classmethod
+    def of(cls, m: ClientRequest) -> "RequestInfo":
+        return cls(m.client, m.request_id, m.ack_upto)
 
 
 def request_infos(request: Any) -> tuple:
@@ -52,13 +62,15 @@ def entry_pairs(command: EntryCommand, request: Any) -> list[tuple[Command | Non
     return [(command, request)]
 
 
-@dataclass
+@dataclass(slots=True)
 class Entry:
     """One slot of the replicated log.
 
     ``command`` may be ``None`` for a no-op proposed to fill a gap during
     leader recovery, or a :class:`~repro.paxi.message.Batch` when the
-    leader coalesced several client commands into the slot.
+    leader coalesced several client commands into the slot.  ``quorum``
+    is the proposer's vote set and lives only until the slot commits:
+    commitment is final, so nobody counts votes for it again.
     """
 
     ballot: Ballot
@@ -121,6 +133,7 @@ class CommandLog:
         if entry is None:
             raise ProtocolError(f"commit of unknown slot {slot}")
         entry.committed = True
+        entry.quorum = None
 
     def commit_upto(self) -> int:
         """Highest slot S such that every slot <= S is committed."""

@@ -27,7 +27,7 @@ Like the paper's EPaxos evaluation, this implements the failure-free path
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Hashable
 
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
@@ -66,7 +66,7 @@ class MSkip(Message):
     below: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _MSlot:
     command: Command | None = None
     request: RequestInfo | None = None
@@ -95,7 +95,6 @@ class Mencius(Protocol):
         self.next_own_slot = self.index  # slots are 0-based: index, index+N, ...
         self.execute_index = 0
         self.skip_below: dict[int, int] = {i: 0 for i in range(self.n)}
-        self._request_cache: dict[tuple[Hashable, int], Any] = {}
         self._retransmit: dict[int, float] = {}
         self.retransmit_timeout: float = self.config.param("retransmit_timeout", 0.3)
 
@@ -127,24 +126,14 @@ class Mencius(Protocol):
     # ------------------------------------------------------------------
 
     def on_request(self, src: Hashable, m: ClientRequest) -> None:
-        cache_key = (m.client, m.request_id)
-        if cache_key in self._request_cache:
-            self.send(
-                m.client,
-                ClientReply(
-                    request_id=m.request_id,
-                    ok=True,
-                    value=self._request_cache[cache_key],
-                    replied_by=self.id,
-                ),
-            )
+        if self.answer_duplicate(m):
             return
         slot = self.next_own_slot
         self.next_own_slot += self.n
         quorum = MajorityQuorum(self.config.node_ids)
         quorum.ack(self.id)
         self.slots[slot] = _MSlot(
-            command=m.command, request=RequestInfo(m.client, m.request_id), quorum=quorum
+            command=m.command, request=RequestInfo.of(m), quorum=quorum
         )
         self._retransmit[slot] = self.now
         self.broadcast(MAccept(slot=slot, command=m.command, request=self.slots[slot].request))
@@ -198,6 +187,7 @@ class Mencius(Protocol):
         entry.quorum.ack(src)
         if entry.quorum.satisfied():
             entry.committed = True
+            entry.quorum = None  # commitment is final: the votes are spent
             self.trace_mark(entry.request)
             self._retransmit.pop(m.slot, None)
             self.broadcast(MCommit(slot=m.slot, command=entry.command, request=entry.request))
@@ -224,15 +214,7 @@ class Mencius(Protocol):
             entry.executed = True
             value = None
             if entry.command is not None and not entry.skipped:
-                cache_key = None
-                if entry.request is not None:
-                    cache_key = (entry.request.client, entry.request.request_id)
-                if cache_key is not None and cache_key in self._request_cache:
-                    value = self._request_cache[cache_key]
-                else:
-                    value = self.store.execute(entry.command)
-                    if cache_key is not None:
-                        self._request_cache[cache_key] = value
+                value = self.replies.execute(entry.request, self.store.execute, entry.command)
             if (
                 entry.request is not None
                 and self.owner_of(self.execute_index) == self.index

@@ -207,7 +207,6 @@ class MultiPaxos(LeaderLog):
 
         self._p1_quorum: Quorum | None = None
         self._p1_entries: dict[int, EntrySnapshot] = {}
-        self._inflight: set[tuple[Hashable, int]] = set()
         self._fill_deadline = 0.0  # earliest time the next FillRequest may go out
         self._uncommitted_slots: dict[int, float] = {}  # slot -> last sent at
         self._heartbeat_armed = False
@@ -349,7 +348,7 @@ class MultiPaxos(LeaderLog):
         while self._proposal_queue:
             pending.extend(self._proposal_queue.popleft())
         for m in pending:
-            self._inflight.discard((m.client, m.request_id))
+            self.replies.withdraw(m)
         if not self._parked and not pending:
             return
         self._p1_quorum = None
@@ -491,18 +490,7 @@ class MultiPaxos(LeaderLog):
     # ------------------------------------------------------------------
 
     def _submit(self, m: ClientRequest) -> None:
-        key = (m.client, m.request_id)
-        if key in self._request_cache:
-            self.send(
-                m.client,
-                ClientReply(
-                    request_id=m.request_id,
-                    ok=True,
-                    value=self._request_cache[key],
-                    replied_by=self.id,
-                    leader_hint=self.leader_hint if not self.active else self.id,
-                ),
-            )
+        if self.answer_duplicate(m, self.leader_hint if not self.active else self.id):
             return
         if self.recovering:
             # Learners can't propose; hand the request to the cluster.
@@ -518,9 +506,8 @@ class MultiPaxos(LeaderLog):
                 # replayed here if the handoff aborts).
                 self._parked.append(m)
                 return
-            if key in self._inflight:
+            if not self.replies.admit(m):
                 return  # duplicate while the original is still committing
-            self._inflight.add(key)
             if self.batcher is not None:
                 self.batcher.add(m)
             else:
@@ -539,7 +526,7 @@ class MultiPaxos(LeaderLog):
         """
         if not self.active:
             for m in requests:
-                self._inflight.discard((m.client, m.request_id))
+                self.replies.withdraw(m)
                 self.on_request(m.client, m)
             return
         self._submit_group(list(requests))
@@ -676,6 +663,7 @@ class MultiPaxos(LeaderLog):
                 continue
             if entry.ballot == ballot:
                 entry.committed = True
+                entry.quorum = None  # as CommandLog.commit: the votes are spent
             else:
                 stale.append(slot)
         need = sorted(set(self.log.missing_slots(upto)) | set(stale))
@@ -710,18 +698,9 @@ class MultiPaxos(LeaderLog):
             for command, info in entry_pairs(entry.command, entry.request):
                 value = None
                 if command is not None:
-                    request_key = None
-                    if info is not None:
-                        request_key = (info.client, info.request_id)
-                    if request_key is not None and request_key in self._request_cache:
-                        value = self._request_cache[request_key]
-                    else:
-                        value = self.store.execute(command)
-                        if request_key is not None:
-                            self._request_cache[request_key] = value
-                            self._inflight.discard(request_key)
-                if command is not None and command.is_write:
-                    self._drain_read_waiters(command.key)
+                    value = self.replies.execute(info, self.store.execute, command)
+                    if command.is_write:
+                        self._drain_read_waiters(command.key)
                 if info is not None and entry.ballot.owner == self.id and self.active:
                     self.send(
                         info.client,
@@ -797,10 +776,10 @@ class MultiPaxos(LeaderLog):
 
     def snapshot_payload(self, executed_upto: int) -> tuple[Any, int]:
         """Applied state through ``executed_upto``: the full multi-version
-        store dump plus the request cache (so a restored replica still
+        store dump plus the reply table (so a restored replica still
         deduplicates retried client requests)."""
         dump = self.store.dump()
-        cache = dict(self._request_cache)
+        cache = self.replies.copy()
         size = (
             256
             + sum(64 + 16 * len(chain) for chain in dump.values())
@@ -851,7 +830,7 @@ class MultiPaxos(LeaderLog):
         """Adopt a state-machine snapshot (from disk or a donor)."""
         dump, cache = snap.payload
         self.store.restore(dump)
-        self._request_cache = dict(cache)
+        self.replies = cache.copy()
         self.log.compact(snap.upto)
         self.log.execute_index = max(self.log.execute_index, snap.upto + 1)
         self.log.next_slot = max(self.log.next_slot, snap.upto + 1)

@@ -343,18 +343,7 @@ class Raft(LeaderLog):
     # ------------------------------------------------------------------
 
     def _submit(self, m: ClientRequest) -> None:
-        key = (m.client, m.request_id)
-        if key in self._request_cache:
-            self.send(
-                m.client,
-                ClientReply(
-                    request_id=m.request_id,
-                    ok=True,
-                    value=self._request_cache[key],
-                    replied_by=self.id,
-                    leader_hint=self.leader_hint,
-                ),
-            )
+        if self.answer_duplicate(m, self.leader_hint):
             return
         if self.state != LEADER:
             if self.leader_hint is not None and self.leader_hint != self.id:
@@ -611,17 +600,9 @@ class Raft(LeaderLog):
             for cmd, info in entry_pairs(command, request):
                 value = None
                 if cmd is not None:
-                    request_key = None
-                    if info is not None:
-                        request_key = (info.client, info.request_id)
-                    if request_key is not None and request_key in self._request_cache:
-                        value = self._request_cache[request_key]
-                    else:
-                        value = self.store.execute(cmd)
-                        if request_key is not None:
-                            self._request_cache[request_key] = value
-                if cmd is not None and cmd.is_write:
-                    self._drain_read_waiters(cmd.key)
+                    value = self.replies.execute(info, self.store.execute, cmd)
+                    if cmd.is_write:
+                        self._drain_read_waiters(cmd.key)
                 if info is not None and self.state == LEADER and term == self.term:
                     self.trace_mark(info)
                     self.send(
@@ -643,12 +624,12 @@ class Raft(LeaderLog):
     # ------------------------------------------------------------------
 
     def snapshot_payload(self, executed_upto: int) -> tuple[Any, int]:
-        """Applied state through ``executed_upto``: store dump, request
-        cache (retried requests stay deduplicated after a restore), and the
+        """Applied state through ``executed_upto``: store dump, reply
+        table (retried requests stay deduplicated after a restore), and the
         boundary entry's term (needed to answer AppendEntries consistency
         checks against the compacted prefix)."""
         dump = self.store.dump()
-        cache = dict(self._request_cache)
+        cache = self.replies.copy()
         size = (
             256
             + sum(64 + 16 * len(chain) for chain in dump.values())
@@ -672,7 +653,7 @@ class Raft(LeaderLog):
         if m.snap_index > self.commit_index and m.snapshot is not None:
             dump, cache, _snap_term = m.snapshot.payload
             self.store.restore(dump)
-            self._request_cache = dict(cache)
+            self.replies = cache.copy()
             # Anything we hold above the boundary may conflict with the
             # leader's log; drop it and let repair re-send the suffix.
             self.log = []
@@ -708,7 +689,7 @@ class Raft(LeaderLog):
                 had_state = True
                 dump, cache, snap_term = snap.payload
                 self.store.restore(dump)
-                self._request_cache = dict(cache)
+                self.replies = cache.copy()
                 self._snap_index = snap.upto
                 self._snap_term = snap_term
                 self.commit_index = snap.upto

@@ -18,7 +18,7 @@ object's committed history to the new owner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Hashable
 
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
@@ -134,7 +134,6 @@ class VPaxos(Protocol):
         self._owner_cache: dict[Hashable, int] = {}
         # Master state.
         self._mapping: dict[Hashable, _MappingInfo] = {}
-        self._request_cache: dict[tuple[Hashable, int], Any] = {}
 
         self.register(VPForward, self.on_forward)
         self.register(VPAcquire, self.on_acquire)
@@ -150,24 +149,14 @@ class VPaxos(Protocol):
     # ------------------------------------------------------------------
 
     def on_request(self, src: Hashable, m: ClientRequest) -> None:
-        cache_key = (m.client, m.request_id)
-        if cache_key in self._request_cache:
-            self.send(
-                m.client,
-                ClientReply(
-                    request_id=m.request_id,
-                    ok=True,
-                    value=self._request_cache[cache_key],
-                    replied_by=self.id,
-                ),
-            )
+        if self.answer_duplicate(m):
             return
         if not self.is_zone_leader:
             self.send(self.group.leader, m)
             return
         forward = VPForward(
             command=m.command,
-            request=RequestInfo(m.client, m.request_id),
+            request=RequestInfo.of(m),
             origin_zone=self.id.zone,
         )
         self._handle_forward(forward)
@@ -376,13 +365,7 @@ class VPaxos(Protocol):
             self.store.adopt(key, list(history))
             return
         _kind, command, request = item
-        cache_key = (request.client, request.request_id) if request is not None else None
-        if cache_key is not None and cache_key in self._request_cache:
-            value = self._request_cache[cache_key]
-        else:
-            value = self.store.execute(command)
-            if cache_key is not None:
-                self._request_cache[cache_key] = value
+        value = self.replies.execute(request, self.store.execute, command)
         if is_leader:
             if command is not None:
                 count = self._outstanding.get(command.key, 0)

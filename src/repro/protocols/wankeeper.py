@@ -123,7 +123,6 @@ class WanKeeper(Protocol):
         self._returning: set[Hashable] = set()
         # Master state.
         self._token_table: dict[Hashable, _TokenInfo] = {}
-        self._request_cache: dict[tuple[Hashable, int], Any] = {}
 
         self.register(WKRequest, self.on_wk_request)
         self.register(WKGrant, self.on_grant)
@@ -136,22 +135,12 @@ class WanKeeper(Protocol):
     # ------------------------------------------------------------------
 
     def on_request(self, src: Hashable, m: ClientRequest) -> None:
-        cache_key = (m.client, m.request_id)
-        if cache_key in self._request_cache:
-            self.send(
-                m.client,
-                ClientReply(
-                    request_id=m.request_id,
-                    ok=True,
-                    value=self._request_cache[cache_key],
-                    replied_by=self.id,
-                ),
-            )
+        if self.answer_duplicate(m):
             return
         if not self.is_zone_leader:
             self.send(self.group.leader, m)
             return
-        request = RequestInfo(m.client, m.request_id)
+        request = RequestInfo.of(m)
         key = m.command.key
         if key in self.tokens and key not in self._returning:
             self._propose_command(key, m.command, request)
@@ -304,13 +293,7 @@ class WanKeeper(Protocol):
                 self.send(NodeID(zone, 1), trigger)
             return
         _kind, command, request = item
-        cache_key = (request.client, request.request_id) if request is not None else None
-        if cache_key is not None and cache_key in self._request_cache:
-            value = self._request_cache[cache_key]
-        else:
-            value = self.store.execute(command)
-            if cache_key is not None:
-                self._request_cache[cache_key] = value
+        value = self.replies.execute(request, self.store.execute, command)
         if is_leader:
             if command is not None:
                 count = self._outstanding.get(command.key, 0)

@@ -22,7 +22,7 @@ non-owned requests for it, otherwise it forwards to the current owner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Hashable
 
 from repro.errors import ConfigError
 from repro.paxi.deployment import Deployment
@@ -98,7 +98,7 @@ class WFillReply(Message):
     entries: tuple[EntrySnapshot, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class _Slot:
     ballot: Ballot
     command: Command | None
@@ -162,7 +162,6 @@ class WPaxos(Protocol):
         self.retransmit_timeout: float = self.config.param("retransmit_timeout", 0.3)
         self.objects: dict[Hashable, _ObjectState] = {}
         self._pending_slots: dict[tuple[Hashable, int], float] = {}
-        self._request_cache: dict[tuple[Hashable, int], Any] = {}
 
         self.register(WP1a, self.on_p1a)
         self.register(WP1b, self.on_p1b)
@@ -207,24 +206,14 @@ class WPaxos(Protocol):
     # ------------------------------------------------------------------
 
     def on_request(self, src: Hashable, m: ClientRequest) -> None:
-        cache_key = (m.client, m.request_id)
-        if cache_key in self._request_cache:
-            self.send(
-                m.client,
-                ClientReply(
-                    request_id=m.request_id,
-                    ok=True,
-                    value=self._request_cache[cache_key],
-                    replied_by=self.id,
-                ),
-            )
+        if self.answer_duplicate(m):
             return
         if not self.is_leader_node:
             self.send(self.zone_leader, m)
             return
         state = self._object(m.command.key)
         if state.active:
-            self._propose(m.command.key, state, m.command, RequestInfo(m.client, m.request_id))
+            self._propose(m.command.key, state, m.command, RequestInfo.of(m))
             return
         if state.p1_quorum is not None:
             state.pending.append(m)  # steal already in flight
@@ -431,8 +420,10 @@ class WPaxos(Protocol):
             self._commit_slot(m.key, state, m.slot)
 
     def _commit_slot(self, key: Hashable, state: _ObjectState, slot: int) -> None:
-        state.slots[slot].committed = True
-        self.trace_mark(state.slots[slot].request)
+        entry = state.slots[slot]
+        entry.committed = True
+        entry.quorum = None  # commitment is final: the votes are spent
+        self.trace_mark(entry.request)
         self._pending_slots.pop((key, slot), None)
         state.dirty_watermark = 3
         self._advance_execution(key, state)
@@ -543,15 +534,7 @@ class WPaxos(Protocol):
                 break
             value = None
             if entry.command is not None:
-                request_key = None
-                if entry.request is not None:
-                    request_key = (entry.request.client, entry.request.request_id)
-                if request_key is not None and request_key in self._request_cache:
-                    value = self._request_cache[request_key]
-                else:
-                    value = self.store.execute(entry.command)
-                    if request_key is not None:
-                        self._request_cache[request_key] = value
+                value = self.replies.execute(entry.request, self.store.execute, entry.command)
             entry.executed = True
             state.execute_index += 1
             if entry.request is not None and entry.ballot.owner == self.id and state.active:

@@ -3,9 +3,10 @@ must be caught.
 
 A checker that never fires is worthless; these tests implement unsound
 replication schemes — reply-before-replicate with stale follower reads,
-divergent state machines, a leader lease that ignores its own expiry, and
-an EPaxos executor that ignores dependencies — and assert the
-linearizability and consensus checkers flag them.  The read-anomaly
+divergent state machines, a leader lease that ignores its own expiry, an
+EPaxos executor that ignores dependencies, and a reply table that forgets
+executions along with replies — and assert the linearizability and
+consensus checkers flag them.  The read-anomaly
 histories (stale lease read, split-brain read, non-monotonic quorum read)
 are also replayed against ``checkers.staleness`` to pin the
 boundary: the local-read variants are *accepted* within their staleness
@@ -22,6 +23,7 @@ from repro.paxi.history import Operation
 from repro.paxi.ids import NodeID
 from repro.paxi.message import ClientReply, ClientRequest, Command, Message
 from repro.paxi.node import Replica
+from repro.paxi.replies import ReplyTable
 from repro.paxi.session import SessionOptions
 from repro.protocols.epaxos import EPaxos
 from repro.protocols.paxos import MultiPaxos
@@ -329,3 +331,85 @@ def test_consensus_checker_flags_execution_that_ignores_dependencies():
 
 def test_correct_executor_survives_the_same_conflicting_run():
     assert_correct(_conflicting_epaxos_run(EPaxos))
+
+
+# ----------------------------------------------------------------------
+# The planted forgetful reply table: bounding the at-most-once table the
+# obvious way — delete everything at or below the client's ``ack_upto`` —
+# also forgets *that* those requests executed.  A copy of an acknowledged
+# write that the network delayed past the client's next write to the same
+# key then executes a second time, on top of the newer value.
+# ----------------------------------------------------------------------
+
+
+class _ForgetfulTable(ReplyTable):
+    """Eviction that drops the execution record along with the reply."""
+
+    def __init__(self):
+        super().__init__()
+        self._cache = {}
+
+    def seen(self, request):
+        return (request.client, request.request_id) in self._cache
+
+    def value(self, request):
+        return self._cache.get((request.client, request.request_id))
+
+    def execute(self, request, run, command):
+        key = (request.client, request.request_id)
+        if key not in self._cache:
+            self._cache[key] = run(command)
+            self.withdraw(request)  # no longer in flight at the proposer
+        value = self._cache[key]
+        for client, request_id in list(self._cache):
+            if client == request.client and request_id <= request.ack_upto:
+                del self._cache[client, request_id]  # the bug: `seen` goes with it
+        return value
+
+
+def forgetful_replies(protocol):
+    def __init__(self, deployment, node_id):
+        protocol.__init__(self, deployment, node_id)
+        self.replies = _ForgetfulTable()
+
+    return type(f"Forgetful{protocol.__name__}", (protocol,), {"__init__": __init__})
+
+
+def _late_duplicate_scenario(factory):
+    """put v1 (acknowledged), put v2 (acknowledged, carrying ack_upto = the
+    first id), then the delayed first transmission of put v1 reaches the
+    leader, then a read."""
+    dep = Deployment(Config.lan(1, 3, seed=5)).start(factory)
+    dep.run_for(0.05)  # the initial leader is elected
+    session = dep.new_session(max_wait=1.0)
+    assert session.put("k", "v1").ok
+    first_id = session.client._next_request_id
+    assert session.put("k", "v2").ok
+    leader = dep.replicas[NodeID(1, 1)]
+    executed = leader.store.executions
+    late = ClientRequest(
+        command=Command.put("k", "v1"), client=session.client.address, request_id=first_id
+    )
+    leader.on_request(late.client, late)
+    dep.run_for(0.1)
+    duplicates_run = leader.store.executions - executed
+    return dep, session.get("k"), duplicates_run
+
+
+@pytest.mark.parametrize("protocol", [MultiPaxos, Raft])
+def test_linearizability_checker_flags_forgetful_reply_table(protocol):
+    dep, read, duplicates_run = _late_duplicate_scenario(forgetful_replies(protocol))
+    assert duplicates_run == 1  # the acknowledged write ran again
+    assert read.ok and read.value == "v1"
+    result = check_history(dep.history.snapshot())
+    assert not result.ok
+    assert not check_history_graph(dep.history.operations)
+
+
+@pytest.mark.parametrize("protocol", [MultiPaxos, Raft])
+def test_reply_table_skips_the_same_late_duplicate(protocol):
+    dep, read, duplicates_run = _late_duplicate_scenario(protocol)
+    assert duplicates_run == 0  # recognised, although its reply is long evicted
+    assert read.ok and read.value == "v2"
+    assert all(r.replies.retained() <= 1 for r in dep.replicas.values())
+    assert_correct(dep)

@@ -91,3 +91,39 @@ def test_paxos_and_raft_share_only_the_leaderlog_interface():
     # Whatever both define is a hook declared on the base, or an extension point.
     declared = vars(LeaderLog).keys() | LeaderLog.__annotations__.keys() | EXTENSION_POINTS
     assert both <= declared, sorted(both - declared)
+
+
+# ----------------------------------------------------------------------
+# One at-most-once table: every protocol's replica gets ``self.replies``
+# (a repro.paxi.replies.ReplyTable) from ``Protocol``; none keeps a reply
+# cache of its own keyed by ``(client, request_id)``.
+# ----------------------------------------------------------------------
+
+#: ``(x.client, x.request_id)`` tuples a protocol may still build, and why.
+REQUEST_KEY_USES = {
+    # _ObjectState.forwarded: which requests this node passed on to the
+    # owner, for the steal streak.  Entries leave when the P2a comes back.
+    "wpaxos.py": 2,
+}
+
+
+def _is_request_key(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Tuple)
+        and [getattr(e, "attr", None) for e in node.elts] == ["client", "request_id"]
+    )
+
+
+def test_the_reply_table_is_the_only_request_cache():
+    offenders = []
+    for path in sorted(PROTOCOLS_DIR.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        names = {getattr(n, "attr", None) or getattr(n, "id", None) for n in nodes}
+        for name in sorted(n for n in names if n and "request_cache" in n):
+            offenders.append(f"{path.name} keeps its own {name}")
+        if "ReplyTable" in names:
+            offenders.append(f"{path.name} builds a ReplyTable beside Protocol.replies")
+        keys = sum(_is_request_key(n) for n in nodes)
+        if keys > REQUEST_KEY_USES.get(path.name, 0):
+            offenders.append(f"{path.name} builds {keys} (client, request_id) cache keys")
+    assert not offenders, "\n".join(offenders)

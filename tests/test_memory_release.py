@@ -1,0 +1,124 @@
+"""Leak guard: what no reader can ask for again is released, by count.
+
+Three things used to grow with every operation and be read by nobody: a
+slot's vote set after the slot committed, the cached reply to a request
+its client had long concluded, and one ``Version`` object per write.  The
+guard counts objects on short seeded runs of two lengths — it does not
+weigh the process — so it is deterministic and runs in the quick loop.
+"""
+
+import gc
+
+import pytest
+
+from repro.bench.openloop import OpenLoopEngine, PoissonArrivals
+from repro.bench.workload import WorkloadSpec
+from repro.paxi.client import Client
+from repro.paxi.config import Config
+from repro.paxi.deployment import Deployment
+from repro.protocols.mencius import Mencius
+from repro.protocols.paxos import MultiPaxos
+from repro.protocols.raft import Raft
+from repro.protocols.vpaxos import VPaxos
+from repro.protocols.wankeeper import WanKeeper
+from repro.protocols.wpaxos import WPaxos
+
+from tests.conftest import run_protocol
+
+CLIENTS = 6
+N = 0.1  # virtual seconds; the long run is 4N
+
+
+def _closed_loop(protocol, duration):
+    return run_protocol(protocol, Config.lan(3, 3, seed=9), WorkloadSpec(keys=20), CLIENTS, duration)
+
+
+def _slots(replica):
+    """Every per-slot record a replica keeps, whatever its protocol calls it."""
+    if hasattr(getattr(replica, "log", None), "entries"):  # MultiPaxos / FPaxos
+        yield from replica.log.entries.values()
+    for state in getattr(replica, "objects", {}).values():  # WPaxos
+        yield from state.slots.values()
+    yield from getattr(replica, "slots", {}).values()  # Mencius
+    if hasattr(replica, "group"):  # WanKeeper / Vertical Paxos
+        yield from replica.group._slots.values()
+
+
+def _assert_votes_released(dep):
+    committed = [slot for r in dep.replicas.values() for slot in _slots(r) if slot.committed]
+    assert committed, "the run committed nothing: the guard would be vacuous"
+    holding = [slot for slot in committed if slot.quorum is not None]
+    assert not holding, f"{len(holding)} of {len(committed)} committed slots still hold votes"
+
+
+@pytest.fixture
+def retransmit_windows(monkeypatch):
+    """Per client, the widest id range it could still retransmit from: the
+    span from its oldest pending request to the one being sent."""
+    windows: dict = {}
+    transmit = Client._transmit
+
+    def spy(client, request_id, pending):
+        span = request_id - next(iter(client._pending)) + 1
+        windows[client.address] = max(windows.get(client.address, 0), span)
+        transmit(client, request_id, pending)
+
+    monkeypatch.setattr(Client, "_transmit", spy)
+    return windows
+
+
+@pytest.mark.parametrize("protocol", [MultiPaxos, Raft])
+def test_closed_loop_retention_is_flat_in_run_length(protocol, retransmit_windows):
+    recorded = []
+    for duration in (N, 4 * N):
+        dep, result = _closed_loop(protocol, duration)
+        assert set(retransmit_windows.values()) == {1}  # one request in flight each
+        for replica in dep.replicas.values():
+            # One reply per client is all a closed loop can ask for again.
+            assert replica.replies.retained() <= CLIENTS * (1 + 1)
+        recorded.append(min(len(r.replies) for r in dep.replicas.values()))
+        assert recorded[-1] >= result.completed
+        if protocol is MultiPaxos:  # Raft counts matchIndex, not per-slot votes
+            _assert_votes_released(dep)
+        leaked = [
+            o for o in gc.get_objects()
+            if type(o).__name__ == "Version" and type(o).__module__.startswith("repro")
+        ]  # fmt: skip
+        assert not leaked, f"{len(leaked)} per-write Version objects are alive"
+    # The run really was ~4x longer: executions recorded grew, retention did not.
+    assert recorded[1] > 3 * recorded[0]
+
+
+@pytest.mark.parametrize("protocol", [WPaxos, Mencius, WanKeeper, VPaxos])
+def test_every_slot_table_releases_votes_at_commit(protocol):
+    dep, _result = _closed_loop(protocol, N)
+    _assert_votes_released(dep)
+    for replica in dep.replicas.values():
+        assert replica.replies.retained() <= CLIENTS * (1 + 1)
+
+
+def test_open_loop_with_retries_stays_inside_the_retransmit_window(retransmit_windows):
+    offered = []
+    for duration in (3 * N, 12 * N):
+        retransmit_windows.clear()
+        dep = Deployment(Config.lan(3, 3, seed=9)).start(MultiPaxos)
+        site = dep.config.topology.sites[0]
+        engine = OpenLoopEngine(
+            dep, WorkloadSpec(keys=20), PoissonArrivals(900.0),
+            sites=[site] * 3, retry_timeout=0.03, max_retries=6,
+        )  # fmt: skip
+        # Lose 3 % of everything sent to the leader: some requests need a
+        # retransmission, and each one holds its client's watermark back.
+        dep.flaky(None, dep.config.node_ids[0], duration=duration + 1.0, probability=0.03, at=0.0)
+        result = engine.run(duration, 0.05, 0.05)
+        dep.run_for(0.5)
+        retries = sum(c.attempts(i) - 1 for c in engine.clients for i in c._attempts_done)
+        assert retries > 0 and all(c.outstanding == 0 for c in engine.clients)
+        window = sum(retransmit_windows.values())
+        assert max(retransmit_windows.values()) > 1  # several in flight per client
+        for replica in dep.replicas.values():
+            assert replica.replies.retained() <= window + len(engine.clients)
+            assert len(replica.replies) == result.offered  # every request ran once
+        _assert_votes_released(dep)
+        offered.append(result.offered)
+    assert offered[1] > 3 * offered[0] > 3 * window

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.paxi.history import HistoryRecorder, Operation
-from repro.paxi.kvstore import MultiVersionStore
+from repro.paxi.kvstore import CasFailed, MultiVersionStore
 from repro.paxi.message import Command
 
 
@@ -62,6 +62,40 @@ class TestStore:
         store.adopt("k", ["a", "b"])
         store.adopt("k", ["a"])
         assert store.history("k") == ["a", "b"]
+
+    def test_failed_cas_appends_nothing(self):
+        store = MultiVersionStore()
+        store.execute(Command.put("k", "a"))
+        assert store.execute(Command.cas("k", "not-a", "b")) == CasFailed("a")
+        assert store.version("k") == 1 and store.history("k") == ["a"]
+        assert store.execute(Command.cas("k", "a", "b")) == "b"
+        assert store.version("k") == 2 and store.read("k") == "b"
+        assert store.execute(Command.cas("fresh", None, "x")) == "x"
+
+    def test_dump_restore_round_trip_shares_nothing(self):
+        store = MultiVersionStore()
+        for key, value in (("a", 1), ("a", 2), ("b", 3)):
+            store.execute(Command.put(key, value))
+        dump = store.dump()
+        assert dump == {"a": [1, 2], "b": [3]}
+        twin = MultiVersionStore()
+        twin.restore(dump)
+        # Writes on any side stay on that side: chains are plain lists now,
+        # so a dump / restore / adopt / history that aliased one would leak.
+        store.execute(Command.put("a", 99))
+        twin.execute(Command.put("b", 4))
+        dump["a"].append("scribble")
+        assert store.history("a") == [1, 2, 99] and store.version("b") == 1
+        assert twin.history("a") == [1, 2] and twin.history("b") == [3, 4]
+        assert twin.version("a") == 2 and twin.read("b") == 4
+
+    def test_history_and_adopt_copy_their_lists(self):
+        store = MultiVersionStore()
+        incoming = ["v1", "v2"]
+        store.adopt("k", incoming)
+        incoming.append("v3")
+        store.history("k").append("scribble")
+        assert store.history("k") == ["v1", "v2"] and store.version("k") == 2
 
 
 class TestOperation:

@@ -131,7 +131,9 @@ class TestPaxosStaleMessages:
         assert entry is None or entry.command is None or entry.command.value != "x"
 
     def test_duplicate_p2b_acks_idempotent(self):
-        dep = Deployment(Config.lan(1, 3, seed=7)).start(MultiPaxos)
+        # Five nodes: self + one follower is short of the majority, so the
+        # slot stays open and its vote set can be inspected.
+        dep = Deployment(Config.lan(1, 5, seed=7)).start(MultiPaxos)
         dep.run_for(0.05)
         leader = dep.replicas[NodeID(1, 1)]
         leader._propose(Command.put("k", "v"), RequestInfo("nobody", 1))
@@ -142,3 +144,10 @@ class TestPaxosStaleMessages:
             leader.on_p2b(NodeID(1, 2), P2b(ballot=leader.ballot, slot=slot, ok=True))
         entry = leader.log.entries[slot]
         assert len(entry.quorum.acks) == 2  # self + 1.2, not 6
+        assert not entry.committed
+        # The committing ack spends the vote set: nothing reads it again.
+        leader.on_p2b(NodeID(1, 3), P2b(ballot=leader.ballot, slot=slot, ok=True))
+        assert entry.committed and entry.quorum is None
+        # A late ack finds no vote set and is ignored.
+        leader.on_p2b(NodeID(1, 4), P2b(ballot=leader.ballot, slot=slot, ok=True))
+        assert entry.quorum is None

@@ -114,7 +114,9 @@ class TestCommandLog:
         log = CommandLog()
         q = MajorityQuorum([NodeID(1, 1), NodeID(1, 2), NodeID(1, 3)])
         slot = log.append(B1, Command.get("a"), RequestInfo("c", 1), q)
-        assert log.entries[slot].quorum is q
+        assert log.entries[slot].quorum is q  # while the slot is open
+        log.commit(slot)
+        assert log.entries[slot].committed and log.entries[slot].quorum is None
 
 
 class TestTarjan:
