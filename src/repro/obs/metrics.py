@@ -99,12 +99,18 @@ class MetricsHub:
     # -- network feed (called once per message) -------------------------
 
     def on_sent(self, src: Hashable, type_name: str, size_bytes: int) -> None:
-        metrics = self.node(src)
+        try:
+            metrics = self._nodes[src]
+        except KeyError:
+            metrics = self.node(src)
         metrics.sent[type_name] += 1
         metrics.bytes_sent += size_bytes
 
     def on_received(self, dst: Hashable, type_name: str, size_bytes: int) -> None:
-        metrics = self.node(dst)
+        try:
+            metrics = self._nodes[dst]
+        except KeyError:
+            metrics = self.node(dst)
         metrics.received[type_name] += 1
         metrics.bytes_received += size_bytes
 

@@ -32,22 +32,22 @@ if TYPE_CHECKING:
     from repro.paxi.deployment import Deployment
 
 
-# Per-message-class traits: (WEIGHT, SIZE_BYTES, has wire_size()).  All
-# three are class-level declarations on the message dataclasses, so they
-# are resolved once per class instead of via getattr on every message.
-_CLASS_TRAITS: dict[type, tuple[float, int, bool]] = {}
+class _ClassTraits(dict):
+    """Per-message-class traits: ``(WEIGHT, SIZE_BYTES, has wire_size())``.
+    All three are class-level declarations on the message dataclasses, so
+    they are resolved once per class (on the first miss) instead of via
+    getattr on every message."""
 
-
-def _class_traits(cls: type) -> tuple[float, int, bool]:
-    traits = _CLASS_TRAITS.get(cls)
-    if traits is None:
-        traits = (
+    def __missing__(self, cls: type) -> tuple[float, int, bool]:
+        traits = self[cls] = (
             getattr(cls, "WEIGHT", 1.0),
             getattr(cls, "SIZE_BYTES", 100),
             callable(getattr(cls, "wire_size", None)),
         )
-        _CLASS_TRAITS[cls] = traits
-    return traits
+        return traits
+
+
+_CLASS_TRAITS = _ClassTraits()
 
 
 def wal_record_bytes(command: Any) -> int:
@@ -244,8 +244,10 @@ class Replica:
         if self._admission is not None and type(message) is ClientRequest:
             if not self._admit(message):
                 return
-        weight = _class_traits(type(message))[0]
-        cost = self._profile.incoming_cost(size_bytes, weight)
+        weight = _CLASS_TRAITS[type(message)][0]
+        # ServiceProfile.incoming_cost, written out.
+        profile = self._profile
+        cost = profile.t_in * weight + size_bytes / profile.bandwidth_bps
         if self._priority_lanes and not isinstance(message, ClientRequest):
             # Everything that is not client ingress is the control plane
             # relative to admission: it was already paid for upstream, and
@@ -255,7 +257,7 @@ class Replica:
             return
         if self._tracer.enabled and type(message) is ClientRequest:
             span_key = (message.client, message.request_id)
-            self._tracer.event(span_key, "server_enqueue", self.now, self.id)
+            self._tracer.event(span_key, "server_enqueue", self.loop.now, self.id)
             self._server.submit(cost, self._dispatch_traced, src, message, span_key, cost)
             return
         self._server.submit(cost, self._dispatch, src, message)
@@ -269,11 +271,12 @@ class Replica:
         self._dispatch(src, message)
 
     def _dispatch(self, src: Hashable, message: Any) -> None:
-        handler = self._handlers.get(type(message))
-        if handler is None:
+        try:
+            handler = self._handlers[type(message)]
+        except KeyError:
             raise ProtocolError(
                 f"{self.id}: no handler for {type(message).__name__}"
-            )
+            ) from None
         handler(src, message)
 
     # ------------------------------------------------------------------
@@ -369,10 +372,12 @@ class Replica:
                 self._admission.inflight.pop((dst, message.request_id), None)
             elif mtype is ClientRequest:
                 self._admission.inflight.pop((message.client, message.request_id), None)
-        weight, size, has_wire = _class_traits(type(message))
+        weight, size, has_wire = _CLASS_TRAITS[type(message)]
         if has_wire:
             size = message.wire_size()
-        cost = self._profile.outgoing_cost(size, copies=1, weight=weight)
+        # ServiceProfile.outgoing_cost for one copy (``1 * x`` is ``x``).
+        profile = self._profile
+        cost = profile.t_out * weight + size / profile.bandwidth_bps
         if self._tracer.enabled and type(message) is ClientReply:
             self._server.submit(cost, self._traced_reply_transit, dst, message, size)
             return
@@ -389,10 +394,12 @@ class Replica:
         targets = [d for d in dsts if d != self.id]
         if not targets:
             return
-        weight, size, has_wire = _class_traits(type(message))
+        weight, size, has_wire = _CLASS_TRAITS[type(message)]
         if has_wire:
             size = message.wire_size()
-        cost = self._profile.outgoing_cost(size, copies=len(targets), weight=weight)
+        # ServiceProfile.outgoing_cost: t_out once, NIC time per copy.
+        profile = self._profile
+        cost = profile.t_out * weight + len(targets) * (size / profile.bandwidth_bps)
         self._server.submit(cost, self._network.transit_all, self.id, targets, message, size)
 
     def broadcast(self, message: Any) -> None:
@@ -423,7 +430,8 @@ class Replica:
         wipe fault injection) a pending timer fires into the void, so a
         dead incarnation can never send messages or mutate ghost state.
         """
-        return self.loop.call_after(delay, self._guarded_timer, fn, args)
+        loop = self.loop
+        return loop.call_at(loop.now + delay, self._guarded_timer, fn, args)
 
     def _guarded_timer(self, fn: Callable[..., Any], args: tuple) -> None:
         if self._halted:

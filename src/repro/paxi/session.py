@@ -275,6 +275,12 @@ class Session:
         read_mode = command.read_mode if command.is_read else None
         if reply is None:
             failure = client.failure_reason(request_id) or "timeout"
+            gave_up = client.abandoned(request_id)
+            # A call that ran out of patience is still pending at the
+            # client: stop its retry timer, let ``ack_upto`` move past it
+            # and turn a late reply into a stale duplicate.  (Read the
+            # outcome first: abandoning records its own failure reason.)
+            client.abandon(request_id)
             if resolved.strict:
                 waited = self.deployment.now - started
                 if failure in ("rejected", "overloaded"):
@@ -283,7 +289,7 @@ class Session:
                         f"{attempts} transmissions (clean typed failure; "
                         "the cluster or client shed it under load)"
                     )
-                if client.abandoned(request_id):
+                if gave_up:
                     raise RetriesExhausted(
                         f"{command.op}({command.key!r}) abandoned after "
                         f"{attempts} transmissions"

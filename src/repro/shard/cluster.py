@@ -123,6 +123,17 @@ class _RoutedClient:
         client, underlying = issued
         return client.abandoned(underlying)
 
+    def abandon(self, request_id: int) -> None:
+        """Give up on ``request_id`` (see :meth:`Client.abandon`).  A request
+        still deferred behind a migrating bucket was never transmitted; it
+        is dropped so the flush after the flip does not issue it."""
+        issued = self._issued.get(request_id)
+        if issued is None:
+            self.cluster._drop_deferred(self, request_id)
+            return
+        client, underlying = issued
+        client.abandon(underlying)
+
     def failure_reason(self, request_id: int) -> str | None:
         issued = self._issued.get(request_id)
         if issued is None:
@@ -348,6 +359,12 @@ class ShardedCluster:
                 )
                 return
         self._issue(rc, request_id, command, target, on_done, record, on_fail, deadline)
+
+    def _drop_deferred(self, rc, request_id) -> None:
+        for migration in self._migrations.values():
+            migration.deferred[:] = [
+                d for d in migration.deferred if (d[0], d[1]) != (rc, request_id)
+            ]
 
     def _issue(
         self, rc, request_id, command, target, on_done, record,

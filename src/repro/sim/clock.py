@@ -8,9 +8,10 @@ Determinism: events scheduled for the same instant fire in scheduling order
 (a per-loop sequence number breaks ties), so a fixed seed yields a bit-for-bit
 identical run.
 
-Performance notes (see ``docs/PERFORMANCE.md``): the run loops bind
-``heapq`` functions and hot attributes to locals, the cyclic collector is
-paced while a loop drains (``_GC_GEN0_THRESHOLD``), cancelled events are
+Performance notes (see ``docs/PERFORMANCE.md``): scheduling allocates one
+object (the heap entry is the :class:`EventHandle`), ``now`` is a plain
+attribute, the run loops bind hot attributes to locals, the cyclic collector
+is paced while a loop drains (``_GC_GEN0_THRESHOLD``), cancelled events are
 counted and the heap is compacted when cancellations dominate (client retry
 timers are cancelled on nearly every reply, so an uncompacted heap would
 grow with *issued* requests rather than *outstanding* ones), and dispatch
@@ -21,8 +22,8 @@ entries and therefore cannot reorder anything.
 from __future__ import annotations
 
 import gc
-import heapq
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -59,31 +60,41 @@ def _pace_gc() -> tuple[int, int, int]:
     return thresholds
 
 
-class EventHandle:
-    """A cancellable reference to a scheduled event."""
+class EventHandle(list):
+    """A scheduled event, cancellable: the heap entry itself,
+    ``[when, seq, loop, args, fn]``.
 
-    __slots__ = ("_entry", "_loop")
+    Scheduling allocates this one object.  The heap orders entries by their
+    ``(when, seq)`` prefix (``seq`` is unique per loop, so comparison never
+    reaches the rest), and the last slot holds the callback until the event
+    fires or is cancelled.
 
-    def __init__(self, entry: list, loop: "EventLoop") -> None:
-        self._entry = entry
-        self._loop = loop
+    To its holder a handle is an opaque token: ``cancel()``, ``cancelled``
+    and ``time``, nothing else.  It hashes by identity, so timers can be
+    kept in a set or as dict keys, and since ``(when, seq, loop)`` is unique
+    two distinct handles never compare equal.  The inherited ``list``
+    mutators act on a live heap entry and must not be used.
+    """
+
+    __slots__ = ()
+    __hash__ = object.__hash__
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Cancelling twice (or cancelling
         an event that already fired) is a no-op."""
-        entry = self._entry
-        if entry[-1] is not _CANCELLED and entry[-1] is not _FIRED:
-            entry[-1] = _CANCELLED
-            self._loop._note_cancelled()
+        state = self[4]
+        if state is not _CANCELLED and state is not _FIRED:
+            self[4] = _CANCELLED
+            self[2]._note_cancelled()
 
     @property
     def cancelled(self) -> bool:
-        return self._entry[-1] is _CANCELLED
+        return self[4] is _CANCELLED
 
     @property
     def time(self) -> float:
         """Virtual time at which the event is (or was) due to fire."""
-        return self._entry[0]
+        return self[0]
 
 
 class EventLoop:
@@ -105,19 +116,16 @@ class EventLoop:
     total_compactions = 0
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._heap: list[list] = []
+        #: Current virtual time in seconds.  A plain attribute, read several
+        #: times per event; only the run loops below assign it.
+        self.now = 0.0
+        self._heap: list[EventHandle] = []
         self._seq = itertools.count()
         self._events_fired = 0
         self._events_batched = 0
         self._stopped = False
         self._cancelled = 0  # cancelled entries still sitting in the heap
         self._compactions = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_fired(self) -> int:
@@ -141,19 +149,19 @@ class EventLoop:
         ``when`` must not be in the past; scheduling at exactly ``now`` is
         allowed and fires in FIFO order relative to other events at ``now``.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={when:.9f} before now={self._now:.9f}"
+                f"cannot schedule event at t={when:.9f} before now={self.now:.9f}"
             )
-        entry = [when, next(self._seq), args, fn]
-        heapq.heappush(self._heap, entry)
-        return EventHandle(entry, self)
+        handle = EventHandle((when, next(self._seq), self, args, fn))
+        heappush(self._heap, handle)
+        return handle
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.call_at(self._now + delay, fn, *args)
+        return self.call_at(self.now + delay, fn, *args)
 
     def stop(self) -> None:
         """Request the current ``run``/``run_until`` call to return."""
@@ -174,8 +182,8 @@ class EventLoop:
         only, so rebuilding the heap from the live entries cannot change
         dispatch order — it just frees the memory and skips the pops.
         """
-        self._heap = [entry for entry in self._heap if entry[-1] is not _CANCELLED]
-        heapq.heapify(self._heap)
+        self._heap = [entry for entry in self._heap if entry[4] is not _CANCELLED]
+        heapify(self._heap)
         self._cancelled = 0
         self._compactions += 1
         EventLoop.total_compactions += 1
@@ -188,7 +196,6 @@ class EventLoop:
         """
         self._stopped = False
         heap = self._heap
-        heappop = heapq.heappop
         cancelled_sentinel = _CANCELLED
         fired_sentinel = _FIRED
         fired = 0
@@ -200,14 +207,14 @@ class EventLoop:
                 if when > deadline:
                     break
                 entry = heappop(heap)
-                fn = entry[3]
+                fn = entry[4]
                 if fn is cancelled_sentinel:
                     self._cancelled -= 1
                     continue
-                self._now = when
-                entry[3] = fired_sentinel
+                self.now = when
+                entry[4] = fired_sentinel
                 fired += 1
-                fn(*entry[2])
+                fn(*entry[3])
                 if heap is not self._heap:  # compaction swapped the list
                     heap = self._heap
                 # Batch-drain every event sharing this exact instant: they
@@ -219,14 +226,14 @@ class EventLoop:
                 # (and therefore every simulated outcome) is unchanged.
                 while heap and heap[0][0] == when and not self._stopped:
                     entry = heappop(heap)
-                    fn = entry[3]
+                    fn = entry[4]
                     if fn is cancelled_sentinel:
                         self._cancelled -= 1
                         continue
-                    entry[3] = fired_sentinel
+                    entry[4] = fired_sentinel
                     fired += 1
                     batched += 1
-                    fn(*entry[2])
+                    fn(*entry[3])
                     if heap is not self._heap:
                         heap = self._heap
         finally:
@@ -235,14 +242,13 @@ class EventLoop:
             self._events_batched += batched
             EventLoop.total_events_fired += fired
             EventLoop.total_events_batched += batched
-        if not self._stopped and self._now < deadline:
-            self._now = deadline
+        if not self._stopped and self.now < deadline:
+            self.now = deadline
 
     def run(self, max_events: int | None = None) -> None:
         """Execute events until the heap is empty (or ``max_events`` fire)."""
         self._stopped = False
         heap = self._heap
-        heappop = heapq.heappop
         cancelled_sentinel = _CANCELLED
         fired_sentinel = _FIRED
         fired = 0
@@ -254,14 +260,14 @@ class EventLoop:
                     return
                 when = heap[0][0]
                 entry = heappop(heap)
-                fn = entry[3]
+                fn = entry[4]
                 if fn is cancelled_sentinel:
                     self._cancelled -= 1
                     continue
-                self._now = when
-                entry[3] = fired_sentinel
+                self.now = when
+                entry[4] = fired_sentinel
                 fired += 1
-                fn(*entry[2])
+                fn(*entry[3])
                 if heap is not self._heap:
                     heap = self._heap
                 # Same-instant batch drain; see run_until.  The max_events
@@ -274,14 +280,14 @@ class EventLoop:
                     and (max_events is None or fired < max_events)
                 ):
                     entry = heappop(heap)
-                    fn = entry[3]
+                    fn = entry[4]
                     if fn is cancelled_sentinel:
                         self._cancelled -= 1
                         continue
-                    entry[3] = fired_sentinel
+                    entry[4] = fired_sentinel
                     fired += 1
                     batched += 1
-                    fn(*entry[2])
+                    fn(*entry[3])
                     if heap is not self._heap:
                         heap = self._heap
         finally:
@@ -299,8 +305,8 @@ class EventLoop:
         loops holds the globally-next event.
         """
         heap = self._heap
-        while heap and heap[0][3] is _CANCELLED:
-            heapq.heappop(heap)
+        while heap and heap[0][4] is _CANCELLED:
+            heappop(heap)
             self._cancelled -= 1
         return heap[0][0] if heap else None
 

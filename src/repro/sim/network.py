@@ -267,21 +267,27 @@ class Network:
 
     def transit(self, src: Address, dst: Address, message: Any, size_bytes: int) -> None:
         """Carry ``message`` from ``src`` to ``dst``, applying faults."""
-        if dst not in self._receivers:
-            raise SimulationError(f"unknown destination {dst!r}")
+        try:
+            receiver = self._receivers[dst]
+        except KeyError:
+            raise SimulationError(f"unknown destination {dst!r}") from None
         # Delay is sampled before fault matching so a dropped message still
         # consumes exactly one delay draw — keeping the RNG stream, and
         # therefore every later sample in the run, identical with and
         # without the early-out below.
         rng = self._rng
-        mean_ms, sigma_ms, link = self._route(src, dst)
+        try:
+            mean_ms, sigma_ms, link = self._routes[(src, dst)]
+        except KeyError:
+            mean_ms, sigma_ms, link = self._route(src, dst)
         delay_ms = rng.gauss(mean_ms, sigma_ms)
         if delay_ms <= 0.0:
             delay_ms = resample_above(rng, mean_ms, sigma_ms, 0.0)
         delay = delay_ms / 1e3
+        loop = self._loop
+        now = loop.now
         faults = self.faults
-        if faults._window_start <= self._loop.now < faults._window_end:
-            now = self._loop.now
+        if faults._window_start <= now < faults._window_end:
             for rule in faults._rules:
                 if not rule.matches(now, src, dst):
                     continue
@@ -308,13 +314,17 @@ class Network:
         stats.messages_sent += 1
         stats.bytes_sent += size_bytes
         stats.per_link[link] += 1
-        type_name = self._type_name(message)
-        if self.metrics is not None:
-            self.metrics.on_sent(src, type_name, size_bytes)
-        self._loop.call_after(
-            delay,
+        try:
+            type_name = self._type_names[type(message)]
+        except KeyError:
+            type_name = self._type_name(message)
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.on_sent(src, type_name, size_bytes)
+        loop.call_at(
+            now + delay,
             self._deliver,
-            self._receivers[dst],
+            receiver,
             src,
             dst,
             message,

@@ -3,272 +3,27 @@
 Each simulation component (network pair latencies, workload generation,
 service-time jitter, ...) draws from its own named stream so that adding a
 new consumer of randomness does not perturb the draws seen by existing ones.
-Streams are derived deterministically from a single root seed.
-
-Streams are :class:`PooledRandom` instances: drop-in ``random.Random``
-replacements that pre-draw uniforms in bulk through numpy's MT19937 (the
-same generator CPython uses, bit-for-bit) and serve ``random`` /
-``uniform`` / ``expovariate`` / ``gauss`` from the pool.  The pooling is
-**draw-order preserving**: for any interleaving of calls, a pooled stream
-returns exactly the floats a plain ``random.Random`` with the same seed
-would, so the golden equivalence suite (``tests/test_equivalence_golden``)
-holds with pooling on.  Methods outside the pooled set (``sample``,
-``getrandbits``, ``getstate``, ...) transparently fall through to an
-internal ``random.Random`` resynchronized to the logical stream position.
+Streams are derived deterministically from a single root seed; each one is a
+plain ``random.Random``.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import zlib
 
-try:  # pragma: no cover - exercised implicitly by every suite run
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
-_TWOPI = 2.0 * math.pi
-_LOG = math.log
-_SQRT = math.sqrt
-_COS = math.cos
-_SIN = math.sin
+class PooledRandom(random.Random):
+    """The class of every seeded stream: ``random.Random``, nothing added.
 
-# Pools start small (most streams draw a handful of values) and grow
-# geometrically toward the cap, so hot streams amortize the numpy call
-# while cold ones never pay for a big buffer.
-_POOL_START = 128
-_POOL_MAX = 4096
-
-# A resync that consumed fewer than this many pooled draws counts as a
-# "miss"; this many consecutive misses switch the stream to passthrough.
-# Streams that interleave pooled draws with non-pooled methods (randint,
-# choice, ...) would otherwise refill-and-discard a pool per interleave,
-# which costs far more than the scalar draws the pool saves.
-_BYPASS_MIN_USE = 32
-_BYPASS_MISSES = 4
-
-# Tri-state: None = not yet probed, True/False afterwards.  See
-# _vector_transforms_safe().
-_VECTOR_TRANSFORMS: bool | None = None
-
-
-def _vector_transforms_safe() -> bool:
-    """True when numpy's vectorized log/cos/sin are bit-identical to libm.
-
-    numpy's array loops for float64 transcendentals may be backed by SIMD
-    kernels (e.g. SVML) that are faithfully- but not correctly-rounded,
-    i.e. up to 1 ulp off the scalar libm CPython's ``random.gauss`` uses.
-    The simulator's exact mode promises bit-identical draws, so the
-    vectorized transform fast path is enabled only after a probe shows the
-    two agree bitwise over a large deterministic sample; otherwise the
-    transforms run scalar per draw (uniform pooling stays vectorized
-    either way — the Mersenne Twister integer path has a single correct
-    answer).
-    """
-    global _VECTOR_TRANSFORMS
-    if _VECTOR_TRANSFORMS is None:
-        probe = _np.random.RandomState(12345).random_sample(65536)
-        one_minus = 1.0 - probe
-        angles = _TWOPI * probe
-        ok = bool(
-            (_np.array([_LOG(v) for v in one_minus.tolist()]) == _np.log(one_minus)).all()
-            and (_np.array([_COS(v) for v in angles.tolist()]) == _np.cos(angles)).all()
-            and (_np.array([_SIN(v) for v in angles.tolist()]) == _np.sin(angles)).all()
-        )
-        _VECTOR_TRANSFORMS = ok
-    return _VECTOR_TRANSFORMS
-
-
-class PooledRandom:
-    """A ``random.Random`` clone that serves draws from pre-drawn pools.
-
-    The internal ``random.Random`` (``_impl``) is the source of truth for
-    the Mersenne Twister state.  A refill captures its state, draws the
-    next ``n`` uniforms in one numpy call (bit-identical to ``n``
-    sequential ``random()`` calls), pre-computes the Box-Muller and
-    exponential transforms for the whole pool when the platform's
-    vectorized transcendentals match libm (see
-    :func:`_vector_transforms_safe`), and advances ``_impl`` past the
-    pool.  Consumption bookkeeping maps every pooled draw back to an exact
-    number of raw ``random()`` calls, so falling through to any
-    non-pooled ``random.Random`` method replays the stream to the right
-    position first — the full API behaves exactly like a plain seeded
-    ``random.Random``.
+    The name and the three re-bound methods exist for ``perfbench/spans.py``,
+    which imports this class by name and wraps the Python-level methods it
+    finds in ``vars()`` (``random()`` itself is a C method and is not seen).
     """
 
-    __slots__ = (
-        "_impl",
-        "_pool",
-        "_ln",
-        "_zc",
-        "_zs",
-        "_pos",
-        "_len",
-        "_internal",
-        "_pool_size",
-        "_bypass",
-        "_miss",
-    )
-
-    def __new__(cls, seed=None):
-        if _np is None:
-            # No numpy: a plain random.Random IS the bit-identical
-            # fallback (pooling is a pure speed path, never semantic).
-            return random.Random(seed)
-        return object.__new__(cls)
-
-    def __init__(self, seed=None) -> None:
-        self._impl = random.Random(seed)
-        self._pool: list[float] = []
-        self._ln: list[float] | None = None
-        self._zc: list[float] | None = None
-        self._zs: list[float] | None = None
-        self._pos = 0
-        self._len = 0
-        # The 625-int MT state at the start of the current pool, for
-        # replay-resync; None while the pool is empty/stale.
-        self._internal: tuple[int, ...] | None = None
-        self._pool_size = _POOL_START
-        # Passthrough mode: set after _BYPASS_MISSES consecutive resyncs
-        # that each salvaged almost none of the pool.  A bypassed stream
-        # IS a plain random.Random (same draws, no pooling overhead).
-        self._bypass = False
-        self._miss = 0
-
-    # ------------------------------------------------------------------
-    # Pool management
-    # ------------------------------------------------------------------
-
-    def _refill(self) -> None:
-        impl = self._impl
-        version, internal, gauss_next = impl.getstate()
-        n = self._pool_size
-        # Grow only when the previous pool was drained by pooled draws
-        # (``_internal`` still set): a refill after a resync says nothing
-        # about demand, and growing there would hand fallthrough-heavy
-        # streams ever-bigger pools to throw away.
-        if n < _POOL_MAX and self._internal is not None:
-            self._pool_size = min(n * 4, _POOL_MAX)
-        rs = _np.random.RandomState()
-        rs.set_state(("MT19937", _np.asarray(internal[:624], dtype=_np.uint32), internal[624]))
-        u = rs.random_sample(n)
-        self._pool = u.tolist()
-        if _vector_transforms_safe():
-            ln = _np.log(1.0 - u)
-            self._ln = ln.tolist()
-            # Box-Muller pairs for every adjacent index: a gauss() landing
-            # at pool position i consumes u[i] (angle) and u[i+1]
-            # (radius), exactly like CPython's scalar recipe.
-            angles = _TWOPI * u[:-1]
-            radii = _np.sqrt(-2.0 * ln[1:])
-            self._zc = (_np.cos(angles) * radii).tolist()
-            self._zs = (_np.sin(angles) * radii).tolist()
-        else:
-            self._ln = None
-            self._zc = None
-            self._zs = None
-        self._internal = internal
-        self._pos = 0
-        self._len = n
-        post = rs.get_state()
-        impl.setstate((version, tuple(map(int, post[1])) + (int(post[2]),), gauss_next))
-
-    def _resync(self) -> None:
-        """Rewind ``_impl`` to the logical stream position and drop the
-        pool, so a non-pooled method continues the exact sequence."""
-        internal = self._internal
-        if internal is None:
-            return
-        impl = self._impl
-        impl.setstate((3, internal, impl.gauss_next))
-        consume = impl.random
-        for _ in range(self._pos):
-            consume()
-        if self._pos < _BYPASS_MIN_USE:
-            self._miss += 1
-            if self._miss >= _BYPASS_MISSES:
-                # This stream keeps paying a refill to serve a handful of
-                # draws between fallthroughs: stop pooling it for good.
-                self._bypass = True
-        else:
-            self._miss = 0
-        self._internal = None
-        self._pool = []
-        self._pos = 0
-        self._len = 0
-
-    def __getattr__(self, name: str):
-        # Fallthrough for the long tail of random.Random methods
-        # (sample, shuffle, getrandbits, getstate, ...): resync the
-        # shadow RNG, then delegate.  Dunder lookups must fail fast so
-        # pickling/copy protocols don't spin through the delegate.
-        if name.startswith("__"):
-            raise AttributeError(name)
-        self._resync()
-        return getattr(self._impl, name)
-
-    # ------------------------------------------------------------------
-    # Pooled draws (bit-identical to random.Random's implementations)
-    # ------------------------------------------------------------------
-
-    def random(self) -> float:
-        pos = self._pos
-        if pos >= self._len:
-            if self._bypass:
-                return self._impl.random()
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._pool[pos]
-
-    def uniform(self, a: float, b: float) -> float:
-        pos = self._pos
-        if pos >= self._len:
-            if self._bypass:
-                return self._impl.uniform(a, b)
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return a + (b - a) * self._pool[pos]
-
-    def expovariate(self, lambd: float = 1.0) -> float:
-        pos = self._pos
-        if pos >= self._len:
-            if self._bypass:
-                return self._impl.expovariate(lambd)
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        ln = self._ln
-        if ln is not None:
-            return -ln[pos] / lambd
-        return -_LOG(1.0 - self._pool[pos]) / lambd
-
-    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        # The Box-Muller spare lives on the shadow RNG's own gauss_next
-        # attribute, so getstate()/setstate() fallthroughs see it and the
-        # cache survives pool refills exactly like on a plain Random.
-        impl = self._impl
-        if self._bypass and not self._len:
-            return impl.gauss(mu, sigma)
-        z = impl.gauss_next
-        impl.gauss_next = None
-        if z is None:
-            pos = self._pos
-            zc = self._zc
-            if zc is not None and pos + 2 <= self._len:
-                z = zc[pos]
-                impl.gauss_next = self._zs[pos]
-                self._pos = pos + 2
-            else:
-                u1 = self.random()
-                u2 = self.random()
-                x2pi = u1 * _TWOPI
-                g2rad = _SQRT(-2.0 * _LOG(1.0 - u2))
-                z = _COS(x2pi) * g2rad
-                impl.gauss_next = _SIN(x2pi) * g2rad
-        return mu + z * sigma
+    gauss = random.Random.gauss
+    uniform = random.Random.uniform
+    expovariate = random.Random.expovariate
 
 
 class RandomStreams:

@@ -185,15 +185,28 @@ class Server:
             raise SimulationError(f"negative job cost {cost!r}")
         if self._slow_factor != 1.0:
             cost *= self._slow_factor
+        loop = self._loop
+        now = loop.now
+        stats = self.stats
+        queue = self._queue
+        if not (self._busy or queue or self._priority or now < self._frozen_until):
+            # Idle server: the job starts now.  This is what a round trip
+            # through the queue would leave behind — an empty system adds
+            # nothing to ``queue_area``, the job waited ``now - now``, and
+            # ``_queued_cost`` is 0.0 whenever both lanes are empty.
+            self._area_at = now
+            if not stats.max_queue_length:
+                stats.max_queue_length = 1
+            self._busy = True
+            loop.call_at(now + cost, self._complete, self._epoch, cost, fn, args)
+            return
         # Inlined touch_queue_area + max-depth update: submit runs for
         # every message hop, so the hot path avoids the extra calls and
         # property lookups.
-        now = self._loop.now
-        stats = self.stats
-        queued = len(self._queue) + len(self._priority) + (1 if self._busy else 0)
+        queued = len(queue) + len(self._priority) + (1 if self._busy else 0)
         stats.queue_area += queued * (now - self._area_at)
         self._area_at = now
-        self._queue.append((now, cost, fn, args))
+        queue.append((now, cost, fn, args))
         self._queued_cost += cost
         queued += 1
         if queued > stats.max_queue_length:
@@ -265,10 +278,13 @@ class Server:
         self._maybe_start()
 
     def _maybe_start(self) -> None:
+        """Start the next queued job unless busy, empty or frozen (then a
+        wake-up is armed for the thaw)."""
         if self._busy or not (self._queue or self._priority):
             return
         loop = self._loop
-        if loop.now < self._frozen_until:
+        now = loop.now
+        if now < self._frozen_until:
             if not math.isinf(self._frozen_until):
                 loop.call_at(self._frozen_until, self._maybe_start)
             return
@@ -278,8 +294,8 @@ class Server:
         if not self._queue and not self._priority:
             self._queued_cost = 0.0  # re-zero so float drift never accumulates
         self._busy = True
-        self.stats.wait_seconds += loop.now - enqueued_at
-        loop.call_after(cost, self._complete, self._epoch, cost, fn, args)
+        self.stats.wait_seconds += now - enqueued_at
+        loop.call_at(now + cost, self._complete, self._epoch, cost, fn, args)
 
     def evict_oldest(
         self, match: Callable[[Callable[..., Any], tuple], bool]

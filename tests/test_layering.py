@@ -6,6 +6,7 @@ level and not inside a function, where such an import is easy to miss.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,18 @@ def test_lower_layer_does_not_import_upward(layer):
         for name in sorted(_imported_modules(path)):
             parts = name.split(".")
             if parts[0] == "repro" and len(parts) > 1 and parts[1] in UPPER_LAYERS:
+                offenders.append(f"{path.relative_to(SRC.parent)} imports {name}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_package_imports_only_the_standard_library_and_itself():
+    """``repro`` has no third-party runtime dependency (``pyproject.toml``
+    ``dependencies = []``): it runs on a bare interpreter."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for name in sorted(_imported_modules(path)):
+            top = name.split(".")[0]
+            if top and top != "repro" and top not in sys.stdlib_module_names:
                 offenders.append(f"{path.relative_to(SRC.parent)} imports {name}")
     assert not offenders, "\n".join(offenders)
 

@@ -73,6 +73,45 @@ def test_session_timeout_returns_failed_result():
     assert result.latency_ms >= 0.05 * 1000 * 0.9
 
 
+def test_timed_out_call_is_abandoned_at_the_client(monkeypatch):
+    """A call that gives up must not stay pending at the client: that would
+    pin the client's ``ack_upto`` watermark (every replica then keeps its
+    later replies) and let the late reply count as a completion."""
+    deployment = _deployment()
+    victim = NodeID(3, 3)
+    deployment.crash(victim, 0.2)  # frozen, not dead: it answers late
+    deployment.run_for(0.01)
+    session = deployment.new_session(max_wait=0.05)
+    client = session.client
+    network = deployment.cluster.network
+    requests, replies = [], []
+    transit = network.transit
+
+    def spy(src, dst, message, size_bytes):
+        if src == client.address:
+            requests.append(message)
+        elif dst == client.address:
+            replies.append(message)
+        transit(src, dst, message, size_bytes)
+
+    monkeypatch.setattr(network, "transit", spy)
+    result = session.execute(Command.put("x", 1), opts=SessionOptions(target=victim))
+    assert not result.ok and result.failure == "timeout"
+    assert client.outstanding == 0 and not replies
+
+    completed, failed = client.completed, client.failed
+    history = deployment.history.snapshot()
+    deployment.run_for(0.5)  # the victim thaws, the write commits, the reply comes back
+    assert [m.request_id for m in replies] == [result.request_id]  # the late reply
+    assert (client.completed, client.failed) == (completed, failed)
+    assert deployment.history.snapshot() == history
+
+    follow_up = session.put("y", 2)
+    assert follow_up.ok
+    assert requests[-1].request_id == follow_up.request_id
+    assert requests[-1].ack_upto == follow_up.request_id - 1 > requests[0].ack_upto
+
+
 def test_session_fault_commands_delegate():
     deployment = _deployment(factory=Raft)
     session = deployment.new_session()

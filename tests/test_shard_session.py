@@ -9,9 +9,11 @@ loop mechanics of the unsharded runtime.
 
 import pytest
 
-from repro.errors import ConfigError, PlacementError
+from repro.errors import ConfigError, NoQuorum, PlacementError
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
+from repro.paxi.ids import NodeID
+from repro.paxi.message import Command
 from repro.paxi.session import SessionOptions
 from repro.protocols.paxos import MultiPaxos
 from repro.shard.cluster import ShardedCluster
@@ -118,3 +120,78 @@ class TestShardedSession:
             assert session.get(k).value == k.upper()
         ok, groups_ok = cluster.verify()
         assert ok and groups_ok
+
+
+class TestShardedSessionGivesUp:
+    """``Session.execute`` abandons a call that ran out of patience; the
+    routing facade must carry that through to the per-group client."""
+
+    def _cluster(self):
+        cluster = ShardedCluster(
+            Config.lan(3, 3, seed=13, shards=ShardSpec(count=2, buckets=8))
+        ).start(MultiPaxos)
+        cluster.run_for(0.3)
+        return cluster
+
+    def test_timed_out_call_is_abandoned_at_the_group_client(self, monkeypatch):
+        cluster = self._cluster()
+        shard = cluster.shard_of("x")
+        victim = NodeID(3, 3)
+        cluster.crash(victim, 0.2, shard=shard)  # frozen, not dead: it answers late
+        cluster.run_for(0.01)
+        session = cluster.new_session(max_wait=0.05)
+        routed = session.client
+        network = cluster.group(shard).cluster.network
+        replies = []
+        transit = network.transit
+
+        def spy(src, dst, message, size_bytes):
+            if dst == routed.client_for_shard(shard).address:
+                replies.append(message)
+            transit(src, dst, message, size_bytes)
+
+        monkeypatch.setattr(network, "transit", spy)
+        result = session.execute(Command.put("x", 1), opts=SessionOptions(target=victim))
+        assert not result.ok and result.failure == "timeout"
+        assert routed.outstanding == 0 and not replies
+
+        completed, failed = routed.completed, routed.failed
+        history = cluster.history.snapshot()
+        cluster.run_for(0.5)  # the victim thaws, the write commits, the reply comes back
+        assert len(replies) == 1  # the late reply
+        assert (routed.completed, routed.failed) == (completed, failed)
+        assert cluster.history.snapshot() == history
+        assert session.put("y", 2).ok
+
+    def test_strict_timeout_still_raises_no_quorum(self):
+        cluster = self._cluster()
+        victim = NodeID(3, 3)
+        cluster.crash(victim, 0.2, shard=cluster.shard_of("x"))
+        cluster.run_for(0.01)
+        session = cluster.new_session(SessionOptions(max_wait=0.05, strict=True))
+        with pytest.raises(NoQuorum):
+            session.execute(Command.put("x", 1), opts=SessionOptions(target=victim))
+        assert session.client.outstanding == 0
+
+    def test_call_deferred_behind_a_migration_is_never_issued(self):
+        cluster = self._cluster()
+        src = cluster.shard_of("x")
+        bucket = cluster.placement.bucket_of("x")
+        victim = NodeID(3, 3)
+        cluster.crash(victim, 0.2, shard=src)
+        cluster.run_for(0.01)
+        # A straggler bound for the frozen node keeps the bucket draining.
+        straggler = cluster.new_client()
+        straggler.invoke(Command.put("x", 0), target=victim)
+        cluster.rebalance(bucket, 1 - src, drain_timeout=1.0)
+        cluster.run_for(0.001)
+        session = cluster.new_session(max_wait=0.05)
+        result = session.put("x", 1)  # deferred for its whole patience
+        assert not result.ok and result.failure == "timeout"
+        assert not cluster.rebalances
+
+        cluster.run_for(0.5)  # straggler lands, the bucket flips, the flush runs
+        (record,) = cluster.rebalances
+        assert record.deferred_ops == 0 and not record.forced
+        assert session.client.outstanding == 0
+        assert session.get("x").value == 0

@@ -227,6 +227,78 @@ class TestCancelledEventCompaction:
         assert loop.events_fired == 3
 
 
+class TestEventHandle:
+    """The handle ``call_at`` returns is the heap entry itself; its
+    ``cancel()`` / ``cancelled`` / ``time`` behave as a separate handle
+    object's did, whatever has happened to the entry since."""
+
+    def test_scheduling_returns_the_heap_entry(self):
+        from repro.sim.clock import EventHandle
+
+        loop = EventLoop()
+        handle = loop.call_at(4.2, lambda: None)
+        assert type(handle) is EventHandle
+        assert loop._heap[0] is handle
+        assert loop.call_after(1.0, lambda: None).time == 1.0
+
+    def test_handles_are_identity_tokens(self):
+        loop = EventLoop()
+        first = loop.call_at(1.0, lambda: None)
+        second = loop.call_at(1.0, lambda: None)
+        other_loop = EventLoop().call_at(1.0, lambda: None)
+        assert first != second and first != other_loop
+        assert hash(first) == object.__hash__(first)
+        timers = {first: "a", second: "b"}
+        loop.run()  # firing rewrites the entry; the key must not move
+        assert timers[first] == "a" and len({first, second, other_loop}) == 3
+
+    def test_state_before_and_after_firing(self):
+        loop = EventLoop()
+        fired = []
+        handle = loop.call_at(4.2, fired.append, "x")
+        assert (handle.time, handle.cancelled) == (4.2, False)
+        loop.run()
+        assert fired == ["x"]
+        assert (handle.time, handle.cancelled) == (4.2, False)
+        handle.cancel()
+        assert not handle.cancelled  # it ran; there was nothing to cancel
+
+    def test_double_cancel_counts_once(self):
+        loop = EventLoop()
+        handle = loop.call_at(1.0, lambda: None)
+        loop.call_at(2.0, lambda: None)
+        handle.cancel()
+        handle.cancel()
+        assert handle.cancelled
+        assert (loop.pending(), loop.live_pending()) == (2, 1)
+        loop.run()
+        assert loop.events_fired == 1
+        assert (loop.pending(), loop.live_pending()) == (0, 0)
+
+    def test_cancel_across_a_compaction(self):
+        from repro.sim.clock import _COMPACT_MIN
+
+        loop = EventLoop()
+        fired = []
+        survivor = loop.call_at(5.0, fired.append, "survivor")
+        doomed = loop.call_at(6.0, fired.append, "doomed")
+        dropped = [loop.call_at(1e6, fired.append, "dropped") for _ in range(4 * _COMPACT_MIN)]
+        for handle in dropped:
+            handle.cancel()
+        assert loop.compactions >= 1
+        assert loop._heap[0] is survivor  # the same objects, re-heapified
+        # An entry the compaction threw out: still cancelled, still
+        # readable, and cancelling it again touches no accounting.
+        dropped[0].cancel()
+        assert dropped[0].cancelled and dropped[0].time == 1e6
+        # An entry that survived it: cancellable as before.
+        doomed.cancel()
+        assert loop.live_pending() == 1
+        loop.run()
+        assert fired == ["survivor"]
+        assert (loop.pending(), loop.live_pending()) == (0, 0)
+
+
 both_drains = pytest.mark.parametrize(
     "drain", [lambda loop: loop.run_until(2.0), lambda loop: loop.run()], ids=["run_until", "run"]
 )

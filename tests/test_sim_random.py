@@ -92,13 +92,11 @@ def test_spawn_children_unique_across_small_grid():
             seen[child_seed] = (seed, i)
 
 
-# --- pooled draw-order property tests -------------------------------------
+# --- draw-order equivalence ------------------------------------------------
 #
-# PooledRandom must be draw-order equivalent to a plain random.Random seeded
-# identically: any interleaving of pooled methods (random/uniform/expovariate/
-# gauss) and fallthrough methods (randint/choice/shuffle) yields the exact
-# sequence the reference generator produces, across pool-refill boundaries
-# and through the bypass transition that fallthrough-heavy streams trigger.
+# A stream is a plain random.Random seeded with (seed << 32) ^ crc32(name):
+# every method, in any interleaving, returns exactly what the reference
+# generator returns.  The golden fingerprints rest on this.
 
 
 def _reference_for(name: str, seed: int = 1):
@@ -116,22 +114,32 @@ def _script(rng, ops: list[tuple]) -> list:
     return out
 
 
-def test_pooled_draws_match_reference_across_refills():
-    from repro.sim.random import _POOL_MAX
-
+def test_stream_matches_reference_draw_for_draw():
+    """One interleaved script over every method the simulator draws with
+    (and ``getstate``, which must expose the same Mersenne position and
+    Box-Muller spare), more than 10k draws long."""
+    seq = list(range(10))
     ops = []
-    # More than one full max-size pool per method so every refill boundary
-    # (including the growth steps _POOL_START -> _POOL_MAX) is crossed.
-    for i in range(_POOL_MAX * 2 + 7):
+    for i in range(4000):
         ops.append(("random",))
-        if i % 3 == 0:
+        ops.append(("gauss", 1.0, 0.25))
+        if i % 2 == 0:
             ops.append(("uniform", 0.5, 2.5))
-        if i % 5 == 0:
+        if i % 3 == 0:
             ops.append(("expovariate", 3.0))
+        if i % 5 == 0:
+            ops.append(("randint", 0, 99))
         if i % 7 == 0:
-            ops.append(("gauss", 1.0, 0.25))
-    pooled = RandomStreams(1).stream("refill")
-    assert _script(pooled, ops) == _script(_reference_for("refill"), ops)
+            ops.append(("choice", seq))
+        if i % 501 == 0:
+            ops.append(("shuffle", list(seq)))  # returns None; advances the state
+        if i % 1000 == 0:
+            ops.append(("getstate",))
+    assert len(ops) > 10_000
+    stream = RandomStreams(1).stream("script")
+    reference = _reference_for("script")
+    assert _script(stream, ops) == _script(reference, ops)
+    assert stream.getstate() == reference.getstate()
 
 
 def test_pooled_and_fallthrough_interleaving_matches_reference():
@@ -150,31 +158,6 @@ def test_pooled_and_fallthrough_interleaving_matches_reference():
     pooled = RandomStreams(3).stream("mixed")
     ref = _reference_for("mixed", seed=3)
     assert _script(pooled, ops) == _script(ref, ops)
-
-
-def test_bypassed_stream_still_matches_reference():
-    """A stream that keeps resyncing after tiny pool use flips into bypass
-    mode (plain delegation); equivalence must hold before, through, and
-    long after the transition."""
-    from repro.sim.random import _BYPASS_MISSES, _BYPASS_MIN_USE
-
-    ops = []
-    for _ in range(_BYPASS_MISSES + 3):
-        # A couple of pooled draws (< _BYPASS_MIN_USE) then a fallthrough:
-        # exactly the pattern that marks the pool as wasted effort.
-        assert _BYPASS_MIN_USE > 2
-        ops.append(("random",))
-        ops.append(("gauss", 5.0, 2.0))
-        ops.append(("randint", 1, 6))
-    # Long tail after the flip exercises the delegating methods directly.
-    for i in range(200):
-        ops.append(("uniform", -1.0, 1.0))
-        ops.append(("expovariate", 1.5))
-        if i % 4 == 0:
-            ops.append(("random",))
-    pooled = RandomStreams(9).stream("bypass")
-    assert _script(pooled, ops) == _script(_reference_for("bypass", 9), ops)
-    assert pooled._bypass  # the transition actually happened
 
 
 def test_getstate_setstate_round_trip_preserves_sequence():
