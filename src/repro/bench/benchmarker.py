@@ -18,6 +18,7 @@ completed operations per virtual second within the measurement window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -69,32 +70,52 @@ def _spec_for_site(spec: SpecBySite, site: str) -> WorkloadSpec:
 
 
 class _RunState:
-    """Shared bookkeeping for one benchmark run."""
+    """One run's measurement window and the samples completed inside it.
 
-    def __init__(self) -> None:
-        self.records: list[tuple[float, float, str]] = []  # (done_at, latency_s, site)
-        self.end_time = float("inf")
+    Every driver hands each completion to :meth:`record` as it happens; only
+    a completion inside ``[warmup_end, end_time]`` is kept, converted to
+    milliseconds once, the same float going to the run's list and its
+    site's.  Nothing else is kept per request.
+    """
 
-    def result(self, warmup_end: float, end: float, failed: int) -> BenchmarkResult:
-        in_window = [
-            (latency, site)
-            for done_at, latency, site in self.records
-            if warmup_end <= done_at <= end
-        ]
-        latencies_ms = [latency * 1e3 for latency, _site in in_window]
-        per_site_lat: dict[str, list[float]] = {}
-        for latency, site in in_window:
-            per_site_lat.setdefault(site, []).append(latency * 1e3)
-        window = max(end - warmup_end, 1e-12)
-        return BenchmarkResult(
-            throughput=len(in_window) / window,
-            latency=LatencySummary.of(latencies_ms),
-            latencies_ms=latencies_ms,
-            per_site={site: LatencySummary.of(ls) for site, ls in per_site_lat.items()},
-            per_site_latencies=per_site_lat,
-            completed=len(in_window),
+    __slots__ = ("warmup_end", "end_time", "latencies_ms", "per_site")
+
+    def __init__(self, warmup_end: float = math.inf, end_time: float = math.inf) -> None:
+        self.warmup_end = warmup_end
+        self.end_time = end_time
+        self.latencies_ms: list[float] = []
+        self.per_site: dict[str, list[float]] = {}
+
+    @property
+    def window(self) -> float:
+        return max(self.end_time - self.warmup_end, 1e-12)
+
+    def record(self, now: float, latency: float, site: str) -> bool:
+        """Keep a completion at ``now`` of ``latency`` seconds; True iff it
+        fell inside the window."""
+        if not self.warmup_end <= now <= self.end_time:
+            return False
+        latency_ms = latency * 1e3
+        self.latencies_ms.append(latency_ms)
+        samples = self.per_site.get(site)
+        if samples is None:
+            samples = self.per_site[site] = []
+        samples.append(latency_ms)
+        return True
+
+    def result(self, failed: int, cls: type = BenchmarkResult, **extra) -> BenchmarkResult:
+        window = self.window
+        completed = len(self.latencies_ms)
+        return cls(
+            throughput=completed / window,
+            latency=LatencySummary.of(self.latencies_ms),
+            latencies_ms=self.latencies_ms,
+            per_site={site: LatencySummary.of(ls) for site, ls in self.per_site.items()},
+            per_site_latencies=self.per_site,
+            completed=completed,
             failed=failed,
             window=window,
+            **extra,
         )
 
 
@@ -138,13 +159,12 @@ class ClosedLoopBenchmark:
         start = deployment.now
         warmup_end = start + warmup
         end = start + warmup + duration
-        self._state.end_time = end
+        self._state = state = _RunState(warmup_end, end)
         observation = _arm_observation(deployment, warmup_end, end)
         for client, generator in self._drivers:
             self._issue(client, generator)
         deployment.run_until(end)
-        failed = sum(client.failed for client, _gen in self._drivers)
-        result = self._state.result(warmup_end, end, failed)
+        result = state.result(sum(client.failed for client, _gen in self._drivers))
         result.metrics = observation.snapshot()
         return result
 
@@ -153,7 +173,7 @@ class ClosedLoopBenchmark:
 
         def done(_reply, latency: float) -> None:
             now = self.deployment.now
-            self._state.records.append((now, latency, client.site))
+            self._state.record(now, latency, client.site)
             if now < self._state.end_time:
                 self._issue(client, generator)
 

@@ -47,9 +47,9 @@ from repro.bench.benchmarker import (
     BenchmarkResult,
     SpecBySite,
     _arm_observation,
+    _RunState,
     _spec_for_site,
 )
-from repro.bench.stats import LatencySummary
 from repro.bench.workload import WorkloadGenerator
 from repro.errors import WorkloadError
 from repro.paxi.client import Client
@@ -343,11 +343,11 @@ class OpenLoopEngine:
         self.record_history = record_history
         self.timeline_buckets = timeline_buckets
         self._arrival_rng = deployment.cluster.streams.stream("open-loop-arrivals")
-        self._records: list[tuple[float, float, str]] = []  # (done_at, latency, site)
+        self._state = _RunState()
+        self._goodput_counts: list[int] = []  # in-window completions per timeline bucket
         self._failures: list[tuple[float, str]] = []  # (at, reason)
         self._offered = 0
         self._start = 0.0
-        self._end_time = math.inf
         self._burst_windows: list[tuple[float, float, float]] = []
         chosen_sites = sites if sites is not None else list(deployment.config.topology.sites)
         streams = deployment.cluster.streams
@@ -416,11 +416,12 @@ class OpenLoopEngine:
         warmup_end = start + warmup
         end = start + warmup + duration
         self._start = start
-        self._end_time = end
+        self._state = _RunState(warmup_end, end)
+        self._goodput_counts = [0] * max(1, self.timeline_buckets)
         observation = _arm_observation(deployment, warmup_end, end)
         self._schedule_arrival()
         deployment.run_until(end)
-        return self._result(warmup_end, end, observation)
+        return self._result(observation)
 
     def _schedule_arrival(self) -> None:
         now = self.deployment.now
@@ -434,7 +435,7 @@ class OpenLoopEngine:
 
     def _arrive(self) -> None:
         now = self.deployment.now
-        if now >= self._end_time:
+        if now >= self._state.end_time:
             return
         client, generator = self._drivers[self._next_driver]
         self._next_driver = (self._next_driver + 1) % len(self._drivers)
@@ -442,7 +443,10 @@ class OpenLoopEngine:
         self._offered += 1
 
         def done(_reply, latency: float) -> None:
-            self._records.append((self.deployment.now, latency, client.site))
+            now, state, counts = self.deployment.now, self._state, self._goodput_counts
+            if state.record(now, latency, client.site):
+                width = state.window / len(counts)
+                counts[min(len(counts) - 1, int((now - state.warmup_end) / width))] += 1
 
         def fail(reason: str, _elapsed: float) -> None:
             self._failures.append((self.deployment.now, reason))
@@ -466,38 +470,18 @@ class OpenLoopEngine:
         # abandon() is a no-op if the request already finished either way.
         client.abandon(request_id)
 
-    def _result(
-        self, warmup_end: float, end: float, observation
-    ) -> OpenLoopResult:
-        in_window = [
-            (done_at, latency, site)
-            for done_at, latency, site in self._records
-            if warmup_end <= done_at <= end
+    def _result(self, observation) -> OpenLoopResult:
+        state, counts = self._state, self._goodput_counts
+        fails_in_window = [
+            r for at, r in self._failures if state.warmup_end <= at <= state.end_time
         ]
-        latencies_ms = [latency * 1e3 for _at, latency, _site in in_window]
-        per_site_lat: dict[str, list[float]] = {}
-        for _at, latency, site in in_window:
-            per_site_lat.setdefault(site, []).append(latency * 1e3)
-        window = max(end - warmup_end, 1e-12)
-        fails_in_window = [r for at, r in self._failures if warmup_end <= at <= end]
-        buckets = max(1, self.timeline_buckets)
-        width = window / buckets
-        counts = [0] * buckets
-        for done_at, _latency, _site in in_window:
-            index = min(buckets - 1, int((done_at - warmup_end) / width))
-            counts[index] += 1
+        width = state.window / len(counts)
         timeline = [(i * width, count / width) for i, count in enumerate(counts)]
-        result = OpenLoopResult(
-            throughput=len(in_window) / window,
-            latency=LatencySummary.of(latencies_ms),
-            latencies_ms=latencies_ms,
-            per_site={site: LatencySummary.of(ls) for site, ls in per_site_lat.items()},
-            per_site_latencies=per_site_lat,
-            completed=len(in_window),
-            failed=sum(client.failed for client, _gen in self._drivers),
-            window=window,
+        result = state.result(
+            sum(client.failed for client, _gen in self._drivers),
+            OpenLoopResult,
             offered=self._offered,
-            offered_rate=self._offered / max(end - self._start, 1e-12),
+            offered_rate=self._offered / max(state.end_time - self._start, 1e-12),
             rejected=sum(1 for r in fails_in_window if r == "rejected"),
             overloaded=sum(1 for r in fails_in_window if r == "overloaded"),
             abandoned=sum(1 for r in fails_in_window if r in ("abandoned", "retries_exhausted")),

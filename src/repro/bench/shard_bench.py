@@ -96,7 +96,7 @@ class ShardedClosedLoopBenchmark(ClosedLoopBenchmark):
         def done(_reply, latency: float) -> None:
             now = self.deployment.now
             self.singles_completed += 1
-            self._state.records.append((now, latency, client.site))
+            self._state.record(now, latency, client.site)
             if now < self._state.end_time:
                 self._issue(client, generator)
 
@@ -119,7 +119,7 @@ class ShardedClosedLoopBenchmark(ClosedLoopBenchmark):
                 self.txns_committed += 1
                 latency = result.latency_ms / 1e3
                 for _ in writes:
-                    self._state.records.append((end, latency, client.site))
+                    self._state.record(end, latency, client.site)
             else:
                 self.txns_aborted += 1
             if end < self._state.end_time:

@@ -19,6 +19,7 @@ distinguish every write.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -77,6 +78,15 @@ class WorkloadSpec:
         return replace(self, distribution="normal", mu=mu)
 
 
+@functools.lru_cache(maxsize=16)
+def _key_table(min_key: int, keys: int) -> tuple[int, ...]:
+    """Every key of a spec, one ``int`` each, shared by all generators over
+    the same key range: a drawn key indexes it instead of allocating a
+    fresh ``int`` per command (a table per generator would cost more than
+    it saves across a few hundred of them)."""
+    return tuple(range(min_key, min_key + keys))
+
+
 @dataclass
 class WorkloadGenerator:
     """Draws commands for one client/region from a :class:`WorkloadSpec`."""
@@ -86,6 +96,10 @@ class WorkloadGenerator:
     name: str = "wl"
     _counter: itertools.count = field(default_factory=itertools.count, repr=False)
     _zipf_cdf: list[float] | None = field(default=None, repr=False)
+    _keys: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._keys = _key_table(self.spec.min_key, self.spec.keys)
 
     def next_command(self, now: float = 0.0) -> Command:
         """Generate the next command; ``now`` (seconds) drives the moving
@@ -106,7 +120,7 @@ class WorkloadGenerator:
             hot = spec.conflict_key if spec.conflict_key is not None else spec.min_key
             return hot
         if spec.distribution == "uniform":
-            return spec.min_key + self.rng.randrange(spec.keys)
+            return self._keys[self.rng.randrange(spec.keys)]
         if spec.distribution == "normal":
             return self._normal_key(now)
         if spec.distribution == "zipfian":
@@ -121,7 +135,7 @@ class WorkloadGenerator:
             # wrapping around the key space (paper Table 3: Move/Speed).
             mu = (mu + (now * 1e3) / spec.speed_ms) % spec.keys
         offset = int(round(self.rng.gauss(mu, spec.sigma)))
-        return spec.min_key + offset % spec.keys
+        return self._keys[offset % spec.keys]
 
     def _zipfian_key(self) -> int:
         spec = self.spec
@@ -138,10 +152,10 @@ class WorkloadGenerator:
                 cdf.append(cumulative)
             self._zipf_cdf = cdf
         index = bisect.bisect_left(self._zipf_cdf, self.rng.random())
-        return self.spec.min_key + min(index, self.spec.keys - 1)
+        return self._keys[min(index, self.spec.keys - 1)]
 
     def _exponential_key(self) -> int:
         spec = self.spec
         scale = spec.exponential_scale if spec.exponential_scale is not None else spec.keys / 10.0
         offset = int(self.rng.expovariate(1.0 / scale))
-        return spec.min_key + min(offset, spec.keys - 1)
+        return self._keys[min(offset, spec.keys - 1)]

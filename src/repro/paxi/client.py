@@ -38,7 +38,7 @@ OnFail = Callable[[str, float], None]
 FAILURE_REASONS = ("rejected", "overloaded", "retries_exhausted", "abandoned")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     command: Command
     target: NodeID
@@ -97,6 +97,9 @@ class Client:
         self.rejected = 0
         #: Requests the client's own defenses concluded ``"overloaded"``.
         self.overloaded = 0
+        # Transmissions made by a finished request, kept only where they
+        # differ from the answer ``attempts()`` defaults to (1): a request
+        # that needed a retransmission or ended without a reply.
         self._attempts_done: dict[int, int] = {}
         self._failure_reasons: dict[int, str] = {}
         self._retry_tokens: float | None = None  # lazily seeded from retry_budget
@@ -114,6 +117,8 @@ class Client:
         # Session consistency (relaxed-read protocols): remember the latest
         # version token per key and attach it to reads, guaranteeing
         # read-your-writes and monotonic reads without consensus rounds.
+        # Tokens are kept only while this is on (their one reader), so set
+        # it before the first request.
         self.session_reads = False
         # Relaxed-read routing: send reads to the nearest replica even when
         # a leader hint is cached (writes still follow the hint).
@@ -376,13 +381,14 @@ class Client:
             self._breaker_probe = None
         if message.leader_hint is not None:
             self._sticky = message.leader_hint
-        if message.version:
+        if message.version and self.session_reads:
             key = pending.command.key
             self._key_versions[key] = max(self._key_versions.get(key, 0), message.version)
         now = self._loop.now
         latency = now - pending.invoked_at
         self.completed += 1
-        self._attempts_done[message.request_id] = pending.retries + 1
+        if pending.retries:
+            self._attempts_done[message.request_id] = pending.retries + 1
         self._tracer.end((self.address, message.request_id), now, self.address)
         if pending.history_token is not None:
             self.deployment.history.complete(pending.history_token, message.value, now)
@@ -444,11 +450,10 @@ class Client:
         self._conclude_failure(request_id, pending, "abandoned", pending.retries + 1)
 
     def abandoned(self, request_id: int) -> bool:
-        """True iff the client gave up on ``request_id`` after exhausting
-        its retry budget (as opposed to still waiting or having finished)."""
-        return (
-            request_id not in self._pending and request_id in self._attempts_done
-        )
+        """True iff ``request_id`` concluded without a reply (any of
+        ``FAILURE_REASONS``), as opposed to still waiting or having
+        succeeded — on its first transmission or a later one."""
+        return request_id in self._failure_reasons
 
     def failure_reason(self, request_id: int) -> str | None:
         """How ``request_id`` failed (one of ``FAILURE_REASONS``), or None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """A completed client operation with its real-time interval."""
 

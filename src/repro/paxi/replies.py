@@ -8,9 +8,11 @@ concluded a request it never retransmits it and drops any answer to it.
 
 :class:`ReplyTable` keeps the two apart.  Per client it remembers
 
-- **that** a request executed, exactly and forever, in O(1) space: ``upto``
-  (every id at or below it has executed) plus the ids executed out of
-  order above it (a sparse set that drains as the gaps fill);
+- **that** a request executed, exactly and forever: ``upto`` (every id at
+  or below it has executed) plus a bitmask of the ids executed above it,
+  one bit per id up to the highest executed one.  The mask drains as the
+  gaps fill; a gap that never fills (an id served off the log, such as a
+  lease, quorum or local read) keeps the bits above it;
 - the reply **value** only inside the retransmit window: each request
   carries ``ack_upto``, the highest id below which its client has
   concluded everything (:meth:`repro.paxi.client.Client._transmit`), and
@@ -33,39 +35,47 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable
 
-#: What ``above`` and ``inflight`` start as: most rows never need either
-#: (ids execute in order; only a proposer admits), and an empty ``set`` is
-#: the bulk of a row's footprint.
+#: What ``inflight`` and ``nonpositive`` start as: most rows never need
+#: either (only a proposer admits; clients count ids from 1), and an empty
+#: ``set`` is the bulk of a row's footprint.
 _EMPTY: frozenset[int] = frozenset()
 
 
 class _ClientRow:
     """One client's executed ids, retained replies and in-flight marks."""
 
-    __slots__ = ("upto", "above", "values", "acked", "inflight")
+    __slots__ = ("upto", "above", "nonpositive", "values", "acked", "inflight")
 
     def __init__(self) -> None:
         self.upto = 0  # every id in 1..upto has executed
-        self.above: set[int] | frozenset[int] = _EMPTY  # executed ids > upto (out of order)
+        self.above = 0  # bit i set: id upto + 1 + i has executed (bit 0 never is)
+        self.nonpositive: set[int] | frozenset[int] = _EMPTY  # executed ids <= 0
         self.values: dict[int, Any] = {}  # replies for executed ids > acked
         self.acked = 0  # highest ack_upto executed for this client
         self.inflight: set[int] | frozenset[int] = _EMPTY  # admitted here, not yet executed
 
     def seen(self, request_id: int) -> bool:
-        return 0 < request_id <= self.upto or request_id in self.above
+        offset = request_id - self.upto - 1
+        if offset >= 0:
+            return (self.above >> offset) & 1 == 1
+        return request_id > 0 or request_id in self.nonpositive
 
     def record(self, request_id: int, value: Any) -> None:
         """First execution of ``request_id`` (the caller checked ``seen``)."""
-        if request_id == self.upto + 1:
-            upto, above = request_id, self.above
-            while upto + 1 in above:
-                upto += 1
-                above.remove(upto)
-            self.upto = upto
-        elif self.above is _EMPTY:
-            self.above = {request_id}
+        offset = request_id - self.upto - 1
+        if offset == 0:
+            # The next id in order: drain the run of executed ids above it
+            # (a trailing-ones count of the mask shifted past it).
+            above = self.above >> 1
+            run = (above ^ (above + 1)).bit_length() - 1
+            self.upto = request_id + run
+            self.above = above >> run
+        elif offset > 0:
+            self.above |= 1 << offset
+        elif self.nonpositive is _EMPTY:
+            self.nonpositive = {request_id}
         else:
-            self.above.add(request_id)
+            self.nonpositive.add(request_id)
         if request_id > self.acked:
             self.values[request_id] = value
         if self.inflight:
@@ -122,20 +132,21 @@ class ReplyTable:
             row = self._rows[request.client] = _ClientRow()
         request_id = request.request_id
         acked = row.acked
-        if 0 < request_id <= row.upto or request_id in row.above:
+        if request_id == row.upto + 1 and not row.above:
+            # _ClientRow.record, inlined: ids usually arrive in order.
+            value = run(command)
+            self._recorded += 1
+            row.upto = request_id
+            if request_id > acked:
+                row.values[request_id] = value
+            if row.inflight:
+                row.inflight.discard(request_id)
+        elif row.seen(request_id):
             value = row.values.get(request_id)
         else:
             value = run(command)
             self._recorded += 1
-            # _ClientRow.record, inlined: ids nearly always arrive in order.
-            if request_id == row.upto + 1 and not row.above:
-                row.upto = request_id
-                if request_id > acked:
-                    row.values[request_id] = value
-                if row.inflight:
-                    row.inflight.discard(request_id)
-            else:
-                row.record(request_id, value)
+            row.record(request_id, value)
         ack_upto = request.ack_upto
         if ack_upto > acked:  # _ClientRow.evict, inlined
             row.acked = ack_upto
@@ -193,7 +204,8 @@ class ReplyTable:
         for client, row in self._rows.items():
             twin = clone._rows[client] = _ClientRow()
             twin.upto = row.upto
-            twin.above = set(row.above) or _EMPTY
+            twin.above = row.above
+            twin.nonpositive = set(row.nonpositive) or _EMPTY
             twin.values = dict(row.values)
             twin.acked = row.acked
         return clone

@@ -5,8 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bench.benchmarker import ClosedLoopBenchmark
+from repro.bench.benchmarker import ClosedLoopBenchmark, _RunState
 from repro.bench.openloop import OpenLoopEngine, PoissonArrivals
+from repro.bench.shard_bench import ShardedClosedLoopBenchmark, ShardedDeploymentFactory
 from repro.bench.stats import LatencySummary, cdf, histogram, mean, percentile, stddev
 from repro.bench.sweep import SweepPoint, closed_loop_sweep, format_curve, max_throughput
 from repro.bench.workload import WorkloadSpec
@@ -14,6 +15,7 @@ from repro.errors import WorkloadError
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.protocols.paxos import MultiPaxos
+from repro.shard.placement import ShardSpec
 
 
 class TestStats:
@@ -118,6 +120,68 @@ class TestOpenLoop:
 
         lo, hi = run(2000.0), run(7600.0)
         assert hi.latency.mean > 1.5 * lo.latency.mean
+
+
+def _post_run_filter(records, warmup_end, end, buckets):
+    """The reference: keep every ``(done_at, latency_s, site)`` completion,
+    then window, convert and bucket them after the run."""
+    in_window = [(at, lat, site) for at, lat, site in records if warmup_end <= at <= end]
+    per_site: dict[str, list[float]] = {}
+    for _at, lat, site in in_window:
+        per_site.setdefault(site, []).append(lat * 1e3)
+    window = max(end - warmup_end, 1e-12)
+    width = window / buckets
+    counts = [0] * buckets
+    for at, _lat, _site in in_window:
+        counts[min(buckets - 1, int((at - warmup_end) / width))] += 1
+    return {
+        "latencies_ms": [lat * 1e3 for _at, lat, _site in in_window],
+        "per_site_latencies": per_site,
+        "throughput": len(in_window) / window,
+        "completed": len(in_window),
+        "goodput_timeline": [(i * width, c / width) for i, c in enumerate(counts)],
+    }
+
+
+def test_in_window_recorder_matches_the_post_run_filter(monkeypatch):
+    """Every driver records completions as they land; what it reports must
+    equal keeping all of them and filtering after the run, bit for bit."""
+    records = []
+    record = _RunState.record
+    monkeypatch.setattr(
+        _RunState,
+        "record",
+        lambda state, now, lat, site: records.append((now, lat, site)) or record(state, now, lat, site),
+    )
+    wan = Config.wan(("VA", "OH", "CA"), 1, seed=12)
+    sharded = ShardedDeploymentFactory(MultiPaxos, Config.lan(1, 3, seed=12), ShardSpec(count=2, buckets=8))()
+    drivers = [
+        (ClosedLoopBenchmark(Deployment(wan).start(MultiPaxos), WorkloadSpec(keys=20), 6), None),
+        (ShardedClosedLoopBenchmark(sharded, WorkloadSpec(keys=40), 8, txn_ratio=0.3), None),
+        (OpenLoopEngine(make_paxos(), WorkloadSpec(keys=10), PoissonArrivals(1500.0), timeline_buckets=7), 7),
+    ]  # fmt: skip
+    settle, warmup, duration = 0.3, 0.1, 0.4
+    for bench, buckets in drivers:
+        records.clear()
+        result = bench.run(duration, warmup, settle)
+        bench.deployment.run_for(0.3)  # completions after the window: dropped
+        assert records[0][0] < settle + warmup and records[-1][0] > settle + warmup + duration
+        expected = _post_run_filter(
+            records, settle + warmup, settle + warmup + duration, buckets or 20
+        )
+        if buckets is None:
+            del expected["goodput_timeline"]
+        else:
+            assert result.goodput_timeline == expected.pop("goodput_timeline")
+        assert result.completed > 100
+        assert {name: getattr(result, name) for name in expected} == expected
+    # Both window edges are inclusive, which no simulated completion hits.
+    state = _RunState(1.0, 2.0)
+    edges = [(0.9, 1e-3, "a"), (1.0, 2e-3, "b"), (2.0, 3e-3, "a"), (2.1, 4e-3, "a")]
+    assert [state.record(*edge) for edge in edges] == [False, True, True, False]
+    expected = _post_run_filter(edges, 1.0, 2.0, 1)
+    del expected["goodput_timeline"]
+    assert {name: getattr(state.result(0), name) for name in expected} == expected
 
 
 class TestSweep:

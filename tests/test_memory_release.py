@@ -3,6 +3,7 @@
 Three things used to grow with every operation and be read by nobody: a
 slot's vote set after the slot committed, the cached reply to a request
 its client had long concluded, and one ``Version`` object per write.  The
+client edge kept per-request maps, tuples and sets the same way.  The
 guard counts objects on short seeded runs of two lengths — it does not
 weigh the process — so it is deterministic and runs in the quick loop.
 """
@@ -11,11 +12,13 @@ import gc
 
 import pytest
 
+from repro.bench.benchmarker import ClosedLoopBenchmark
 from repro.bench.openloop import OpenLoopEngine, PoissonArrivals
 from repro.bench.workload import WorkloadSpec
 from repro.paxi.client import Client
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
+from repro.paxi.history import Operation
 from repro.protocols.mencius import Mencius
 from repro.protocols.paxos import MultiPaxos
 from repro.protocols.raft import Raft
@@ -89,6 +92,52 @@ def test_closed_loop_retention_is_flat_in_run_length(protocol, retransmit_window
     assert recorded[1] > 3 * recorded[0]
 
 
+def _reachable(root):
+    """Every object reachable from ``root`` through container references."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for child in gc.get_referents(stack.pop()):
+            if id(child) not in seen and not isinstance(child, type):
+                seen[id(child)] = child
+                stack.append(child)
+    return seen.values()
+
+
+def test_client_edge_keeps_only_what_it_reports():
+    """Lease reads never execute in the log, so their ids leave permanent
+    gaps in every reply table — and a closed loop of them is where the
+    per-request state of the client edge used to dominate the heap."""
+    completed = []
+    for duration in (N, 4 * N):
+        config = Config.lan(3, 3, seed=9, lease_duration=0.5, max_clock_skew=0.005)
+        dep = Deployment(config).start(Raft)
+        spec = WorkloadSpec(keys=20, write_ratio=0.1, read_mode="lease")
+        bench = ClosedLoopBenchmark(dep, spec, concurrency=CLIENTS)
+        result = bench.run(duration, warmup=0.02, settle=0.05)
+        assert result.completed > 0 and all(c.failed == 0 for c in dep.clients)
+        for client in dep.clients:
+            assert not client._attempts_done and not client._key_versions
+        # The benchmark keeps one float per in-window sample, shared by the
+        # run's list and its site's, and no per-completion tuple.
+        held = list(_reachable(bench._state))
+        samples = {id(x) for x in bench._state.latencies_ms}
+        samples |= {id(x) for ls in bench._state.per_site.values() for x in ls}
+        assert len(samples) == result.completed
+        assert not [o for o in held if type(o) is tuple]
+        issued = {c.address: c._next_request_id for c in dep.clients}
+        for replica in dep.replicas.values():
+            for client, row in replica.replies._rows.items():
+                assert type(row.above) is int
+                assert row.above.bit_length() <= issued[client]
+                slots = [getattr(row, name) for name in type(row).__slots__]
+                assert not [s for s in slots if isinstance(s, set)]
+        ops = [o for o in gc.get_objects() if type(o) is Operation]
+        assert len(ops) >= result.completed
+        assert not [o for o in ops if hasattr(o, "__dict__")]
+        completed.append(result.completed)
+    assert completed[1] > 3 * completed[0]
+
+
 @pytest.mark.parametrize("protocol", [WPaxos, Mencius, WanKeeper, VPaxos])
 def test_every_slot_table_releases_votes_at_commit(protocol):
     dep, _result = _closed_loop(protocol, N)
@@ -112,7 +161,9 @@ def test_open_loop_with_retries_stays_inside_the_retransmit_window(retransmit_wi
         dep.flaky(None, dep.config.node_ids[0], duration=duration + 1.0, probability=0.03, at=0.0)
         result = engine.run(duration, 0.05, 0.05)
         dep.run_for(0.5)
-        retries = sum(c.attempts(i) - 1 for c in engine.clients for i in c._attempts_done)
+        retries = sum(
+            c.attempts(i) - 1 for c in engine.clients for i in range(1, c._next_request_id + 1)
+        )
         assert retries > 0 and all(c.outstanding == 0 for c in engine.clients)
         window = sum(retransmit_windows.values())
         assert max(retransmit_windows.values()) > 1  # several in flight per client

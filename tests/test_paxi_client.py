@@ -7,6 +7,7 @@ from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
 from repro.paxi.message import ClientReply, ClientRequest, Command
 from repro.paxi.node import Replica
+from repro.protocols.paxos import MultiPaxos
 
 
 class Echo(Replica):
@@ -70,6 +71,27 @@ def test_stale_reply_after_retry_is_ignored():
     # completion is reported.
     assert len(done) == 1
     assert client.completed == 1
+
+
+def test_success_on_a_retransmission_is_not_abandoned():
+    dep = Deployment(Config.lan(1, 3, seed=1)).start(MultiPaxos)
+    dep.run_for(0.3)  # elect a leader
+    client = dep.new_client()
+    client.retry_timeout = 0.05
+    # Lose the first transmission only; the retry reaches the next replica.
+    dep.drop(client.address, client._preferred[0], duration=0.02)
+    done = []
+    request_id = client.invoke(Command.put("k", 1), on_done=lambda r, l: done.append(r))
+    dep.run_for(0.3)
+    assert done and client.completed == 1 and client.failed == 0
+    assert client.attempts(request_id) == 2
+    assert client.failure_reason(request_id) is None
+    assert not client.abandoned(request_id)
+    # A first-transmission success leaves no per-request record behind.
+    second = client.invoke(Command.put("k", 2))
+    dep.run_for(0.3)
+    assert client.attempts(second) == 1 and not client.abandoned(second)
+    assert list(client._attempts_done) == [request_id]
 
 
 def test_sticky_hint_cleared_on_timeout():

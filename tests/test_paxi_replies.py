@@ -122,15 +122,19 @@ class _Step:
     request_id: int
     ack_gap: int  # how far below the client's highest issued id the stamp sits
     via_record: bool
+    executes: bool  # False: issued but served off the log, like a lease read
 
 
 _steps = st.lists(
     st.builds(
         _Step,
         client=st.integers(0, 2),
-        request_id=st.integers(1, 12),
+        # Dense small ids, plus ids far enough apart that the executed-id
+        # mask spans several 30-bit digits.
+        request_id=st.integers(1, 12) | st.integers(1, 240),
         ack_gap=st.integers(0, 12),
         via_record=st.booleans(),
+        executes=st.booleans(),
     ),
     max_size=60,
 )
@@ -141,6 +145,10 @@ def test_table_matches_an_unbounded_dict_oracle(steps):
     table, oracle = ReplyTable(), {}
     acked: dict[int, int] = {}
     highest: dict[int, int] = {}
+    # Per client, every id a step touched and its neighbours: the mask's edges.
+    probes = {c: {0, 255} for c in range(3)}
+    for s in steps:
+        probes[s.client].update((s.request_id - 1, s.request_id, s.request_id + 1))
     for n, step in enumerate(steps):
         client, request_id = step.client, step.request_id
         highest[client] = max(highest.get(client, 0), request_id)
@@ -148,21 +156,24 @@ def test_table_matches_an_unbounded_dict_oracle(steps):
         # takes an acknowledgement back — but a delayed copy still carries
         # the older, lower stamp it left with.
         stamp = max(0, min(request_id - 1, highest[client] - step.ack_gap))
-        ack = acked[client] = max(acked.get(client, 0), stamp)
         info = RequestInfo(client, request_id, stamp)
         value = (n, client, request_id)
-        if step.via_record:
-            table.record(info, value)
-            oracle[(client, request_id)] = value
-        else:
-            got = table.execute(info, lambda _command, value=value: value, None)
-            expected = oracle.setdefault((client, request_id), value)
-            if request_id > ack:
-                assert got == expected
+        # A step that does not execute was served off the log: the table
+        # never sees its id nor its stamp, and later stamps pass the id.
+        if step.executes:
+            ack = acked[client] = max(acked.get(client, 0), stamp)
+            if step.via_record:
+                table.record(info, value)
+                oracle[(client, request_id)] = value
+            else:
+                got = table.execute(info, lambda _command, value=value: value, None)
+                expected = oracle.setdefault((client, request_id), value)
+                if request_id > ack:
+                    assert got == expected
 
         assert len(table) == len(oracle)
         for c in range(3):
-            for r in range(0, 14):
+            for r in probes[c]:
                 probe = RequestInfo(c, r)
                 assert table.seen(probe) == ((c, r) in oracle)
                 if r > acked.get(c, 0):
@@ -175,6 +186,6 @@ def test_table_matches_an_unbounded_dict_oracle(steps):
     clone.execute(RequestInfo(9, 1), _run, "only in the clone")
     assert len(clone) == len(table) + 1 and not table.seen(RequestInfo(9, 1))
     for c in range(3):
-        for r in range(0, 14):
+        for r in probes[c]:
             assert clone.seen(RequestInfo(c, r)) == table.seen(RequestInfo(c, r))
             assert clone.value(RequestInfo(c, r)) == table.value(RequestInfo(c, r))
