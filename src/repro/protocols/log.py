@@ -1,9 +1,10 @@
 """Replicated command log shared by the Paxos-family protocols.
 
 A :class:`CommandLog` tracks per-slot entries through the accept -> commit ->
-execute lifecycle and maintains the highest *contiguous* committed slot,
-which is what leaders piggyback onto later messages in place of an explicit
-commit phase (the paper's phase-3 optimization, section 2).
+execute -> compact lifecycle and maintains the highest *contiguous*
+committed slot, which is what leaders piggyback onto later messages in
+place of an explicit commit phase (the paper's phase-3 optimization,
+section 2).
 """
 
 from __future__ import annotations
@@ -88,10 +89,11 @@ class CommandLog:
     entries: dict[int, Entry] = field(default_factory=dict)
     next_slot: int = 1
     execute_index: int = 1  # next slot to execute
-    # Presence frontier: every slot in 1.._contig is present in ``entries``.
-    # Advanced lazily by :meth:`missing_slots` so the per-message gap scan
-    # is O(new slots) amortized instead of O(upto); reset by :meth:`compact`
-    # because compaction removes slot 1 itself.
+    floor: int = 0  # every slot at or below is compacted away
+    # Presence frontier: every slot in floor+1.._contig is present in
+    # ``entries``, and ``_contig >= floor``.  Advanced lazily by
+    # :meth:`missing_slots` so the per-message gap scan is O(new slots)
+    # amortized instead of O(upto).
     _contig: int = field(default=0, repr=False)
 
     def append(
@@ -119,6 +121,8 @@ class CommandLog:
         A committed entry is never overwritten — commitment is final even if
         a laggard leader re-sends with a stale ballot.
         """
+        if slot <= self.floor:
+            return  # compacted: executed everywhere this log can be asked
         existing = self.entries.get(slot)
         if existing is not None and existing.committed:
             return
@@ -178,16 +182,15 @@ class CommandLog:
         }
 
     def compact(self, upto: int) -> None:
-        """Drop entries at or below ``upto`` (snapshot installation).
-
-        The presence frontier resets to zero: slot 1 itself is gone, so —
-        exactly as with a plain dict scan — compacted slots count as
-        "never accepted" until peers re-fill them.
-        """
-        entries = self.entries
-        for slot in [s for s in entries if s <= upto]:
-            del entries[slot]
-        self._contig = 0
+        """Drop every slot at or below ``upto`` (executed, never asked for
+        again).  Costs O(newly compacted) and moves the presence frontier
+        with the floor, so compacted slots never count as missing."""
+        pop = self.entries.pop
+        for slot in range(self.floor + 1, upto + 1):
+            pop(slot, None)
+        if upto > self.floor:
+            self.floor = upto
+            self._contig = max(self._contig, upto)
 
     def missing_slots(self, upto: int) -> list[int]:
         """Slots <= ``upto`` this log has never accepted (gap-fill targets)."""

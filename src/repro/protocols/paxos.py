@@ -11,7 +11,9 @@ The implementation follows the paper's description and optimizations:
   (the paper's evaluation setting), with a thrifty option for the analytic
   comparisons;
 - **forwarding**: any replica accepts client requests and forwards them to
-  the leader; replies carry a leader hint so clients go direct afterwards.
+  the leader; replies carry a leader hint so clients go direct afterwards;
+- **compaction**: every replica forgets executed slots below a cluster-wide
+  floor that acceptors report on P2b and the leader's heartbeat carries.
 
 Leader failure is handled with randomized election timeouts: a replica that
 stops hearing from the leader runs phase-1 with a higher ballot, recovers
@@ -117,6 +119,7 @@ class P2b(Message):
     slot: int = 0
     ok: bool = True
     lease_seq: int = 0  # echoes the P2a's lease round (0 = no lease)
+    floor: int = 0  # highest slot the acceptor can never ask for again
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,6 +129,7 @@ class Commit(Message):
     ballot: Ballot = ZERO
     commit_upto: int = 0
     lease_seq: int = 0  # nonzero: also renews the leader lease
+    floor: int = 0  # cluster floor: no member asks for a slot at or below
     #: Leader-clock stamp at heartbeat-timer fire, set only when the φ
     #: detector is on (0.0 otherwise, keeping default traffic identical).
     #: Receipt time minus this exposes the *emission* delay — a heartbeat
@@ -155,6 +159,7 @@ class FillReply(Message):
     SIZE_BYTES = 400
 
     entries: tuple[EntrySnapshot, ...] = ()
+    floor: int = 0  # the server's log floor: slots at or below it are gone
 
 
 class MultiPaxos(LeaderLog):
@@ -182,7 +187,8 @@ class MultiPaxos(LeaderLog):
       tokens (``Client.session_reads``);
     - ``catchup_snapshot_gap`` (64) / ``catchup_max_entries`` (256): when a
       catch-up donor ships a snapshot instead of log entries, and how many
-      committed entries one reply carries.
+      committed entries one reply carries.  Every replica also keeps that
+      many executed slots when it compacts its log below the cluster floor.
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
@@ -209,6 +215,7 @@ class MultiPaxos(LeaderLog):
         self._p1_entries: dict[int, EntrySnapshot] = {}
         self._fill_deadline = 0.0  # earliest time the next FillRequest may go out
         self._uncommitted_slots: dict[int, float] = {}  # slot -> last sent at
+        self._peer_floors: dict[Hashable, int] = {}  # acceptor -> floor, this heartbeat
         self._heartbeat_armed = False
         self._catchup: CatchupRunner | None = None
 
@@ -359,7 +366,10 @@ class MultiPaxos(LeaderLog):
     def on_p1a(self, src: Hashable, m: P1a) -> None:
         if self.recovering:
             return  # a learner's promise history is gone; abstain
-        if self._lease_blocks(m.ballot.owner, released_by=m.handoff_from):
+        # A candidate behind our floor would find slots we executed but
+        # no longer hold empty in our suffix, and fill them with no-ops.
+        blocked = self._lease_blocks(m.ballot.owner, released_by=m.handoff_from)
+        if blocked or m.commit_upto < self.log.floor:
             self.send(src, P1b(ballot=self.promised, ok=False))
             return
         if m.ballot > self.promised:
@@ -414,7 +424,8 @@ class MultiPaxos(LeaderLog):
         # Adopt committed entries; re-propose uncommitted ones with our
         # ballot; fill gaps with no-ops (paper section 2: the leader must
         # instruct followers to accept pending commands it learned).
-        for slot in range(1, max_slot + 1):
+        # Slots below execute_index are executed and may be compacted away.
+        for slot in range(self.log.execute_index, max_slot + 1):
             local = self.log.entries.get(slot)
             if local is not None and local.committed:
                 continue
@@ -428,6 +439,7 @@ class MultiPaxos(LeaderLog):
             self._repropose(slot, command, request)
         self.log.next_slot = max(self.log.next_slot, max_slot + 1)
         self._p1_entries = {}
+        self._peer_floors = {}  # a past term's reports may predate a wipe
         self._advance_execution()
         if self.heartbeat_interval is not None and not self._heartbeat_armed:
             self._heartbeat_armed = True
@@ -573,7 +585,8 @@ class MultiPaxos(LeaderLog):
             # The accept record carries its ballot, so replay restores both
             # the entry and the implied promise; the P2b leaves only after
             # the record is durable (the paper's "fsync in critical path").
-            reply = P2b(ballot=m.ballot, slot=m.slot, ok=True, lease_seq=lease_seq)
+            floor = self._floor()
+            reply = P2b(ballot=m.ballot, slot=m.slot, ok=True, lease_seq=lease_seq, floor=floor)
             self.persist(
                 "accept",
                 (m.slot, m.ballot, m.command, m.request),
@@ -595,6 +608,7 @@ class MultiPaxos(LeaderLog):
                 self.active = False
                 self._reset_election_timer()
             return
+        self._peer_floors[src] = m.floor
         if not self.active or m.ballot != self.ballot:
             return
         if m.lease_seq and self._lease is not None:
@@ -639,6 +653,7 @@ class MultiPaxos(LeaderLog):
                 self.send(src, LeaseGrant(ballot=m.ballot, seq=m.lease_seq))
             self._drain_buffered()
             self._apply_commit_watermark(m.commit_upto, m.ballot, src)
+            self._compact(m.floor)
             self._reset_election_timer()
 
     def on_lease_grant(self, src: Hashable, m: LeaseGrant) -> None:
@@ -680,15 +695,19 @@ class MultiPaxos(LeaderLog):
             for slot in m.slots
             if (e := self.log.entries.get(slot)) is not None
         )
-        self.send(src, FillReply(entries=entries))
+        self.send(src, FillReply(entries=entries, floor=self.log.floor))
 
     def on_fill_reply(self, src: Hashable, m: FillReply) -> None:
         self._fill_deadline = 0.0
         for slot, ballot, command, request, committed in m.entries:
-            if committed:
+            if committed and slot >= self.log.execute_index:
                 self.log.accept(slot, ballot, command, request)
                 self.log.commit(slot)
         self._advance_execution()
+        if m.floor >= self.log.execute_index and self._catchup is None:
+            # The leader has forgotten slots we still need, as Raft's
+            # compacted leader does: fetch a snapshot through catch-up.
+            self._start_catchup()
 
     def _advance_execution(self) -> None:
         for slot, entry in self.log.executable():
@@ -722,6 +741,22 @@ class MultiPaxos(LeaderLog):
             self._drain_read_backlog()
         self.maybe_snapshot(self.log.execute_index - 1)
 
+    def _floor(self) -> int:
+        """The highest slot this replica can never ask for again.  In memory
+        that is its executed prefix: a reboot there is a wipe, which rejoins
+        through snapshot catch-up.  With a disk it is the installed disk
+        snapshot, the only state a reboot replays from."""
+        if self.disk is None:
+            return self.log.execute_index - 1
+        snap = self.disk.snapshot
+        return snap.upto if snap is not None else 0
+
+    def _compact(self, floor: int) -> None:
+        """Forget executed slots at or below the cluster ``floor``, keeping
+        the newest ``catchup_snapshot_gap`` so a catch-up donor serves from
+        its log exactly where it would without compaction."""
+        self.log.compact(min(floor, self.log.execute_index - 1 - self.catchup_snapshot_gap))
+
     # ------------------------------------------------------------------
     # Heartbeats and elections
     # ------------------------------------------------------------------
@@ -730,14 +765,21 @@ class MultiPaxos(LeaderLog):
         if not self.active:
             self._heartbeat_armed = False
             return
+        # A peer counts with what it reported since the last heartbeat; a
+        # silent one (frozen, cut off, restarting) pins the floor at 0, so
+        # no report outlives the log it described.
+        floors, self._peer_floors = self._peer_floors, {}
+        floor = min([self._floor()] + [floors.get(p, 0) for p in self.peers])
         self.broadcast(
             Commit(
                 ballot=self.ballot,
                 commit_upto=self.log.commit_upto(),
                 lease_seq=self._lease_stamp(),
+                floor=floor,
                 sent_at=self.clock.now if self.detector_enabled else 0.0,
             )
         )
+        self._compact(floor)
         self._retransmit_uncommitted()
         self.set_timer(self.heartbeat_interval, self._heartbeat)
 
@@ -852,9 +894,12 @@ class MultiPaxos(LeaderLog):
         snapshot = None
         snap_bytes = 0
         from_slot = m.from_slot
-        if self.log.execute_index - from_slot > self.catchup_snapshot_gap:
-            # Too far behind to serve from the log economically: ship the
-            # applied state machine through our executed frontier instead.
+        if (
+            self.log.execute_index - from_slot > self.catchup_snapshot_gap
+            or from_slot <= self.log.floor
+        ):
+            # Too far behind to serve from the log economically, or below
+            # what it still holds: ship the applied state machine instead.
             snap_upto = self.log.execute_index - 1
             payload, snap_bytes = self.snapshot_payload(snap_upto)
             snapshot = Snapshot(snap_upto, payload, snap_bytes)

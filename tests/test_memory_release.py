@@ -1,11 +1,12 @@
 """Leak guard: what no reader can ask for again is released, by count.
 
-Three things used to grow with every operation and be read by nobody: a
+Four things used to grow with every operation and be read by nobody: a
 slot's vote set after the slot committed, the cached reply to a request
-its client had long concluded, and one ``Version`` object per write.  The
-client edge kept per-request maps, tuples and sets the same way.  The
-guard counts objects on short seeded runs of two lengths — it does not
-weigh the process — so it is deterministic and runs in the quick loop.
+its client had long concluded, one ``Version`` object per write, and
+MultiPaxos's executed log entries.  The client edge kept per-request
+maps, tuples and sets the same way.  The guard counts objects on short
+seeded runs of two lengths — it does not weigh the process — so it is
+deterministic and runs in the quick loop.
 """
 
 import gc
@@ -19,6 +20,7 @@ from repro.paxi.client import Client
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.paxi.history import Operation
+from repro.protocols.fpaxos import FPaxos
 from repro.protocols.mencius import Mencius
 from repro.protocols.paxos import MultiPaxos
 from repro.protocols.raft import Raft
@@ -90,6 +92,28 @@ def test_closed_loop_retention_is_flat_in_run_length(protocol, retransmit_window
         assert not leaked, f"{len(leaked)} per-write Version objects are alive"
     # The run really was ~4x longer: executions recorded grew, retention did not.
     assert recorded[1] > 3 * recorded[0]
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+@pytest.mark.parametrize("protocol", [MultiPaxos, FPaxos])
+def test_executed_log_retention_is_flat_in_run_length(protocol, durable):
+    """Each replica keeps the catch-up window, what one heartbeat's floor
+    has not yet covered and — durable — the slots since the last disk
+    snapshot, which is all a reboot replays from."""
+    params = dict(durability="fsync", snapshot_interval=25) if durable else {}
+    bound, executed = None, []
+    for duration in (N, 4 * N):
+        config = Config.lan(3, 3, seed=9, **params)
+        dep, _result = run_protocol(protocol, config, WorkloadSpec(keys=20), CLIENTS, duration)
+        leader = dep.replicas[dep.config.node_ids[0]]
+        if bound is None:
+            per_heartbeat = leader.log.execute_index / dep.now * leader.heartbeat_interval
+            bound = leader.catchup_snapshot_gap + 2 * per_heartbeat + (25 if durable else 0)
+        for replica in dep.replicas.values():
+            assert replica.log.floor > 0
+            assert len(replica.log.entries) <= bound
+        executed.append(leader.log.execute_index)
+    assert executed[1] > 3 * executed[0]
 
 
 def _reachable(root):

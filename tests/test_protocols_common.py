@@ -110,6 +110,41 @@ class TestCommandLog:
         log.accept(5, B1, Command.get("e"))
         assert log.missing_slots(5) == [1, 3, 4]
 
+    def test_compacted_slots_never_count_as_missing(self):
+        log = CommandLog()
+        for slot in (1, 2, 3, 5, 6):
+            log.accept(slot, B1, Command.get("x"))
+        assert log.missing_slots(6) == [4]
+        log.compact(5)
+        assert log.floor == 5 and sorted(log.entries) == [6]
+        for upto in range(1, 9):
+            assert all(slot > 5 for slot in log.missing_slots(upto))
+        assert log.missing_slots(8) == [7, 8]
+
+    def test_compact_from_an_empty_log_moves_the_frontier(self):
+        # A wiped replica installs a snapshot: nothing below it is missing.
+        log = CommandLog()
+        log.compact(1000)
+        assert log.missing_slots(1000) == []
+        assert log.missing_slots(1002) == [1001, 1002]
+
+    def test_compact_at_or_below_the_floor_is_a_noop(self):
+        log = CommandLog()
+        for slot in range(1, 6):
+            log.accept(slot, B1, Command.get("x"))
+        log.compact(3)
+        before = (dict(log.entries), log.floor, log.missing_slots(5))
+        log.compact(3)
+        log.compact(1)
+        assert (dict(log.entries), log.floor, log.missing_slots(5)) == before
+
+    def test_accept_at_or_below_the_floor_is_ignored(self):
+        log = CommandLog()
+        log.accept(1, B1, Command.get("x"))
+        log.compact(1)
+        log.accept(1, B2, Command.put("k", "late"))
+        assert 1 not in log.entries
+
     def test_quorum_attached_to_entry(self):
         log = CommandLog()
         q = MajorityQuorum([NodeID(1, 1), NodeID(1, 2), NodeID(1, 3)])
