@@ -13,6 +13,7 @@ round trip, via the network).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Hashable
 
@@ -53,6 +54,15 @@ class _Pending:
 
 class Client:
     """A benchmark client bound to one site."""
+
+    __slots__ = (
+        "deployment", "address", "site", "_network", "_loop", "_pending", "_next_request_id",
+        "retry_timeout", "retry_backoff", "retry_cap", "max_retries", "max_attempts",
+        "retry_budget", "retry_refill_rate", "breaker_threshold", "breaker_cooldown", "completed",
+        "failed", "rejected", "overloaded", "_attempts_done", "_failure_reasons", "_retry_tokens",
+        "_budget_at", "_breaker_failures", "_breaker_open_until", "_breaker_probe", "_retry_rng",
+        "_tracer", "_preferred", "_sticky", "session_reads", "local_reads", "_key_versions",
+    )
 
     def __init__(self, deployment: Deployment, address: Hashable, site: str) -> None:
         self.deployment = deployment
@@ -107,7 +117,9 @@ class Client:
         self._breaker_failures = 0
         self._breaker_open_until = 0.0
         self._breaker_probe: int | None = None
-        self._retry_rng = deployment.cluster.streams.stream(f"client-retry-{address}")
+        # Opened on the first retransmission (its draws depend only on the
+        # root seed and its name): most clients never make one.
+        self._retry_rng: random.Random | None = None
         self._tracer = deployment.cluster.obs.tracer
         deployment.cluster.add_lightweight_endpoint(address, site, self._on_receive)
         self._preferred = self._spread_preferences(deployment, address, site)
@@ -273,6 +285,8 @@ class Client:
         if retries == 0:
             return self.retry_timeout
         delay = min(self.retry_timeout * self.retry_backoff**retries, self.effective_retry_cap)
+        if self._retry_rng is None:
+            self._retry_rng = self.deployment.cluster.streams.stream(f"client-retry-{self.address}")
         return delay * (1.0 + 0.25 * self._retry_rng.random())
 
     def _on_timeout(self, request_id: int) -> None:

@@ -16,7 +16,9 @@ concluded a request it never retransmits it and drops any answer to it.
 - the reply **value** only inside the retransmit window: each request
   carries ``ack_upto``, the highest id below which its client has
   concluded everything (:meth:`repro.paxi.client.Client._transmit`), and
-  executing a request drops that client's values at or below it.
+  executing a request drops that client's values at or below it.  A row
+  holds one value inline; a dict (``overflow``) holds the others only
+  while a pipelined or retransmitting client has more than one.
 
 This is the client-session table of the Raft dissertation (section 6.3)
 and Viewstamped Replication's client table, with one difference: a late
@@ -44,13 +46,17 @@ _EMPTY: frozenset[int] = frozenset()
 class _ClientRow:
     """One client's executed ids, retained replies and in-flight marks."""
 
-    __slots__ = ("upto", "above", "nonpositive", "values", "acked", "inflight")
+    __slots__ = (
+        "upto", "above", "nonpositive", "reply_id", "reply", "overflow", "acked", "inflight"
+    )
 
     def __init__(self) -> None:
         self.upto = 0  # every id in 1..upto has executed
         self.above = 0  # bit i set: id upto + 1 + i has executed (bit 0 never is)
         self.nonpositive: set[int] | frozenset[int] = _EMPTY  # executed ids <= 0
-        self.values: dict[int, Any] = {}  # replies for executed ids > acked
+        self.reply_id = 0  # the one reply for an id > acked kept inline; 0: none
+        self.reply: Any = None
+        self.overflow: dict[int, Any] | None = None  # the others, only beside it
         self.acked = 0  # highest ack_upto executed for this client
         self.inflight: set[int] | frozenset[int] = _EMPTY  # admitted here, not yet executed
 
@@ -59,6 +65,21 @@ class _ClientRow:
         if offset >= 0:
             return (self.above >> offset) & 1 == 1
         return request_id > 0 or request_id in self.nonpositive
+
+    def get(self, request_id: int) -> Any:
+        """The retained reply to ``request_id``, or ``None``."""
+        if request_id == self.reply_id:
+            return self.reply  # None while the slot is empty (id 0 never has one)
+        return self.overflow.get(request_id) if self.overflow else None
+
+    def keep(self, request_id: int, value: Any) -> None:
+        """Retain the reply to ``request_id`` (> ``acked``), overwriting."""
+        if not self.reply_id or self.reply_id == request_id:
+            self.reply_id, self.reply = request_id, value
+        elif self.overflow is None:
+            self.overflow = {request_id: value}
+        else:
+            self.overflow[request_id] = value
 
     def record(self, request_id: int, value: Any) -> None:
         """First execution of ``request_id`` (the caller checked ``seen``)."""
@@ -77,7 +98,7 @@ class _ClientRow:
         else:
             self.nonpositive.add(request_id)
         if request_id > self.acked:
-            self.values[request_id] = value
+            self.keep(request_id, value)
         if self.inflight:
             self.inflight.discard(request_id)
 
@@ -85,9 +106,15 @@ class _ClientRow:
         """The client concluded every id <= ``ack_upto``: drop their replies."""
         if ack_upto > self.acked:
             self.acked = ack_upto
-            values = self.values
-            for request_id in [r for r in values if r <= ack_upto]:
-                del values[request_id]
+            if self.reply_id <= ack_upto:
+                self.reply_id, self.reply = 0, None
+            overflow = self.overflow
+            if overflow is not None:
+                for request_id in [r for r in overflow if r <= ack_upto]:
+                    del overflow[request_id]
+                if overflow and not self.reply_id:  # a survivor moves inline
+                    self.reply_id, self.reply = overflow.popitem()
+                self.overflow = overflow or None
 
 
 class ReplyTable:
@@ -115,7 +142,7 @@ class ReplyTable:
         """The reply ``request`` got, or ``None`` once its client has
         acknowledged it (the answer would be dropped on arrival)."""
         row = self._rows.get(request.client)
-        return row.values.get(request.request_id) if row is not None else None
+        return row.get(request.request_id) if row is not None else None
 
     def execute(self, request: Any, run: Callable[[Any], Any], command: Any) -> Any:
         """``run(command)`` unless ``request`` already executed here; either
@@ -131,28 +158,33 @@ class ReplyTable:
         if row is None:
             row = self._rows[request.client] = _ClientRow()
         request_id = request.request_id
-        acked = row.acked
+        ack_upto = request.ack_upto
+        # Evicted before storing (an id is above its own ack_upto): inline slot reused.
+        if ack_upto > row.acked:
+            if row.overflow is not None:
+                row.evict(ack_upto)
+            else:  # _ClientRow.evict, inlined
+                row.acked = ack_upto
+                if row.reply_id <= ack_upto:
+                    row.reply_id, row.reply = 0, None
         if request_id == row.upto + 1 and not row.above:
             # _ClientRow.record, inlined: ids usually arrive in order.
             value = run(command)
             self._recorded += 1
             row.upto = request_id
-            if request_id > acked:
-                row.values[request_id] = value
+            if request_id > row.acked:
+                if row.reply_id:
+                    row.keep(request_id, value)
+                else:
+                    row.reply_id, row.reply = request_id, value
             if row.inflight:
                 row.inflight.discard(request_id)
         elif row.seen(request_id):
-            value = row.values.get(request_id)
+            value = row.get(request_id)
         else:
             value = run(command)
             self._recorded += 1
             row.record(request_id, value)
-        ack_upto = request.ack_upto
-        if ack_upto > acked:  # _ClientRow.evict, inlined
-            row.acked = ack_upto
-            values = row.values
-            for stale in [r for r in values if r <= ack_upto]:
-                del values[stale]
         return value
 
     def record(self, request: Any, value: Any) -> None:
@@ -160,13 +192,13 @@ class ReplyTable:
         every instance and caches on the command leader only); a repeat
         overwrites the retained value, as a dict store would."""
         row = self._row(request.client)
+        row.evict(request.ack_upto)
         if row.seen(request.request_id):
             if request.request_id > row.acked:
-                row.values[request.request_id] = value
+                row.keep(request.request_id, value)
         else:
             row.record(request.request_id, value)
             self._recorded += 1
-        row.evict(request.ack_upto)
 
     def admit(self, request: Any) -> bool:
         """Proposer side: mark ``request`` in flight here.  False means a
@@ -188,7 +220,7 @@ class ReplyTable:
 
     def retained(self) -> int:
         """Reply values currently held (bounded by the clients' windows)."""
-        return sum(len(row.values) for row in self._rows.values())
+        return sum((row.reply_id != 0) + len(row.overflow or ()) for row in self._rows.values())
 
     def __len__(self) -> int:
         """Requests recorded, evicted or not — what an unbounded cache's
@@ -206,6 +238,7 @@ class ReplyTable:
             twin.upto = row.upto
             twin.above = row.above
             twin.nonpositive = set(row.nonpositive) or _EMPTY
-            twin.values = dict(row.values)
+            twin.reply_id, twin.reply = row.reply_id, row.reply
+            twin.overflow = dict(row.overflow) if row.overflow else None
             twin.acked = row.acked
         return clone

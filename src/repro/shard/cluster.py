@@ -57,6 +57,8 @@ class _RoutedClient:
         self._zone = zone
         self.address = ("shard-client", next(cluster._client_ids))
         self._per_shard: dict[int, "Client"] = {}
+        # Requests in flight, retried or failed (the rule ``Client`` keeps);
+        # one neither here nor deferred succeeded at once: 1 / False / None.
         self._issued: dict[int, tuple["Client", int]] = {}
         self._next_request_id = 0
         self._retry_timeout: float | None = None
@@ -109,10 +111,14 @@ class _RoutedClient:
         )
         return request_id
 
+    def _replied(self, request_id: int, client: "Client", underlying: int) -> None:
+        if client.attempts(underlying) == 1:  # the defaults: forget it
+            self._issued.pop(request_id, None)
+
     def attempts(self, request_id: int) -> int:
         issued = self._issued.get(request_id)
         if issued is None:
-            return 1  # still deferred behind a migrating bucket
+            return 1  # deferred behind a migrating bucket, or forgotten
         client, underlying = issued
         return client.attempts(underlying)
 
@@ -126,7 +132,8 @@ class _RoutedClient:
     def abandon(self, request_id: int) -> None:
         """Give up on ``request_id`` (see :meth:`Client.abandon`).  A request
         still deferred behind a migrating bucket was never transmitted; it
-        is dropped so the flush after the flip does not issue it."""
+        is dropped so the flush after the flip does not issue it (a no-op
+        for a forgotten one, which has concluded)."""
         issued = self._issued.get(request_id)
         if issued is None:
             self.cluster._drop_deferred(self, request_id)
@@ -137,7 +144,7 @@ class _RoutedClient:
     def failure_reason(self, request_id: int) -> str | None:
         issued = self._issued.get(request_id)
         if issued is None:
-            return None  # still deferred behind a migrating bucket
+            return None  # deferred behind a migrating bucket, or forgotten
         client, underlying = issued
         return client.failure_reason(underlying)
 
@@ -373,8 +380,13 @@ class ShardedCluster:
         shard = self.placement.shard_of(command.key)
         client = rc.client_for_shard(shard)
         if not self._track:
+            def replied(reply, latency):
+                rc._replied(request_id, client, reply.request_id)
+                if on_done is not None:
+                    on_done(reply, latency)
+
             underlying = client.invoke(
-                command, target, on_done, record, on_fail=on_fail, deadline=deadline
+                command, target, replied, record, on_fail=on_fail, deadline=deadline
             )
             rc._issued[request_id] = (client, underlying)
             return
@@ -383,6 +395,7 @@ class ShardedCluster:
 
         def done(reply, latency):
             self._inflight.get(bucket, set()).discard((entry[0], entry[1]))
+            rc._replied(request_id, client, reply.request_id)
             if on_done is not None:
                 on_done(reply, latency)
             migration = self._migrations.get(bucket)

@@ -15,11 +15,13 @@ import pytest
 
 from repro.bench.benchmarker import ClosedLoopBenchmark
 from repro.bench.openloop import OpenLoopEngine, PoissonArrivals
+from repro.bench.shard_bench import ShardedClosedLoopBenchmark, ShardedDeploymentFactory
 from repro.bench.workload import WorkloadSpec
 from repro.paxi.client import Client
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.paxi.history import Operation
+from repro.paxi.replies import ReplyTable
 from repro.protocols.fpaxos import FPaxos
 from repro.protocols.mencius import Mencius
 from repro.protocols.paxos import MultiPaxos
@@ -27,6 +29,7 @@ from repro.protocols.raft import Raft
 from repro.protocols.vpaxos import VPaxos
 from repro.protocols.wankeeper import WanKeeper
 from repro.protocols.wpaxos import WPaxos
+from repro.shard.placement import ShardSpec
 
 from tests.conftest import run_protocol
 
@@ -197,3 +200,51 @@ def test_open_loop_with_retries_stays_inside_the_retransmit_window(retransmit_wi
         _assert_votes_released(dep)
         offered.append(result.offered)
     assert offered[1] > 3 * offered[0] > 3 * window
+
+
+def _held(row):
+    """Replies one reply-table row retains, counted by the table itself."""
+    table = ReplyTable()
+    table._rows["probe"] = row
+    return table.retained()
+
+
+def test_sharded_edge_is_flat_in_run_length():
+    """A routed client forgets a request once it concludes, a group client
+    opens its retry stream on its first retransmission, and a reply row
+    holds a dict only while its client has two replies in its window."""
+    completed = []
+    for duration in (N, 4 * N):
+        cluster = ShardedDeploymentFactory(
+            MultiPaxos, Config.lan(3, 3, seed=9), ShardSpec(count=4, buckets=16)
+        )()
+        bench = ShardedClosedLoopBenchmark(
+            cluster, WorkloadSpec(keys=40, write_ratio=0.5), concurrency=2 * CLIENTS,
+            retry_timeout=0.02, txn_ratio=0.3,
+        )  # fmt: skip
+        # Lose 3 % of what reaches group 0: some requests retransmit.
+        lossy = cluster.group(0)
+        lossy.flaky(None, lossy.config.node_ids[0], duration + 1.0, probability=0.03, at=0.0)
+        result = bench.run(duration, 0.02, 0.05)
+        assert bench.txns_committed > 0
+        retransmitted = 0
+        for routed, _gen in bench._drivers:
+            kept = 0  # what a routed client may still be asked about
+            for client in routed._per_shard.values():
+                ids = range(1, client._next_request_id + 1)
+                retried = [i for i in ids if client.attempts(i) > 1]
+                kept += len({*retried, *(i for i in ids if client.abandoned(i))})
+                # No retry stream for a client that never retransmitted.
+                streams = client.deployment.cluster.streams._streams
+                assert (f"client-retry-{client.address}" in streams) == bool(retried)
+                retransmitted += bool(retried)
+            assert len(routed._issued) <= routed.outstanding + kept
+        assert retransmitted > 0
+        for group in cluster.groups:
+            for replica in group.replicas.values():
+                for row in replica.replies._rows.values():
+                    if _held(row) <= 1:
+                        slots = [getattr(row, name) for name in type(row).__slots__]
+                        assert not [s for s in slots if isinstance(s, dict)]
+        completed.append(result.completed)
+    assert completed[1] > 3 * completed[0]

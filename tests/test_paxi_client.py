@@ -1,6 +1,12 @@
 """Tests for the client library: retries, failover, stickiness, faults."""
 
+import random
+import zlib
+
 import pytest
+
+from repro.bench.openloop import OpenLoopEngine, PoissonArrivals
+from repro.bench.workload import WorkloadSpec
 
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
@@ -276,3 +282,47 @@ class TestCircuitBreaker:
         dep.run_for(0.2)
         assert client.failure_reason(follow_up) is None
         assert client.completed == 2
+
+
+class TestLazyRetryStream:
+    """A client opens its ``client-retry-*`` stream on its first
+    retransmission; a stream's draws depend only on the root seed and its
+    name, so opening it late changes no jitter."""
+
+    def test_first_retransmission_draws_the_named_stream(self):
+        dep = Deployment(Config.lan(1, 3, seed=4)).start(Echo)
+        client = dep.new_client()
+        client.retry_timeout = 0.01
+        streams, name = dep.cluster.streams, f"client-retry-{client.address}"
+        assert name not in streams._streams
+        # Streams created and drawn from after the client was built.
+        dep.new_client()
+        streams.stream("a-later-consumer").random()
+        dep.run_for(0.05)
+        assert name not in streams._streams
+        delays = [client._retry_delay(k) for k in range(6)]
+        assert name in streams._streams
+        expected = random.Random((streams.seed << 32) ^ zlib.crc32(name.encode("utf-8")))
+        cap = client.effective_retry_cap
+        assert delays == [0.01] + [
+            min(0.01 * 2.0**k, cap) * (1.0 + 0.25 * expected.random()) for k in range(1, 6)
+        ]
+
+    def test_retrying_open_loop_run_is_unchanged(self):
+        """Pinned from the run before the stream was opened lazily: 253
+        offered, 225 in-window completions, 113 retransmissions."""
+        dep = Deployment(Config.lan(3, 3, seed=17)).start(MultiPaxos)
+        site = dep.config.topology.sites[0]
+        engine = OpenLoopEngine(
+            dep, WorkloadSpec(keys=20), PoissonArrivals(600.0), sites=[site] * 3,
+            retry_timeout=0.03, max_retries=6,
+        )  # fmt: skip
+        dep.crash(dep.config.node_ids[0], 0.15, at=0.1)  # the leader
+        result = engine.run(0.4, 0.05, 0.05)
+        dep.run_for(0.5)
+        retries = sum(
+            c.attempts(i) - 1 for c in engine.clients for i in range(1, c._next_request_id + 1)
+        )
+        latencies = result.latencies_ms
+        assert (result.offered, result.completed, result.failed, retries) == (253, 225, 0, 113)
+        assert (sum(latencies), max(latencies)) == (7541.4967374498465, 154.8418284967873)

@@ -108,6 +108,56 @@ class TestReplyTable:
         clone.execute(RequestInfo("c", 7), _run, "g")
         assert not table.seen(RequestInfo("c", 7))
 
+    def test_two_replies_in_one_window_are_both_kept(self):
+        table = ReplyTable()
+        table.execute(RequestInfo("c", 1), _run, "a")
+        table.execute(RequestInfo("c", 2), _run, "b")  # pipelined: 1 still open
+        assert table.retained() == 2
+        assert table._rows["c"].overflow is not None
+        assert table.value(RequestInfo("c", 1)) == ("ran", "a")
+        assert table.execute(RequestInfo("c", 2), _run, "b again") == ("ran", "b")
+
+    def test_ack_drops_exactly_the_ids_at_or_below_it(self):
+        table = ReplyTable()
+        for request_id in (3, 1, 2, 4):  # 3 inline, the rest overflow
+            table.execute(RequestInfo("c", request_id), _run, request_id)
+        table.execute(RequestInfo("c", 5, ack_upto=2), _run, 5)
+        kept = [r for r in range(1, 6) if table.value(RequestInfo("c", r)) is not None]
+        assert kept == [3, 4, 5] and table.retained() == 3
+        table.execute(RequestInfo("c", 6, ack_upto=4), _run, 6)  # evicts the inline 3
+        assert table.retained() == 2 and table.value(RequestInfo("c", 5)) == ("ran", 5)
+        table.execute(RequestInfo("c", 7, ack_upto=6), _run, 7)
+        row = table._rows["c"]
+        assert (row.reply_id, row.overflow) == (7, None)  # one reply: no dict
+
+    def test_one_outstanding_client_never_allocates_overflow(self):
+        table = ReplyTable()
+        for request_id in range(1, 50):
+            table.execute(RequestInfo("c", request_id, ack_upto=request_id - 1), _run, request_id)
+            assert table._rows["c"].overflow is None
+        assert table.retained() == 1
+
+    def test_evicted_id_answers_none(self):
+        table, calls = ReplyTable(), []
+        run = lambda command: calls.append(command) or command
+        table.execute(RequestInfo("c", 1), run, "w1")
+        table.execute(RequestInfo("c", 2), run, "w2")
+        table.execute(RequestInfo("c", 3, ack_upto=2), run, "w3")
+        for request_id in (1, 2):
+            assert table.value(RequestInfo("c", request_id)) is None
+            assert table.execute(RequestInfo("c", request_id), run, "late") is None
+        assert calls == ["w1", "w2", "w3"]
+
+    def test_copy_keeps_inline_and_overflow_values(self):
+        table = ReplyTable()
+        for request_id in (1, 2, 3):
+            table.execute(RequestInfo("c", request_id), _run, request_id)
+        clone = table.copy()
+        table.execute(RequestInfo("c", 4, ack_upto=3), _run, 4)
+        assert clone.retained() == 3 and table.retained() == 1
+        for request_id in (1, 2, 3):
+            assert clone.value(RequestInfo("c", request_id)) == ("ran", request_id)
+
 
 # ----------------------------------------------------------------------
 # Property: indistinguishable from the unbounded dict wherever a client can
@@ -172,15 +222,19 @@ def test_table_matches_an_unbounded_dict_oracle(steps):
                     assert got == expected
 
         assert len(table) == len(oracle)
+        # Every retained reply belongs to an id some step touched, so
+        # counting the probes the table still answers counts each row.
+        held = dict.fromkeys(range(3), 0)
         for c in range(3):
             for r in probes[c]:
                 probe = RequestInfo(c, r)
                 assert table.seen(probe) == ((c, r) in oracle)
                 if r > acked.get(c, 0):
                     assert table.value(probe) == oracle.get((c, r))
-        for c, row in table._rows.items():
-            assert len(row.values) <= highest[c] - acked[c]
-        assert table.retained() == sum(len(row.values) for row in table._rows.values())
+                held[c] += table.value(probe) is not None
+        for c in table._rows:
+            assert held[c] <= highest[c] - acked[c]
+        assert table.retained() == sum(held.values())
 
     clone = table.copy()
     clone.execute(RequestInfo(9, 1), _run, "only in the clone")

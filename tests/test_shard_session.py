@@ -195,3 +195,105 @@ class TestShardedSessionGivesUp:
         assert record.deferred_ops == 0 and not record.forced
         assert session.client.outstanding == 0
         assert session.get("x").value == 0
+
+
+def _answers(client, request_id):
+    return (
+        client.attempts(request_id),
+        client.abandoned(request_id),
+        client.failure_reason(request_id),
+    )
+
+
+class TestRoutedClientAnswers:
+    """However a request concluded, and whether or not the routing facade
+    still holds it, the facade answers what the group client that carried
+    it answers — and ``abandon`` of a concluded request changes nothing."""
+
+    @pytest.fixture(params=[1, 2], ids=["passthrough", "tracked"])
+    def cluster(self, request):
+        spec = ShardSpec(count=request.param, buckets=8)
+        cluster = ShardedCluster(Config.lan(3, 3, seed=13, shards=spec)).start(MultiPaxos)
+        cluster.run_for(0.3)
+        return cluster
+
+    def _invoke(self, routed, key="x"):
+        request_id = routed.invoke(Command.put(key, 1))
+        client, underlying = routed._issued[request_id]
+        return request_id, client, underlying
+
+    def _cut_off(self, cluster, routed, key, duration):
+        """Drop everything the key's group client sends for ``duration``."""
+        shard = cluster.shard_of(key)
+        client, group = routed.client_for_shard(shard), cluster.group(shard)
+        for node in group.config.node_ids:
+            group.drop(client.address, node, duration)
+
+    def _assert_same_after_abandon(self, routed, request_id, client, underlying):
+        answers, failed = _answers(client, underlying), client.failed
+        assert _answers(routed, request_id) == answers
+        routed.abandon(request_id)  # concluded: a no-op
+        assert _answers(routed, request_id) == _answers(client, underlying) == answers
+        assert client.failed == failed
+        return answers
+
+    def test_single_attempt_success(self, cluster):
+        routed = cluster.new_client()
+        request_id, client, underlying = self._invoke(routed)
+        cluster.run_for(0.2)
+        assert client.completed == 1
+        answers = self._assert_same_after_abandon(routed, request_id, client, underlying)
+        assert answers == (1, False, None)
+
+    def test_retried_success(self, cluster):
+        routed = cluster.new_client()
+        routed.retry_timeout = 0.02
+        self._cut_off(cluster, routed, "x", 0.03)
+        request_id, client, underlying = self._invoke(routed)
+        cluster.run_for(0.5)
+        assert client.completed == 1
+        attempts, abandoned, reason = self._assert_same_after_abandon(
+            routed, request_id, client, underlying
+        )
+        assert attempts > 1 and not abandoned and reason is None
+
+    def test_timed_out_failure(self, cluster):
+        routed = cluster.new_client()
+        routed.retry_timeout, routed.max_attempts = 0.02, 2
+        self._cut_off(cluster, routed, "x", 1.0)
+        request_id, client, underlying = self._invoke(routed)
+        cluster.run_for(0.5)
+        answers = self._assert_same_after_abandon(routed, request_id, client, underlying)
+        assert answers == (2, True, "retries_exhausted")
+
+    def test_abandoned_request(self, cluster):
+        routed = cluster.new_client()
+        request_id, client, underlying = self._invoke(routed)
+        routed.abandon(request_id)
+        cluster.run_for(0.2)
+        answers = self._assert_same_after_abandon(routed, request_id, client, underlying)
+        assert answers == (1, True, "abandoned")
+
+    def test_request_deferred_behind_a_rebalance(self):
+        spec = ShardSpec(count=2, buckets=8)
+        cluster = ShardedCluster(Config.lan(3, 3, seed=13, shards=spec)).start(MultiPaxos)
+        cluster.run_for(0.3)
+        src, bucket = cluster.shard_of("x"), cluster.placement.bucket_of("x")
+        victim = NodeID(3, 3)
+        cluster.crash(victim, 0.2, shard=src)
+        cluster.run_for(0.01)
+        # A straggler bound for the frozen node keeps the bucket draining.
+        cluster.new_client().invoke(Command.put("x", 0), target=victim)
+        cluster.rebalance(bucket, 1 - src, drain_timeout=1.0)
+        cluster.run_for(0.001)
+        routed = cluster.new_client()
+        request_id = routed.invoke(Command.put("x", 1))
+        assert request_id not in routed._issued  # deferred, never transmitted
+        assert _answers(routed, request_id) == (1, False, None)
+
+        cluster.run_for(0.5)  # the straggler lands, the bucket flips, the flush runs
+        assert len(cluster.rebalances) == 1
+        client = routed.client_for_shard(1 - src)
+        assert client.completed == 1
+        answers = self._assert_same_after_abandon(routed, request_id, client, 1)
+        assert answers == (1, False, None)
