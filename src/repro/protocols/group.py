@@ -19,13 +19,15 @@ failure-free path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 from repro.paxi.ids import NodeID
 from repro.paxi.message import Message
 from repro.paxi.node import Replica
 from repro.paxi.quorum import GroupQuorum
+from repro.protocols.ballot import ZERO
+from repro.protocols.log import CommandLog, EntrySnapshot
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,19 +63,13 @@ class GFillReply(Message):
     SIZE_BYTES = 300
 
     zone: int = 0
-    entries: tuple[tuple[int, Any], ...] = ()  # (slot, item), committed only
+    entries: tuple[EntrySnapshot, ...] = ()
 
 
 RETRANSMIT_GRACE = 0.3  # seconds before an unacked accept is re-sent
-
-
-@dataclass(slots=True)
-class _GroupSlot:
-    item: Any
-    quorum: GroupQuorum | None = None
-    committed: bool = False
-    executed: bool = False
-    sent_at: float = 0.0
+#: The group has one fixed leader, so every slot is accepted under one
+#: ballot and every watermark certifies every entry it covers.
+GROUP_BALLOT = ZERO
 
 
 class GroupEngine:
@@ -95,11 +91,8 @@ class GroupEngine:
         self.is_leader = replica.id == self.leader
         self.on_execute = on_execute
         self.flush_interval = flush_interval
-        self._slots: dict[int, _GroupSlot] = {}
-        self._next_slot = 1
-        self._execute_index = 1
-        self._dirty = False
-        self._fill_outstanding = False
+        self.log = CommandLog()  # items ride in Entry.command
+        self._sent_at: dict[int, float] = {}  # leader: uncommitted slot -> last sent at
         replica.register(GAccept, self._on_accept)
         replica.register(GAck, self._on_ack)
         replica.register(GFlush, self._on_flush)
@@ -115,16 +108,15 @@ class GroupEngine:
     def propose(self, item: Any) -> None:
         """Replicate ``item`` to the group (leader only)."""
         assert self.is_leader, "only the group leader proposes"
-        slot = self._next_slot
-        self._next_slot += 1
         quorum = GroupQuorum(self.members)
         quorum.ack(self.replica.id)
-        self._slots[slot] = _GroupSlot(item, quorum, sent_at=self.replica.now)
+        slot = self.log.append(GROUP_BALLOT, item, quorum=quorum)
+        self._sent_at[slot] = self.replica.now
         peers = [m for m in self.members if m != self.replica.id]
         if peers:
             self.replica.multicast(
                 peers,
-                GAccept(zone=self.zone, slot=slot, item=item, commit_upto=self._commit_upto()),
+                GAccept(zone=self.zone, slot=slot, item=item, commit_upto=self.log.commit_upto()),
             )
         if quorum.satisfied():  # single-member group
             self._commit(slot)
@@ -132,19 +124,17 @@ class GroupEngine:
     def _on_ack(self, src: Hashable, m: GAck) -> None:
         if m.zone != self.zone or not self.is_leader:
             return
-        slot = self._slots.get(m.slot)
-        if slot is None or slot.quorum is None or slot.committed:
+        entry = self.log.entries.get(m.slot)
+        if entry is None or entry.quorum is None or entry.committed:
             return
-        slot.quorum.ack(src)
-        if slot.quorum.satisfied():
+        entry.quorum.ack(src)
+        if entry.quorum.satisfied():
             self._commit(m.slot)
 
     def _commit(self, slot: int) -> None:
-        entry = self._slots[slot]
-        entry.committed = True
-        entry.quorum = None  # commitment is final: the votes are spent
-        self._mark_quorum(entry.item)
-        self._dirty = True
+        self.log.commit(slot)
+        self._sent_at.pop(slot, None)
+        self._mark_quorum(self.log.entries[slot].command)
         self._advance()
 
     def _mark_quorum(self, item: Any) -> None:
@@ -164,101 +154,60 @@ class GroupEngine:
     def _on_accept(self, src: Hashable, m: GAccept) -> None:
         if m.zone != self.zone:
             return
-        if m.slot not in self._slots:
-            self._slots[m.slot] = _GroupSlot(m.item)
-        self._next_slot = max(self._next_slot, m.slot + 1)
+        self.log.accept(m.slot, GROUP_BALLOT, m.item)
         self.replica.send(src, GAck(zone=self.zone, slot=m.slot))
-        self._apply_watermark(m.commit_upto)
+        self._on_watermark(m.commit_upto)
 
     def _on_flush(self, src: Hashable, m: GFlush) -> None:
         if m.zone != self.zone:
             return
-        self._apply_watermark(m.commit_upto)
+        self._on_watermark(m.commit_upto)
 
-    def _apply_watermark(self, upto: int) -> None:
-        missing = []
-        for slot in range(self._execute_index, upto + 1):
-            entry = self._slots.get(slot)
-            if entry is not None:
-                entry.committed = True
-            else:
-                missing.append(slot)
-        if missing and not self._fill_outstanding and not self.is_leader:
-            self._fill_outstanding = True
-            self.replica.send(
-                self.leader, GFillRequest(zone=self.zone, slots=tuple(missing[:64]))
-            )
+    def _on_watermark(self, upto: int) -> None:
+        need = self.log.apply_watermark(upto, GROUP_BALLOT, self.replica.now, RETRANSMIT_GRACE)
+        if need:
+            self.replica.send(self.leader, GFillRequest(zone=self.zone, slots=need))
         self._advance()
 
     def _on_fill_request(self, src: Hashable, m: GFillRequest) -> None:
         if m.zone != self.zone:
             return
-        entries = tuple(
-            (slot, self._slots[slot].item)
-            for slot in m.slots
-            if slot in self._slots and self._slots[slot].committed
-        )
-        self.replica.send(src, GFillReply(zone=self.zone, entries=entries))
+        self.replica.send(src, GFillReply(zone=self.zone, entries=self.log.snapshots(m.slots)))
 
     def _on_fill_reply(self, src: Hashable, m: GFillReply) -> None:
         if m.zone != self.zone:
             return
-        self._fill_outstanding = False
-        for slot, item in m.entries:
-            if slot not in self._slots:
-                self._slots[slot] = _GroupSlot(item, committed=True)
-            else:
-                self._slots[slot].committed = True
+        self.log.adopt(m.entries)
         self._advance()
 
     # ------------------------------------------------------------------
     # Commit propagation and execution
     # ------------------------------------------------------------------
 
-    def _commit_upto(self) -> int:
-        upto = self._execute_index - 1
-        while upto + 1 in self._slots and self._slots[upto + 1].committed:
-            upto += 1
-        return upto
-
     def _flush_tick(self) -> None:
         # The watermark broadcast is unconditional (one small message per
         # interval): it doubles as the repair signal for members that lost
         # accepts or earlier flushes.
-        upto_now = self._commit_upto()
-        if upto_now > 0:
-            self._dirty = False
-            peers = [m for m in self.members if m != self.replica.id]
-            if peers:
-                self.replica.multicast(peers, GFlush(zone=self.zone, commit_upto=upto_now))
+        upto = self.log.commit_upto()
+        peers = [m for m in self.members if m != self.replica.id]
+        if upto > 0 and peers:
+            self.replica.multicast(peers, GFlush(zone=self.zone, commit_upto=upto))
         # Retransmit accepts that lost their race with the network: under
         # normal operation slots commit well within one flush interval, so
         # this only fires after drops.
-        upto = self._commit_upto()
         now = self.replica.now
-        for slot, entry in self._slots.items():
-            if entry.committed or entry.quorum is None:
-                continue
-            if now - entry.sent_at < RETRANSMIT_GRACE:
+        for slot, sent_at in list(self._sent_at.items()):
+            if now - sent_at < RETRANSMIT_GRACE:
                 continue  # acks plausibly still in flight
-            entry.sent_at = now
-            behind = [
-                m
-                for m in self.members
-                if m != self.replica.id and m not in entry.quorum.acks
-            ]
+            self._sent_at[slot] = now
+            entry = self.log.entries[slot]
+            behind = [m for m in peers if m not in entry.quorum.acks]
             if behind:
                 self.replica.multicast(
                     behind,
-                    GAccept(zone=self.zone, slot=slot, item=entry.item, commit_upto=upto),
+                    GAccept(zone=self.zone, slot=slot, item=entry.command, commit_upto=upto),
                 )
         self.replica.set_timer(self.flush_interval, self._flush_tick)
 
     def _advance(self) -> None:
-        while True:
-            entry = self._slots.get(self._execute_index)
-            if entry is None or not entry.committed or entry.executed:
-                break
-            entry.executed = True
-            self._execute_index += 1
-            self.on_execute(entry.item, self.is_leader)
+        self.log.execute(lambda _slot, entry: self.on_execute(entry.command, self.is_leader))

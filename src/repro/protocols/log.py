@@ -5,12 +5,18 @@ execute -> compact lifecycle and maintains the highest *contiguous*
 committed slot, which is what leaders piggyback onto later messages in
 place of an explicit commit phase (the paper's phase-3 optimization,
 section 2).
+
+It is the one slot log under MultiPaxos (and FPaxos), WPaxos (one per
+object), :class:`~repro.protocols.group.GroupEngine` and Mencius: the
+watermark rule, gap-fill retry, fill adoption, entry snapshots and the
+in-order execute loop live here once, and each host keeps only its
+messages and its phase-1 and retransmit policies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.errors import ProtocolError
 from repro.paxi.message import Batch, ClientRequest, Command
@@ -68,10 +74,12 @@ class Entry:
     """One slot of the replicated log.
 
     ``command`` may be ``None`` for a no-op proposed to fill a gap during
-    leader recovery, or a :class:`~repro.paxi.message.Batch` when the
-    leader coalesced several client commands into the slot.  ``quorum``
-    is the proposer's vote set and lives only until the slot commits:
-    commitment is final, so nobody counts votes for it again.
+    leader recovery (or a slot Mencius skipped), or a
+    :class:`~repro.paxi.message.Batch` when the leader coalesced several
+    client commands into the slot.  ``quorum`` is the proposer's vote set
+    and lives only until the slot commits: commitment is final, so nobody
+    counts votes for it again.  Whether a slot has executed is
+    ``slot < CommandLog.execute_index``.
     """
 
     ballot: Ballot
@@ -79,22 +87,38 @@ class Entry:
     request: Any = None
     quorum: Quorum | None = None
     committed: bool = False
-    executed: bool = False
+
+
+# Transferable copy of one log entry: (slot, ballot, command, request, committed).
+EntrySnapshot = tuple[int, Ballot, EntryCommand, Any, bool]
+
+#: Most slots one fill request asks for.
+FILL_BATCH = 64
+
+
+def merge_snapshots(into: dict[int, EntrySnapshot], snapshots: Iterable[EntrySnapshot]) -> None:
+    """Phase-1 merge: per slot keep a committed value, else the one
+    accepted under the highest ballot."""
+    for snapshot in snapshots:
+        slot, ballot, _command, _request, committed = snapshot
+        current = into.get(slot)
+        if current is not None and current[4]:
+            continue
+        if committed or current is None or ballot > current[1]:
+            into[slot] = snapshot
 
 
 @dataclass
 class CommandLog:
-    """Slot-indexed log with commit/execute frontiers (slots are 1-based)."""
+    """Slot-indexed log with commit/execute frontiers (slots are 1-based
+    unless the host starts ``execute_index`` elsewhere)."""
 
     entries: dict[int, Entry] = field(default_factory=dict)
     next_slot: int = 1
     execute_index: int = 1  # next slot to execute
     floor: int = 0  # every slot at or below is compacted away
-    # Presence frontier: every slot in floor+1.._contig is present in
-    # ``entries``, and ``_contig >= floor``.  Advanced lazily by
-    # :meth:`missing_slots` so the per-message gap scan is O(new slots)
-    # amortized instead of O(upto).
-    _contig: int = field(default=0, repr=False)
+    _fill_deadline: float = field(default=0.0, repr=False)  # next fill request, not before
+    _executing: bool = field(default=False, repr=False)
 
     def append(
         self,
@@ -146,32 +170,87 @@ class CommandLog:
             upto += 1
         return upto
 
-    def executable(self) -> list[tuple[int, Entry]]:
-        """Contiguous run of committed-but-unexecuted entries, in order.
+    def apply_watermark(
+        self, upto: int, ballot: Ballot | None, now: float, retry_after: float
+    ) -> tuple[int, ...]:
+        """Commit what a watermark certifies; return the slots to fetch.
 
-        The caller is expected to execute them and then call
-        :meth:`mark_executed` for each.
+        A watermark is a bare slot number, so it certifies only entries
+        accepted under its own ``ballot``: an entry accepted under another
+        one may have lost its slot to whatever a newer leader adopted (a
+        partitioned ex-leader's pipelined accepts are the classic case).
+        Such slots, like slots never received, are fill targets; with
+        ``ballot=None`` (a watermark from a node not known to lead) every
+        uncommitted slot is.  At most :data:`FILL_BATCH` targets come back,
+        and only once the last request's deadline has passed — a lost fill
+        reply delays gap-fill by ``retry_after`` instead of wedging it.
         """
-        runnable: list[tuple[int, Entry]] = []
-        slot = self.execute_index
-        while True:
-            entry = self.entries.get(slot)
-            if entry is None or not entry.committed or entry.executed:
-                break
-            runnable.append((slot, entry))
-            slot += 1
-        return runnable
+        entries = self.entries
+        targets: list[int] | None = None
+        for slot in range(max(self.execute_index, self.floor + 1), upto + 1):
+            entry = entries.get(slot)
+            if entry is not None:
+                if entry.committed:
+                    continue
+                if entry.ballot == ballot:
+                    entry.committed = True
+                    entry.quorum = None  # as commit(): the votes are spent
+                    continue
+            if targets is None:
+                targets = [slot]
+            elif len(targets) < FILL_BATCH:
+                targets.append(slot)
+        if targets is None or now < self._fill_deadline:
+            return ()
+        self._fill_deadline = now + retry_after
+        return tuple(targets)
 
-    def mark_executed(self, slot: int) -> None:
-        entry = self.entries.get(slot)
-        if entry is None or not entry.committed:
-            raise ProtocolError(f"cannot execute uncommitted slot {slot}")
-        entry.executed = True
-        if slot == self.execute_index:
-            while self.entries.get(self.execute_index) is not None and self.entries[
-                self.execute_index
-            ].executed:
+    def adopt(self, snapshots: Iterable[EntrySnapshot]) -> None:
+        """Take the committed values a fill reply carries, wholesale: the
+        chosen value and its ballot replace whatever this log accepted in
+        the slot.  The reply also re-opens gap-fill at once."""
+        self._fill_deadline = 0.0
+        entries = self.entries
+        for slot, ballot, command, request, committed in snapshots:
+            if not committed or slot < self.execute_index:
+                continue
+            local = entries.get(slot)
+            if local is None or not local.committed:
+                entries[slot] = Entry(ballot, command, request, committed=True)
+                self.next_slot = max(self.next_slot, slot + 1)
+
+    def snapshots(self, slots: Iterable[int] | None = None, above: int = 0) -> tuple[EntrySnapshot, ...]:
+        """Copies of the entries named in ``slots`` that this log holds (a
+        fill reply), or of every entry above ``above`` in slot order (a
+        phase-1 suffix)."""
+        entries = self.entries
+        if slots is None:
+            slots = sorted(slot for slot in entries if slot > above)
+        return tuple(
+            (slot, e.ballot, e.command, e.request, e.committed)
+            for slot in slots
+            if (e := entries.get(slot)) is not None
+        )
+
+    def execute(self, run: Callable[[int, Entry], None]) -> None:
+        """Run ``run(slot, entry)`` for each committed slot from
+        ``execute_index`` on, in slot order.
+
+        ``execute_index`` passes a slot only once ``run`` returns, so a
+        read gated on it never sees half a batch.  A call from inside
+        ``run`` (a callback whose proposal commits at once) returns
+        immediately; the running loop picks the new slots up in order.
+        """
+        if self._executing:
+            return
+        self._executing = True
+        entries = self.entries
+        try:
+            while (entry := entries.get(self.execute_index)) is not None and entry.committed:
+                run(self.execute_index, entry)
                 self.execute_index += 1
+        finally:
+            self._executing = False
 
     def uncommitted(self) -> dict[int, Entry]:
         """Accepted-but-uncommitted entries (what P1b messages carry)."""
@@ -183,22 +262,8 @@ class CommandLog:
 
     def compact(self, upto: int) -> None:
         """Drop every slot at or below ``upto`` (executed, never asked for
-        again).  Costs O(newly compacted) and moves the presence frontier
-        with the floor, so compacted slots never count as missing."""
+        again).  Costs O(newly compacted)."""
         pop = self.entries.pop
         for slot in range(self.floor + 1, upto + 1):
             pop(slot, None)
-        if upto > self.floor:
-            self.floor = upto
-            self._contig = max(self._contig, upto)
-
-    def missing_slots(self, upto: int) -> list[int]:
-        """Slots <= ``upto`` this log has never accepted (gap-fill targets)."""
-        entries = self.entries
-        contig = self._contig
-        while contig + 1 in entries:
-            contig += 1
-        self._contig = contig
-        if upto <= contig:
-            return []
-        return [slot for slot in range(contig + 1, upto + 1) if slot not in entries]
+        self.floor = max(self.floor, upto)

@@ -26,15 +26,16 @@ Like the paper's EPaxos evaluation, this implements the failure-free path
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
 from repro.paxi.message import ClientReply, ClientRequest, Command, Message
 from repro.paxi.protocol import Protocol
-from repro.paxi.quorum import MajorityQuorum, Quorum
-from repro.protocols.log import RequestInfo
+from repro.paxi.quorum import MajorityQuorum
+from repro.protocols.ballot import ZERO
+from repro.protocols.log import CommandLog, Entry, RequestInfo
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,23 +67,14 @@ class MSkip(Message):
     below: int = 0
 
 
-@dataclass(slots=True)
-class _MSlot:
-    command: Command | None = None
-    request: RequestInfo | None = None
-    committed: bool = False
-    executed: bool = False
-    skipped: bool = False
-    quorum: Quorum | None = None
-
-
 class Mencius(Protocol):
     """A Mencius replica.
 
     Recognized config params:
 
-    - ``skip_flush_interval``: how often an idle node re-announces its skip
-      frontier so laggards can execute (default 0.02 s).
+    - ``skip_flush_interval``: how often a node re-sends accepts still
+      unacknowledged after ``retransmit_timeout`` (default 0.02 s); skips
+      are announced when they happen, not on this tick.
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
@@ -91,10 +83,11 @@ class Mencius(Protocol):
         self.index = self.order.index(node_id)
         self.n = len(self.order)
         self.flush_interval: float = self.config.param("skip_flush_interval", 0.02)
-        self.slots: dict[int, _MSlot] = {}
-        self.next_own_slot = self.index  # slots are 0-based: index, index+N, ...
-        self.execute_index = 0
-        self.skip_below: dict[int, int] = {i: 0 for i in range(self.n)}
+        # Slots are 0-based (index, index+N, ... are ours) and need no
+        # ballots: each has one pre-agreed proposer.  A skipped slot is a
+        # committed no-op (``command is None``).
+        self.log = CommandLog(execute_index=0)
+        self.next_own_slot = self.index
         self._retransmit: dict[int, float] = {}
         self.retransmit_timeout: float = self.config.param("retransmit_timeout", 0.3)
 
@@ -132,21 +125,17 @@ class Mencius(Protocol):
         self.next_own_slot += self.n
         quorum = MajorityQuorum(self.config.node_ids)
         quorum.ack(self.id)
-        self.slots[slot] = _MSlot(
-            command=m.command, request=RequestInfo.of(m), quorum=quorum
-        )
+        request = RequestInfo.of(m)
+        self.log.entries[slot] = Entry(ZERO, m.command, request, quorum)
         self._retransmit[slot] = self.now
-        self.broadcast(MAccept(slot=slot, command=m.command, request=self.slots[slot].request))
+        self.broadcast(MAccept(slot=slot, command=m.command, request=request))
 
     # ------------------------------------------------------------------
     # Acceptor side
     # ------------------------------------------------------------------
 
     def on_accept(self, src: Hashable, m: MAccept) -> None:
-        entry = self.slots.setdefault(m.slot, _MSlot())
-        if entry.command is None:
-            entry.command = m.command
-            entry.request = m.request
+        self.log.accept(m.slot, ZERO, m.command, m.request)
         self.send(src, MAcceptAck(slot=m.slot))
         self._skip_up_to(m.slot)
 
@@ -166,14 +155,12 @@ class Mencius(Protocol):
         self._try_execute()
 
     def _apply_skip(self, owner: int, from_slot: int, below: int) -> None:
-        self.skip_below[owner] = max(self.skip_below[owner], below)
         slot = from_slot
         while slot < below:
             if self.owner_of(slot) == owner:
-                entry = self.slots.setdefault(slot, _MSlot())
-                if entry.command is None and not entry.committed:
-                    entry.skipped = True
-                    entry.committed = True
+                entry = self.log.entries.setdefault(slot, Entry(ZERO, None))
+                if entry.command is None:
+                    entry.committed = True  # a no-op
             slot += 1
 
     # ------------------------------------------------------------------
@@ -181,20 +168,19 @@ class Mencius(Protocol):
     # ------------------------------------------------------------------
 
     def on_accept_ack(self, src: Hashable, m: MAcceptAck) -> None:
-        entry = self.slots.get(m.slot)
+        entry = self.log.entries.get(m.slot)
         if entry is None or entry.quorum is None or entry.committed:
             return
         entry.quorum.ack(src)
         if entry.quorum.satisfied():
-            entry.committed = True
-            entry.quorum = None  # commitment is final: the votes are spent
+            self.log.commit(m.slot)
             self.trace_mark(entry.request)
             self._retransmit.pop(m.slot, None)
             self.broadcast(MCommit(slot=m.slot, command=entry.command, request=entry.request))
             self._try_execute()
 
     def on_commit(self, src: Hashable, m: MCommit) -> None:
-        entry = self.slots.setdefault(m.slot, _MSlot())
+        entry = self.log.entries.setdefault(m.slot, Entry(ZERO, None))
         if entry.command is None:
             entry.command = m.command
             entry.request = m.request
@@ -207,48 +193,33 @@ class Mencius(Protocol):
     # ------------------------------------------------------------------
 
     def _try_execute(self) -> None:
-        while True:
-            entry = self.slots.get(self.execute_index)
-            if entry is None or not entry.committed or entry.executed:
-                break
-            entry.executed = True
-            value = None
-            if entry.command is not None and not entry.skipped:
-                value = self.replies.execute(entry.request, self.store.execute, entry.command)
-            if (
-                entry.request is not None
-                and self.owner_of(self.execute_index) == self.index
-            ):
-                self.send(
-                    entry.request.client,
-                    ClientReply(
-                        request_id=entry.request.request_id,
-                        ok=True,
-                        value=value,
-                        replied_by=self.id,
-                    ),
-                )
-            self.execute_index += 1
+        self.log.execute(self._execute_slot)
+
+    def _execute_slot(self, slot: int, entry: Entry) -> None:
+        value = None
+        if entry.command is not None:
+            value = self.replies.execute(entry.request, self.store.execute, entry.command)
+        if entry.request is not None and self.owner_of(slot) == self.index:
+            self.send(
+                entry.request.client,
+                ClientReply(
+                    request_id=entry.request.request_id,
+                    ok=True,
+                    value=value,
+                    replied_by=self.id,
+                ),
+            )
 
     # ------------------------------------------------------------------
     # Liveness: idle-skip announcements and retransmission
     # ------------------------------------------------------------------
 
     def _flush_tick(self) -> None:
-        # Re-announce our skip frontier so replicas that missed a skip (or
-        # joined the conversation late) can keep executing.
-        frontier = self.next_own_slot
-        known = self.skip_below[self.index]
-        if frontier > known:
-            # We have not used slots in [known-aligned, frontier): they are
-            # live proposals, not skips, so only announce genuinely unused
-            # ranges (handled by _skip_up_to); here we just retransmit.
-            pass
         now = self.now
         for slot, sent_at in list(self._retransmit.items()):
             if now - sent_at < self.retransmit_timeout:
                 continue
-            entry = self.slots.get(slot)
+            entry = self.log.entries.get(slot)
             if entry is None or entry.committed or entry.quorum is None:
                 self._retransmit.pop(slot, None)
                 continue

@@ -54,13 +54,11 @@ from repro.protocols.log import (
     CommandLog,
     Entry,
     EntryCommand,
+    EntrySnapshot,
     entry_pairs,
+    merge_snapshots,
     request_infos,
 )
-
-# Transferable snapshot of one log entry: (slot, ballot, command, request, committed);
-# command may be a Batch, in which case request is a tuple of RequestInfos.
-EntrySnapshot = tuple[int, Ballot, EntryCommand, Any, bool]
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,7 +211,6 @@ class MultiPaxos(LeaderLog):
 
         self._p1_quorum: Quorum | None = None
         self._p1_entries: dict[int, EntrySnapshot] = {}
-        self._fill_deadline = 0.0  # earliest time the next FillRequest may go out
         self._uncommitted_slots: dict[int, float] = {}  # slot -> last sent at
         self._peer_floors: dict[Hashable, int] = {}  # acceptor -> floor, this heartbeat
         self._heartbeat_armed = False
@@ -300,7 +297,7 @@ class MultiPaxos(LeaderLog):
         self._p1_quorum = self.phase1_quorum()
         self._p1_quorum.ack(self.id)
         self._p1_entries = {}
-        self._merge_snapshots(self._own_snapshots())
+        merge_snapshots(self._p1_entries, self.log.snapshots())
         if self._p1_quorum.satisfied():  # single-node cluster
             self.persist("promise", self.ballot)
             self._become_leader()
@@ -323,20 +320,6 @@ class MultiPaxos(LeaderLog):
         )
 
     _campaign = start_phase1
-
-    def _own_snapshots(self) -> tuple[EntrySnapshot, ...]:
-        return tuple(
-            (slot, e.ballot, e.command, e.request, e.committed)
-            for slot, e in sorted(self.log.entries.items())
-        )
-
-    def _merge_snapshots(self, snapshots: tuple[EntrySnapshot, ...]) -> None:
-        for slot, ballot, command, request, committed in snapshots:
-            current = self._p1_entries.get(slot)
-            if current is not None and current[4]:
-                continue  # already have a committed value for the slot
-            if committed or current is None or ballot > current[1]:
-                self._p1_entries[slot] = (slot, ballot, command, request, committed)
 
     def _drain_buffered(self) -> None:
         """Forward requests buffered during a failed candidacy to whoever
@@ -378,14 +361,9 @@ class MultiPaxos(LeaderLog):
             if self.active:
                 self.active = False  # step down
             self._drain_buffered()
-            suffix = tuple(
-                (slot, e.ballot, e.command, e.request, e.committed)
-                for slot, e in sorted(self.log.entries.items())
-                if slot > m.commit_upto
-            )
             # The promise must survive a reboot before the candidate can
             # count it, so the P1b waits for the WAL record's fsync.
-            reply = P1b(ballot=m.ballot, ok=True, entries=suffix)
+            reply = P1b(ballot=m.ballot, ok=True, entries=self.log.snapshots(above=m.commit_upto))
             self.persist("promise", m.ballot, then=lambda: self.send(src, reply))
             self._reset_election_timer()
         else:
@@ -403,7 +381,7 @@ class MultiPaxos(LeaderLog):
             return
         if self._p1_quorum is None or m.ballot != self.ballot or self.active:
             return
-        self._merge_snapshots(m.entries)
+        merge_snapshots(self._p1_entries, m.entries)
         self._p1_quorum.ack(src)
         if self._p1_quorum.satisfied():
             self._become_leader()
@@ -594,7 +572,7 @@ class MultiPaxos(LeaderLog):
                 size_bytes=wal_record_bytes(m.command),
                 then=lambda: self.send(src, reply),
             )
-            self._apply_commit_watermark(m.commit_upto, m.ballot, src)
+            self._on_watermark(m.commit_upto, m.ballot, src)
             self._reset_election_timer()
         else:
             self.send(src, P2b(ballot=self.promised, slot=m.slot, ok=False))
@@ -652,7 +630,7 @@ class MultiPaxos(LeaderLog):
                 self._grant.grant(m.ballot.owner)
                 self.send(src, LeaseGrant(ballot=m.ballot, seq=m.lease_seq))
             self._drain_buffered()
-            self._apply_commit_watermark(m.commit_upto, m.ballot, src)
+            self._on_watermark(m.commit_upto, m.ballot, src)
             self._compact(m.floor)
             self._reset_election_timer()
 
@@ -660,49 +638,21 @@ class MultiPaxos(LeaderLog):
         if self.active and m.ballot == self.ballot and self._lease is not None:
             self._lease.record_grant(m.seq, src)
 
-    def _apply_commit_watermark(self, upto: int, ballot: Ballot, leader: Hashable) -> None:
-        """Commit slots at or below the watermark.
-
-        Only entries accepted under the watermark's own ballot are safe to
-        commit from a bare slot number: an entry this replica accepted
-        under an *older* ballot may have been superseded by whatever the
-        new leader adopted and re-proposed into that slot (a partitioned
-        ex-leader's pipelined proposals are the classic case).  Those
-        slots, like never-received ones, are re-fetched from the leader —
-        with a retry deadline so a lost FillReply cannot wedge gap-fill.
-        """
-        stale: list[int] = []
-        for slot in range(self.log.execute_index, upto + 1):
-            entry = self.log.entries.get(slot)
-            if entry is None or entry.committed:
-                continue
-            if entry.ballot == ballot:
-                entry.committed = True
-                entry.quorum = None  # as CommandLog.commit: the votes are spent
-            else:
-                stale.append(slot)
-        need = sorted(set(self.log.missing_slots(upto)) | set(stale))
-        if need and self.now >= self._fill_deadline:
-            self._fill_deadline = self.now + self.retransmit_timeout
-            self.send(leader, FillRequest(slots=tuple(need[:64])))
+    def _on_watermark(self, upto: int, ballot: Ballot, leader: Hashable) -> None:
+        """Commit what the leader's watermark certifies (CommandLog's rule),
+        fetch the rest from it, and execute."""
+        need = self.log.apply_watermark(upto, ballot, self.now, self.retransmit_timeout)
+        if need:
+            self.send(leader, FillRequest(slots=need))
         self._advance_execution()
 
     def on_fill_request(self, src: Hashable, m: FillRequest) -> None:
         if self.recovering:
             return  # nothing trustworthy to serve
-        entries = tuple(
-            (slot, e.ballot, e.command, e.request, e.committed)
-            for slot in m.slots
-            if (e := self.log.entries.get(slot)) is not None
-        )
-        self.send(src, FillReply(entries=entries, floor=self.log.floor))
+        self.send(src, FillReply(entries=self.log.snapshots(m.slots), floor=self.log.floor))
 
     def on_fill_reply(self, src: Hashable, m: FillReply) -> None:
-        self._fill_deadline = 0.0
-        for slot, ballot, command, request, committed in m.entries:
-            if committed and slot >= self.log.execute_index:
-                self.log.accept(slot, ballot, command, request)
-                self.log.commit(slot)
+        self.log.adopt(m.entries)
         self._advance_execution()
         if m.floor >= self.log.execute_index and self._catchup is None:
             # The leader has forgotten slots we still need, as Raft's
@@ -710,36 +660,37 @@ class MultiPaxos(LeaderLog):
             self._start_catchup()
 
     def _advance_execution(self) -> None:
-        for slot, entry in self.log.executable():
-            # A batched slot fans out into one (command, request) pair per
-            # coalesced client command: each executes, caches, and replies
-            # individually, so batching is invisible above this point.
-            for command, info in entry_pairs(entry.command, entry.request):
-                value = None
-                if command is not None:
-                    value = self.replies.execute(info, self.store.execute, command)
-                    if command.is_write:
-                        self._drain_read_waiters(command.key)
-                if info is not None and entry.ballot.owner == self.id and self.active:
-                    self.send(
-                        info.client,
-                        ClientReply(
-                            request_id=info.request_id,
-                            ok=True,
-                            value=value,
-                            replied_by=self.id,
-                            leader_hint=self.id,
-                            version=(
-                                self.store.version(command.key)
-                                if command is not None
-                                else 0
-                            ),
-                        ),
-                    )
-            self.log.mark_executed(slot)
+        self.log.execute(self._execute_slot)
         if self._rinse_waiters or self._pending_lease_reads:
             self._drain_read_backlog()
         self.maybe_snapshot(self.log.execute_index - 1)
+
+    def _execute_slot(self, slot: int, entry: Entry) -> None:
+        # A batched slot fans out into one (command, request) pair per
+        # coalesced client command: each executes, caches, and replies
+        # individually, so batching is invisible above this point.
+        for command, info in entry_pairs(entry.command, entry.request):
+            value = None
+            if command is not None:
+                value = self.replies.execute(info, self.store.execute, command)
+                if command.is_write:
+                    self._drain_read_waiters(command.key)
+            if info is not None and entry.ballot.owner == self.id and self.active:
+                self.send(
+                    info.client,
+                    ClientReply(
+                        request_id=info.request_id,
+                        ok=True,
+                        value=value,
+                        replied_by=self.id,
+                        leader_hint=self.id,
+                        version=(
+                            self.store.version(command.key)
+                            if command is not None
+                            else 0
+                        ),
+                    ),
+                )
 
     def _floor(self) -> int:
         """The highest slot this replica can never ask for again.  In memory

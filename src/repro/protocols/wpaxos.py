@@ -31,10 +31,7 @@ from repro.paxi.message import ClientReply, ClientRequest, Command, Message
 from repro.paxi.protocol import Protocol
 from repro.paxi.quorum import GridQuorum, Quorum
 from repro.protocols.ballot import Ballot, ZERO
-from repro.protocols.log import RequestInfo
-
-# (slot, ballot, command, request, committed)
-EntrySnapshot = tuple[int, Ballot, Command | None, RequestInfo | None, bool]
+from repro.protocols.log import CommandLog, Entry, EntrySnapshot, RequestInfo, merge_snapshots
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,16 +95,6 @@ class WFillReply(Message):
     entries: tuple[EntrySnapshot, ...] = ()
 
 
-@dataclass(slots=True)
-class _Slot:
-    ballot: Ballot
-    command: Command | None
-    request: RequestInfo | None = None
-    quorum: Quorum | None = None
-    committed: bool = False
-    executed: bool = False
-
-
 @dataclass
 class _ObjectState:
     """Everything one replica knows about one object."""
@@ -115,9 +102,7 @@ class _ObjectState:
     ballot: Ballot = ZERO  # highest promised ballot for this object
     owner: NodeID | None = None
     active: bool = False  # this node currently owns the object
-    slots: dict[int, _Slot] = field(default_factory=dict)
-    next_slot: int = 1
-    execute_index: int = 1
+    log: CommandLog = field(default_factory=CommandLog)
     p1_quorum: Quorum | None = None
     p1_entries: dict[int, EntrySnapshot] = field(default_factory=dict)
     pending: list[ClientRequest] = field(default_factory=list)
@@ -126,13 +111,6 @@ class _ObjectState:
     # Flush countdown: re-broadcast the watermark for a few intervals so a
     # single lost WFlush cannot strand a follower (decremented per tick).
     dirty_watermark: int = 0
-    fill_outstanding: bool = False
-
-    def commit_upto(self) -> int:
-        upto = self.execute_index - 1
-        while upto + 1 in self.slots and self.slots[upto + 1].committed:
-            upto += 1
-        return upto
 
 
 class WPaxos(Protocol):
@@ -241,24 +219,10 @@ class WPaxos(Protocol):
         state.p1_quorum = self._phase1_quorum()
         state.p1_quorum.ack(self.id)
         state.p1_entries = {}
-        self._merge_snapshots(state, self._own_snapshots(state))
-        self.broadcast(WP1a(key=key, ballot=ballot, commit_upto=state.commit_upto()))
+        merge_snapshots(state.p1_entries, state.log.snapshots())
+        self.broadcast(WP1a(key=key, ballot=ballot, commit_upto=state.log.commit_upto()))
         if state.p1_quorum.satisfied():
             self._acquire(key, state)
-
-    def _own_snapshots(self, state: _ObjectState) -> tuple[EntrySnapshot, ...]:
-        return tuple(
-            (slot, s.ballot, s.command, s.request, s.committed)
-            for slot, s in sorted(state.slots.items())
-        )
-
-    def _merge_snapshots(self, state: _ObjectState, snapshots: tuple[EntrySnapshot, ...]) -> None:
-        for slot, ballot, command, request, committed in snapshots:
-            current = state.p1_entries.get(slot)
-            if current is not None and current[4]:
-                continue
-            if committed or current is None or ballot > current[1]:
-                state.p1_entries[slot] = (slot, ballot, command, request, committed)
 
     def _abandon_candidacy(self, state: _ObjectState) -> None:
         """A higher ballot beat our in-flight steal: drop the candidacy and
@@ -279,14 +243,10 @@ class WPaxos(Protocol):
             if state.active:
                 state.active = False  # ownership stolen away
             self._abandon_candidacy(state)
-            suffix = tuple(
-                (slot, s.ballot, s.command, s.request, s.committed)
-                for slot, s in sorted(state.slots.items())
-                if slot > m.commit_upto
-            )
+            suffix = state.log.snapshots(above=m.commit_upto)
             self.send(
                 src,
-                WP1b(key=m.key, ballot=m.ballot, ok=True, entries=suffix, next_slot=state.next_slot),
+                WP1b(key=m.key, ballot=m.ballot, ok=True, entries=suffix, next_slot=state.log.next_slot),
             )
         else:
             self.send(src, WP1b(key=m.key, ballot=state.ballot, ok=False))
@@ -301,8 +261,8 @@ class WPaxos(Protocol):
             return
         if state.p1_quorum is None or m.ballot != state.ballot or state.active:
             return
-        self._merge_snapshots(state, m.entries)
-        state.next_slot = max(state.next_slot, m.next_slot)
+        merge_snapshots(state.p1_entries, m.entries)
+        state.log.next_slot = max(state.log.next_slot, m.next_slot)
         state.p1_quorum.ack(src)
         if state.p1_quorum.satisfied():
             self._acquire(m.key, state)
@@ -312,21 +272,21 @@ class WPaxos(Protocol):
         state.owner = self.id
         state.p1_quorum = None
         max_slot = max(state.p1_entries, default=0)
-        max_slot = max(max_slot, state.next_slot - 1)
+        max_slot = max(max_slot, state.log.next_slot - 1)
         for slot in range(1, max_slot + 1):
-            local = state.slots.get(slot)
+            local = state.log.entries.get(slot)
             if local is not None and local.committed:
                 continue
             learned = state.p1_entries.get(slot)
             if learned is not None and learned[4]:
-                state.slots[slot] = _Slot(learned[1], learned[2], learned[3], committed=True)
+                state.log.entries[slot] = Entry(learned[1], learned[2], learned[3], committed=True)
                 continue
             command = learned[2] if learned is not None else None
             request = learned[3] if learned is not None else None
             self._propose_at(key, state, slot, command, request)
-        state.next_slot = max(state.next_slot, max_slot + 1)
+        state.log.next_slot = max(state.log.next_slot, max_slot + 1)
         state.p1_entries = {}
-        self._advance_execution(key, state)
+        self._advance_execution(state)
         pending, state.pending = state.pending, []
         for request in pending:
             self.on_request(request.client, request)
@@ -342,9 +302,7 @@ class WPaxos(Protocol):
         command: Command | None,
         request: RequestInfo | None,
     ) -> None:
-        slot = state.next_slot
-        state.next_slot += 1
-        self._propose_at(key, state, slot, command, request)
+        self._propose_at(key, state, state.log.next_slot, command, request)
 
     def _propose_at(
         self,
@@ -356,8 +314,8 @@ class WPaxos(Protocol):
     ) -> None:
         quorum = self._phase2_quorum()
         quorum.ack(self.id)
-        state.slots[slot] = _Slot(state.ballot, command, request, quorum)
-        state.next_slot = max(state.next_slot, slot + 1)
+        state.log.entries[slot] = Entry(state.ballot, command, request, quorum)
+        state.log.next_slot = max(state.log.next_slot, slot + 1)
         self._pending_slots[(key, slot)] = self.now
         self.broadcast(
             WP2a(
@@ -366,7 +324,7 @@ class WPaxos(Protocol):
                 slot=slot,
                 command=command,
                 request=request,
-                commit_upto=state.commit_upto(),
+                commit_upto=state.log.commit_upto(),
             )
         )
         if quorum.satisfied():
@@ -381,10 +339,7 @@ class WPaxos(Protocol):
                 state.active = False
             if m.ballot.owner != self.id:
                 self._abandon_candidacy(state)
-            existing = state.slots.get(m.slot)
-            if existing is None or (not existing.committed and existing.ballot <= m.ballot):
-                state.slots[m.slot] = _Slot(m.ballot, m.command, m.request)
-            state.next_slot = max(state.next_slot, m.slot + 1)
+            state.log.accept(m.slot, m.ballot, m.command, m.request)
             if self.is_leader_node and m.ballot.owner != self.id:
                 # A command we forwarded ourselves still counts toward our
                 # streak; anyone else's access breaks the "consecutive" run.
@@ -398,7 +353,7 @@ class WPaxos(Protocol):
                 else:
                     state.steal_streak = 0
             self.send(src, WP2b(key=m.key, ballot=m.ballot, slot=m.slot, ok=True))
-            self._apply_watermark(m.key, state, m.commit_upto, src)
+            self._on_watermark(m.key, state, m.commit_upto, src)
         else:
             self.send(src, WP2b(key=m.key, ballot=state.ballot, slot=m.slot, ok=False))
 
@@ -412,21 +367,19 @@ class WPaxos(Protocol):
             return
         if not state.active or m.ballot != state.ballot:
             return
-        slot = state.slots.get(m.slot)
-        if slot is None or slot.quorum is None or slot.committed:
+        entry = state.log.entries.get(m.slot)
+        if entry is None or entry.quorum is None or entry.committed:
             return
-        slot.quorum.ack(src)
-        if slot.quorum.satisfied():
+        entry.quorum.ack(src)
+        if entry.quorum.satisfied():
             self._commit_slot(m.key, state, m.slot)
 
     def _commit_slot(self, key: Hashable, state: _ObjectState, slot: int) -> None:
-        entry = state.slots[slot]
-        entry.committed = True
-        entry.quorum = None  # commitment is final: the votes are spent
-        self.trace_mark(entry.request)
+        state.log.commit(slot)
+        self.trace_mark(state.log.entries[slot].request)
         self._pending_slots.pop((key, slot), None)
         state.dirty_watermark = 3
-        self._advance_execution(key, state)
+        self._advance_execution(state)
 
     # ------------------------------------------------------------------
     # Commit watermarks, gap filling, execution
@@ -436,7 +389,7 @@ class WPaxos(Protocol):
         dirty: list[tuple[Hashable, int]] = []
         for key, state in self.objects.items():
             if state.active and state.dirty_watermark > 0:
-                dirty.append((key, state.commit_upto()))
+                dirty.append((key, state.log.commit_upto()))
                 state.dirty_watermark -= 1
         if dirty:
             self.broadcast(WFlush(watermarks=tuple(dirty)))
@@ -451,7 +404,7 @@ class WPaxos(Protocol):
             if now - sent_at < self.retransmit_timeout:
                 continue
             state = self.objects.get(key)
-            entry = state.slots.get(slot) if state is not None else None
+            entry = state.log.entries.get(slot) if state is not None else None
             if (
                 state is None
                 or entry is None
@@ -473,77 +426,46 @@ class WPaxos(Protocol):
                         slot=slot,
                         command=entry.command,
                         request=entry.request,
-                        commit_upto=state.commit_upto(),
+                        commit_upto=state.log.commit_upto(),
                     ),
                 )
 
     def on_flush(self, src: Hashable, m: WFlush) -> None:
         for key, upto in m.watermarks:
-            state = self._object(key)
-            self._apply_watermark(key, state, upto, src)
+            self._on_watermark(key, self._object(key), upto, src)
 
-    def _apply_watermark(self, key: Hashable, state: _ObjectState, upto: int, origin: Hashable) -> None:
-        # The watermark only certifies values chosen under the origin's own
-        # ballot.  An entry accepted under an older ballot may have lost to a
-        # re-proposal we have not received yet (e.g. on a slow link), so it
-        # must be treated like a hole and recovered via fill, never committed
-        # as-is.
-        fresh = state.ballot.owner == origin
-        missing: list[int] = []
-        for slot in range(state.execute_index, upto + 1):
-            entry = state.slots.get(slot)
-            if entry is None:
-                missing.append(slot)
-            elif entry.committed:
-                continue
-            elif fresh and entry.ballot == state.ballot:
-                entry.committed = True
-            else:
-                missing.append(slot)
-        if missing and not state.fill_outstanding:
-            state.fill_outstanding = True
-            self.send(origin, WFillRequest(key=key, slots=tuple(missing[:64])))
-        self._advance_execution(key, state)
+    def _on_watermark(self, key: Hashable, state: _ObjectState, upto: int, origin: Hashable) -> None:
+        # Only the owner's watermark certifies values chosen under its
+        # ballot; one from anyone else commits nothing (CommandLog's rule).
+        ballot = state.ballot if state.ballot.owner == origin else None
+        need = state.log.apply_watermark(upto, ballot, self.now, self.retransmit_timeout)
+        if need:
+            self.send(origin, WFillRequest(key=key, slots=need))
+        self._advance_execution(state)
 
     def on_fill_request(self, src: Hashable, m: WFillRequest) -> None:
-        state = self._object(m.key)
-        entries = tuple(
-            (slot, s.ballot, s.command, s.request, s.committed)
-            for slot in m.slots
-            if (s := state.slots.get(slot)) is not None
-        )
+        entries = self._object(m.key).log.snapshots(m.slots)
         self.send(src, WFillReply(key=m.key, entries=entries))
 
     def on_fill_reply(self, src: Hashable, m: WFillReply) -> None:
         state = self._object(m.key)
-        state.fill_outstanding = False
-        for slot, ballot, command, request, committed in m.entries:
-            if not committed:
-                continue
-            local = state.slots.get(slot)
-            if local is None or not local.committed:
-                # Adopt the committed value wholesale: a stale uncommitted
-                # local entry may hold a different (losing) command.
-                state.slots[slot] = _Slot(ballot, command, request, committed=True)
-        self._advance_execution(m.key, state)
+        state.log.adopt(m.entries)
+        self._advance_execution(state)
 
-    def _advance_execution(self, key: Hashable, state: _ObjectState) -> None:
-        while True:
-            entry = state.slots.get(state.execute_index)
-            if entry is None or not entry.committed or entry.executed:
-                break
-            value = None
-            if entry.command is not None:
-                value = self.replies.execute(entry.request, self.store.execute, entry.command)
-            entry.executed = True
-            state.execute_index += 1
-            if entry.request is not None and entry.ballot.owner == self.id and state.active:
-                self.send(
-                    entry.request.client,
-                    ClientReply(
-                        request_id=entry.request.request_id,
-                        ok=True,
-                        value=value,
-                        replied_by=self.id,
-                    ),
-                )
+    def _advance_execution(self, state: _ObjectState) -> None:
+        state.log.execute(lambda _slot, entry: self._execute(entry, state.active))
+
+    def _execute(self, entry: Entry, active: bool) -> None:
+        value = None
+        if entry.command is not None:
+            value = self.replies.execute(entry.request, self.store.execute, entry.command)
+        if entry.request is not None and entry.ballot.owner == self.id and active:
+            self.send(
+                entry.request.client,
+                ClientReply(
+                    request_id=entry.request.request_id,
+                    ok=True,
+                    value=value,
+                    replied_by=self.id,
+                ),
+            )

@@ -26,8 +26,10 @@ from repro.paxi.node import Replica
 from repro.paxi.replies import ReplyTable
 from repro.paxi.session import SessionOptions
 from repro.protocols.epaxos import EPaxos
+from repro.protocols.log import CommandLog
 from repro.protocols.paxos import MultiPaxos
 from repro.protocols.raft import Raft
+from repro.protocols.wpaxos import WPaxos
 from dataclasses import dataclass
 from typing import Any, Hashable
 
@@ -413,3 +415,77 @@ def test_reply_table_skips_the_same_late_duplicate(protocol):
     assert read.ok and read.value == "v2"
     assert all(r.replies.retained() <= 1 for r in dep.replicas.values())
     assert_correct(dep)
+
+
+# ----------------------------------------------------------------------
+# The planted ballot-blind watermark: the shared slot log commits every
+# entry a commit watermark covers, whatever ballot it was accepted under.
+# Both real safety bugs this repo has had were this one.  A follower that
+# accepted an isolated ex-leader's pipelined write then executes it,
+# although the new leader chose a different value for that slot.
+# ----------------------------------------------------------------------
+
+
+def _ballot_blind(monkeypatch):
+    rule = CommandLog.apply_watermark
+
+    def apply_watermark(log, upto, ballot, now, retry_after):
+        for slot in range(log.execute_index, upto + 1):
+            if slot in log.entries:
+                log.commit(slot)  # the bug: whatever ballot it was accepted under
+        return rule(log, upto, ballot, now, retry_after)
+
+    monkeypatch.setattr(CommandLog, "apply_watermark", apply_watermark)
+
+
+STALE_WATERMARK_HOSTS = [
+    pytest.param(MultiPaxos, dict(election_timeout=0.1), id="MultiPaxos"),
+    pytest.param(WPaxos, dict(leaders_per_zone=5, steal_threshold=1), id="WPaxos"),
+]
+FOLLOWER = NodeID(1, 2)
+
+
+def _stale_watermark_scenario(protocol, params):
+    """Five nodes.  Leader 1.1 and follower 1.2 are cut off from 1.3-1.5,
+    so 1.1's pipelined accept of ``stale`` reaches 1.2 only.  The majority
+    side never hears of it and puts ``fresh`` in the same slot under a
+    newer ballot.  Then 1.1 falls silent, 1.2 rejoins, and the next
+    write's watermark reaches it."""
+    old, majority = NodeID(1, 1), [NodeID(1, n) for n in (3, 4, 5)]
+    dep = Deployment(Config.lan(1, 5, seed=3, **params)).start(protocol)
+    client = dep.new_client()
+    client.invoke(Command.put("k", "v0"), target=old)
+    dep.run_for(0.2)
+    for cut_off in (old, FOLLOWER):
+        for peer in majority:
+            dep.drop(cut_off, peer, duration=1.0)
+            dep.drop(peer, cut_off, duration=1.0)
+    client.invoke(Command.put("k", "stale"), target=old)
+    dep.run_for(0.6)
+    other = dep.new_client()
+    other.invoke(Command.put("k", "fresh"), target=majority[0])
+    dep.run_for(0.3)
+    dep.drop(old, None, duration=5.0)
+    dep.drop(None, old, duration=5.0)
+    dep.run_for(0.6)  # the cut heals at 1.2 s
+    other.invoke(Command.put("k", "after"), target=majority[0])
+    dep.run_for(0.5)
+    return dep
+
+
+@pytest.mark.parametrize("protocol, params", STALE_WATERMARK_HOSTS)
+def test_consensus_checker_flags_a_ballot_blind_watermark(protocol, params, monkeypatch):
+    _ballot_blind(monkeypatch)
+    dep = _stale_watermark_scenario(protocol, params)
+    assert dep.replicas[FOLLOWER].store.history("k") == ["v0", "stale", "after"]
+    consensus = check_deployment(dep)
+    assert not consensus.ok
+    assert consensus.violations[0].key == "k"
+
+
+@pytest.mark.parametrize("protocol, params", STALE_WATERMARK_HOSTS)
+def test_the_watermark_rule_survives_the_same_schedule(protocol, params):
+    dep = _stale_watermark_scenario(protocol, params)
+    for node in (FOLLOWER, NodeID(1, 3)):
+        assert dep.replicas[node].store.history("k") == ["v0", "fresh", "after"]
+    assert check_deployment(dep).ok

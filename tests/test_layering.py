@@ -140,3 +140,41 @@ def test_the_reply_table_is_the_only_request_cache():
         if keys > REQUEST_KEY_USES.get(path.name, 0):
             offenders.append(f"{path.name} builds {keys} (client, request_id) cache keys")
     assert not offenders, "\n".join(offenders)
+
+
+# ----------------------------------------------------------------------
+# One slot log: MultiPaxos, WPaxos, GroupEngine and Mencius keep their
+# slots in repro.protocols.log.CommandLog, whose execute() is the only
+# in-order execute loop.
+# ----------------------------------------------------------------------
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_only_the_slot_log_executes_and_keeps_slot_records():
+    """Outside ``protocols/log.py`` no protocol advances an ``execute_index``
+    of its own or defines a per-slot record (a dataclass with both
+    ``committed`` and ``executed`` fields)."""
+    offenders = []
+    for path in sorted(PROTOCOLS_DIR.glob("*.py")):
+        if path.name == "log.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.AugAssign):
+                name = getattr(node.target, "attr", None) or getattr(node.target, "id", "")
+                if name.endswith("execute_index"):
+                    offenders.append(f"{path.name}:{node.lineno} advances {name}")
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = {
+                    stmt.target.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                }
+                if {"committed", "executed"} <= fields:
+                    offenders.append(f"{path.name}:{node.lineno} defines slot record {node.name}")
+    assert not offenders, "\n".join(offenders)

@@ -42,14 +42,14 @@ def _closed_loop(protocol, duration):
 
 
 def _slots(replica):
-    """Every per-slot record a replica keeps, whatever its protocol calls it."""
-    if hasattr(getattr(replica, "log", None), "entries"):  # MultiPaxos / FPaxos
+    """Every per-slot record a replica keeps, in whichever log its protocol
+    holds them."""
+    if hasattr(getattr(replica, "log", None), "entries"):  # MultiPaxos / FPaxos / Mencius
         yield from replica.log.entries.values()
     for state in getattr(replica, "objects", {}).values():  # WPaxos
-        yield from state.slots.values()
-    yield from getattr(replica, "slots", {}).values()  # Mencius
+        yield from state.log.entries.values()
     if hasattr(replica, "group"):  # WanKeeper / Vertical Paxos
-        yield from replica.group._slots.values()
+        yield from replica.group.log.entries.values()
 
 
 def _assert_votes_released(dep):

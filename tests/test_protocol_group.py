@@ -110,3 +110,56 @@ def test_leader_callback_sees_is_leader_flag():
     dep.run_for(0.2)
     assert (NodeID(1, 1), True) in flags
     assert (NodeID(1, 2), False) in flags
+
+
+def test_a_lost_fill_request_does_not_wedge_gap_fill(monkeypatch):
+    """The leader swallows the first fill request.  The lagging member asks
+    again once its fill deadline passes, instead of waiting forever for a
+    reply that will never come."""
+    swallowed = []
+    serve = GroupEngine._on_fill_request
+
+    def lossy(engine, src, m):
+        if swallowed:
+            serve(engine, src, m)
+        else:
+            swallowed.append(m.slots)
+
+    monkeypatch.setattr(GroupEngine, "_on_fill_request", lossy)
+    dep = make(zones=1, per_zone=3)
+    leader = dep.replicas[NodeID(1, 1)]
+    dep.drop(NodeID(1, 1), NodeID(1, 3), duration=0.05, at=0.0)
+    items = [("item", i) for i in range(10)]
+    for item in items:
+        leader.engine.propose(item)
+    dep.run_for(6.0)
+    assert swallowed
+    assert dep.replicas[NodeID(1, 3)].executed == items
+
+
+def test_reentrant_execution_runs_every_item_once_in_slot_order():
+    """A one-member group commits a proposal synchronously, so an
+    ``on_execute`` that proposes a follow-up re-enters execution; the
+    running loop must pick the follow-up up after the current item."""
+    order = []
+
+    class Chaining(Replica):
+        def __init__(self, deployment, node_id):
+            super().__init__(deployment, node_id)
+            self.engine = GroupEngine(self, [node_id], self.on_item, flush_interval=0.01)
+
+        def on_item(self, item, is_leader):
+            order.append(item)
+            if item < 5:
+                self.engine.propose(item + 1)
+                order.append(("proposed", item + 1))
+
+    dep = Deployment(Config.lan(1, 1, seed=1)).start(Chaining)
+    engine = dep.replicas[NodeID(1, 1)].engine
+    engine.propose(0)
+    dep.run_for(0.01)
+    items = [x for x in order if not isinstance(x, tuple)]
+    assert items == [0, 1, 2, 3, 4, 5]  # each once, in slot order
+    # Each follow-up runs after the callback that proposed it returned.
+    assert order.index(("proposed", 1)) < order.index(1)
+    assert engine.log.execute_index == 7

@@ -186,3 +186,31 @@ def test_correct_under_hot_key_contention(lan9):
     assert res.completed > 100
     dep.run_for(0.3)
     assert_correct(dep)
+
+
+def test_a_lost_fill_request_does_not_wedge_gap_fill(lan9, monkeypatch):
+    """Follower 2.2 misses one accept, and the owner swallows its first
+    fill request.  A later watermark past the fill deadline asks again,
+    so 2.2 executes every slot 2.3 does."""
+    swallowed = []
+    serve = WPaxos.on_fill_request
+
+    def lossy(replica, src, m):
+        if swallowed:
+            serve(replica, src, m)
+        else:
+            swallowed.append(m.slots)
+
+    monkeypatch.setattr(WPaxos, "on_fill_request", lossy)
+    dep = Deployment(lan9).start(WPaxos)
+    client = dep.new_client()
+    dep.drop(NodeID(2, 1), NodeID(2, 2), duration=0.1, at=0.05)
+    for i in range(11):
+        client.invoke(Command.put("obj", i), target=NodeID(2, 1))
+        dep.run_for(0.1)
+    dep.run_for(0.5)
+    assert swallowed
+    lagging, peer = (dep.replicas[NodeID(2, n)].store.history("obj") for n in (2, 3))
+    assert peer == list(range(11))
+    assert lagging == peer
+    assert_correct(dep)

@@ -9,7 +9,7 @@ from repro.paxi.message import Command
 from repro.paxi.quorum import MajorityQuorum
 from repro.protocols.ballot import ZERO, Ballot, initial_ballot
 from repro.protocols.graph import tarjan_sccs
-from repro.protocols.log import CommandLog, RequestInfo
+from repro.protocols.log import FILL_BATCH, CommandLog, RequestInfo, merge_snapshots
 
 
 class TestBallot:
@@ -34,6 +34,17 @@ B1 = Ballot(1, NodeID(1, 1))
 B2 = Ballot(2, NodeID(1, 2))
 
 
+def _fill_targets(log, upto, ballot=B1):
+    """Apply a watermark with no retry delay; return its fill targets."""
+    return list(log.apply_watermark(upto, ballot, now=0.0, retry_after=0.0))
+
+
+def _execute(log):
+    ran = []
+    log.execute(lambda slot, entry: ran.append(slot))
+    return ran
+
+
 class TestCommandLog:
     def test_append_assigns_sequential_slots(self):
         log = CommandLog()
@@ -45,12 +56,10 @@ class TestCommandLog:
         s1 = log.append(B1, Command.get("a"))
         s2 = log.append(B1, Command.get("b"))
         log.commit(s2)
-        assert log.executable() == []  # s1 not committed: s2 must wait
+        assert _execute(log) == []  # s1 not committed: s2 must wait
         log.commit(s1)
-        runnable = [slot for slot, _e in log.executable()]
+        runnable = _execute(log)
         assert runnable == [s1, s2]
-        log.mark_executed(s1)
-        log.mark_executed(s2)
         assert log.execute_index == 3
 
     def test_commit_upto_contiguous(self):
@@ -91,11 +100,34 @@ class TestCommandLog:
         with pytest.raises(ProtocolError):
             CommandLog().commit(3)
 
-    def test_execute_uncommitted_raises(self):
+    def test_execute_never_runs_an_uncommitted_slot(self):
         log = CommandLog()
         log.append(B1, Command.get("a"))
-        with pytest.raises(ProtocolError):
-            log.mark_executed(1)
+        assert _execute(log) == []
+        assert log.execute_index == 1
+
+    def test_execute_advances_only_after_the_slot_ran(self):
+        log = CommandLog()
+        log.append(B1, Command.get("a"))
+        log.commit(1)
+        seen = []
+        log.execute(lambda slot, entry: seen.append((slot, log.execute_index)))
+        assert seen == [(1, 1)] and log.execute_index == 2
+
+    def test_reentrant_execute_returns_and_the_outer_loop_runs_the_new_slot(self):
+        log = CommandLog()
+        ran = []
+
+        def run(slot, entry):
+            ran.append(slot)
+            if slot == 1:
+                log.commit(log.append(B1, Command.get("follow-up")))
+                log.execute(run)  # returns at once: the outer loop owns execution
+                assert ran == [1]
+
+        log.commit(log.append(B1, Command.get("a")))
+        log.execute(run)
+        assert ran == [1, 2] and log.execute_index == 3
 
     def test_uncommitted_view(self):
         log = CommandLog()
@@ -108,35 +140,87 @@ class TestCommandLog:
         log = CommandLog()
         log.accept(2, B1, Command.get("b"))
         log.accept(5, B1, Command.get("e"))
-        assert log.missing_slots(5) == [1, 3, 4]
+        assert _fill_targets(log, 5) == [1, 3, 4]
 
     def test_compacted_slots_never_count_as_missing(self):
         log = CommandLog()
         for slot in (1, 2, 3, 5, 6):
             log.accept(slot, B1, Command.get("x"))
-        assert log.missing_slots(6) == [4]
+        assert _fill_targets(log, 6) == [4]
         log.compact(5)
         assert log.floor == 5 and sorted(log.entries) == [6]
         for upto in range(1, 9):
-            assert all(slot > 5 for slot in log.missing_slots(upto))
-        assert log.missing_slots(8) == [7, 8]
+            assert all(slot > 5 for slot in _fill_targets(log, upto))
+        assert _fill_targets(log, 8) == [7, 8]
 
     def test_compact_from_an_empty_log_moves_the_frontier(self):
         # A wiped replica installs a snapshot: nothing below it is missing.
         log = CommandLog()
         log.compact(1000)
-        assert log.missing_slots(1000) == []
-        assert log.missing_slots(1002) == [1001, 1002]
+        assert _fill_targets(log, 1000) == []
+        assert _fill_targets(log, 1002) == [1001, 1002]
 
     def test_compact_at_or_below_the_floor_is_a_noop(self):
         log = CommandLog()
         for slot in range(1, 6):
             log.accept(slot, B1, Command.get("x"))
         log.compact(3)
-        before = (dict(log.entries), log.floor, log.missing_slots(5))
+        before = (dict(log.entries), log.floor, _fill_targets(log, 5))
         log.compact(3)
         log.compact(1)
-        assert (dict(log.entries), log.floor, log.missing_slots(5)) == before
+        assert (dict(log.entries), log.floor, _fill_targets(log, 5)) == before
+
+    def test_watermark_commits_only_entries_accepted_under_its_ballot(self):
+        """The stale-watermark bug class: a slot accepted under an older
+        ballot may hold a value the newer leader did not choose."""
+        log = CommandLog()
+        log.accept(1, B2, Command.put("k", "new"))
+        log.accept(2, B1, Command.put("k", "stale"))
+        log.accept(3, B2, Command.put("k", "new"))
+        assert _fill_targets(log, 3, ballot=B2) == [2]
+        assert log.entries[1].committed and log.entries[3].committed
+        assert not log.entries[2].committed
+        assert log.commit_upto() == 1
+
+    def test_watermark_of_no_known_leader_commits_nothing(self):
+        log = CommandLog()
+        log.accept(1, B1, Command.get("a"))
+        assert _fill_targets(log, 2, ballot=None) == [1, 2]
+        assert not log.entries[1].committed
+
+    def test_watermark_commit_drops_the_votes(self):
+        log = CommandLog()
+        log.append(B1, Command.get("a"), quorum=MajorityQuorum([NodeID(1, 1), NodeID(1, 2)]))
+        assert _fill_targets(log, 1) == []
+        assert log.entries[1].committed and log.entries[1].quorum is None
+
+    def test_fill_targets_wait_for_the_deadline_and_are_bounded(self):
+        log = CommandLog()
+        assert log.apply_watermark(100, B1, now=1.0, retry_after=0.5) == tuple(range(1, FILL_BATCH + 1))
+        assert log.apply_watermark(100, B1, now=1.4, retry_after=0.5) == ()  # reply may be in flight
+        assert log.apply_watermark(100, B1, now=1.5, retry_after=0.5)[0] == 1  # lost: ask again
+
+    def test_adopting_a_fill_reply_reopens_gap_fill_at_once(self):
+        log = CommandLog()
+        log.accept(1, B2, Command.put("k", "losing"))
+        assert log.apply_watermark(2, B1, now=1.0, retry_after=0.5) == (1, 2)
+        log.adopt([(1, B1, Command.put("k", "chosen"), None, True), (2, B1, None, None, False)])
+        assert log.entries[1].committed and log.entries[1].command.value == "chosen"
+        assert log.entries[1].ballot == B1 and log.next_slot == 2
+        assert log.apply_watermark(2, B1, now=1.1, retry_after=0.5) == (2,)
+
+    def test_snapshots_and_phase1_merge(self):
+        log = CommandLog()
+        log.accept(1, B1, Command.get("a"))
+        log.accept(3, B2, Command.get("c"))
+        log.commit(3)
+        assert [snap[0] for snap in log.snapshots()] == [1, 3]
+        assert [snap[0] for snap in log.snapshots(above=1)] == [3]
+        assert [snap[0] for snap in log.snapshots([3, 2])] == [3]
+        into = {1: (1, B2, Command.get("newer"), None, False), 3: (3, B1, None, None, False)}
+        merge_snapshots(into, log.snapshots())
+        assert into[1][1] == B2  # the higher ballot stays
+        assert into[3][4] and into[3][1] == B2  # a committed value wins
 
     def test_accept_at_or_below_the_floor_is_ignored(self):
         log = CommandLog()
