@@ -25,11 +25,15 @@ A cycle then corresponds exactly to a future or stale read.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate, count as count_from, islice
 from typing import Hashable, Iterable
 
 from repro.errors import CheckerError
-from repro.paxi.history import Operation
+from repro.paxi.history import HistoryView, Operation, OperationTable
 
 
 @dataclass(frozen=True)
@@ -55,93 +59,152 @@ class CheckResult:
 
 
 def check_history(operations: Iterable[Operation]) -> CheckResult:
-    """Check a full multi-key history; keys are independent registers."""
-    per_key: dict[Hashable, list[Operation]] = {}
+    """Check a full multi-key history; keys are independent registers.
+
+    A :class:`~repro.paxi.history.HistoryView` is read straight from its
+    columns; any other iterable is appended to a fresh table first.  An
+    :class:`Operation` is built only for an anomalous read.
+    """
+    if isinstance(operations, HistoryView):
+        parts = operations.parts
+    else:
+        table = OperationTable()
+        table.extend(operations)
+        parts = ((table, 0, len(table)),)
+    # Each key's reads and writes as positions in the parts laid end to end.
+    # Arrays are not tracked by the garbage collector, so grouping a long
+    # history does not set off collections over the whole heap.
+    reads: defaultdict[Hashable, array] = defaultdict(_positions)
+    writes: defaultdict[Hashable, array] = defaultdict(_positions)
+    firsts = []  # the position of each part's first row
     count = 0
-    for op in operations:
-        per_key.setdefault(op.key, []).append(op)
-        count += 1
+    for table, start, stop in parts:
+        firsts.append(count)
+        key_column, code_column = islice(table.keys, start, stop), islice(table.codes, start, stop)
+        for position, key, code in zip(count_from(count), key_column, code_column):
+            (writes if code else reads)[key].append(position)
+        count += stop - start
+
+    def first_row(key: Hashable) -> int:
+        return min(rows[0] for rows in (reads.get(key), writes.get(key)) if rows)
+
+    no_rows = _positions()
+    keys = sorted(reads.keys() | writes.keys(), key=first_row)
     anomalies: list[Anomaly] = []
-    for ops in per_key.values():
-        ops.sort(key=lambda o: (o.invoked_at, o.returned_at))
-        anomalies.extend(_check_key(ops))
+    for key in keys:
+        key_reads = _runs(parts, firsts, reads.get(key, no_rows))
+        key_writes = _runs(parts, firsts, writes.get(key, no_rows))
+        anomalies.extend(_check_key(key_reads, key_writes))
     return CheckResult(
         ok=not anomalies,
         anomalies=anomalies,
         checked_operations=count,
-        checked_keys=len(per_key),
+        checked_keys=len(keys),
     )
 
 
-def _check_key(ops: list[Operation]) -> list[Anomaly]:
-    """Anomalous-read detection for one key (TAO-style)."""
-    writes = [op for op in ops if not op.is_read]
-    write_by_value: dict[Hashable, Operation] = {}
-    for w in writes:
-        if w.value in write_by_value:
-            raise CheckerError(
-                f"duplicate write value {w.value!r}; the checker needs "
-                "unique write values per key"
-            )
-        write_by_value[w.value] = w
+def _positions() -> array:
+    return array("q")
+
+
+def _runs(parts, firsts: list[int], positions: array) -> list[tuple[OperationTable, int, array]]:
+    """Split sorted ``positions`` by part: ``(table, offset, positions)``
+    per part holding some, where ``position + offset`` is the table row."""
+    runs = []
+    for (table, start, stop), first in zip(parts, firsts):
+        lo = bisect_left(positions, first)
+        hi = bisect_left(positions, first + stop - start, lo)
+        if lo < hi:
+            runs.append((table, start - first, positions[lo:hi]))
+    return runs
+
+
+def _check_key(
+    reads: list[tuple[OperationTable, int, array]],
+    writes: list[tuple[OperationTable, int, array]],
+) -> list[Anomaly]:
+    """Anomalous-read detection for one key (TAO-style), in O(log W) per read.
+
+    With the key's writes sorted by response time and a running maximum of
+    their invocation times, "some write strictly followed the source and
+    strictly preceded the read" is one comparison: the latest invocation
+    among writes that returned before the read began, against the source's
+    response.  The source itself never passes it (it is invoked before it
+    returns).
+    """
+    # value -> (invoked_at, returned_at) of the one write of it
+    sources: dict[Hashable, tuple[float, float]] = {}
+    by_response: list[tuple[float, float, OperationTable, int]] = []
+    for table, offset, positions in writes:
+        times, data = table.times, table.data
+        for position in positions:
+            i = position + offset
+            value = data[i]
+            if value in sources:
+                raise CheckerError(
+                    f"duplicate write value {value!r}; the checker needs "
+                    "unique write values per key"
+                )
+            interval = sources[value] = (times[2 * i], times[2 * i + 1])
+            by_response.append((interval[1], interval[0], table, i))
+    by_response.sort(key=_response)
+    returned = [w[0] for w in by_response]
+    # latest[j]: the last invocation among by_response[:j + 1]
+    latest = list(accumulate((w[1] for w in by_response), max))
+
     anomalies: list[Anomaly] = []
-    for read in ops:
-        if not read.is_read:
-            continue
-        anomalies.extend(_check_read(read, writes, write_by_value))
+    for table, offset, positions in reads:
+        times, data = table.times, table.data
+        for position in positions:
+            i = position + offset
+            output = data[i]
+            invoked_at = times[2 * i]
+            if output is None:
+                # Reading the initial value: anomalous if any write strictly
+                # preceded the read in real time.
+                if returned and returned[0] < invoked_at:
+                    _ret, _inv, other, row = by_response[0]
+                    detail = (
+                        f"returned initial value although write of "
+                        f"{other.data[row]!r} completed at {_ret:.6f} "
+                        f"before the read began at {invoked_at:.6f}"
+                    )
+                    anomalies.append(_anomaly(table, i, "stale-read", detail))
+                continue
+            source = sources.get(output)
+            if source is None:
+                detail = f"returned {output!r}, which no client wrote"
+                anomalies.append(_anomaly(table, i, "dirty-read", detail))
+            elif source[0] > times[2 * i + 1]:
+                detail = (
+                    f"returned {output!r} before its write was invoked "
+                    f"({source[0]:.6f} > {times[2 * i + 1]:.6f})"
+                )
+                anomalies.append(_anomaly(table, i, "future-read", detail))
+            else:
+                before = bisect_left(returned, invoked_at)
+                if before and latest[before - 1] > source[1]:
+                    _ret, _inv, other, row = max(by_response[:before], key=_invocation)
+                    detail = (
+                        f"returned {output!r} although {other.data[row]!r} was "
+                        f"written strictly in between"
+                    )
+                    anomalies.append(_anomaly(table, i, "stale-read", detail))
+    # Reads in (invoked_at, returned_at) order, ties in input order.
+    anomalies.sort(key=lambda a: (a.read.invoked_at, a.read.returned_at))
     return anomalies
 
 
-def _check_read(
-    read: Operation,
-    writes: list[Operation],
-    write_by_value: dict[Hashable, Operation],
-) -> list[Anomaly]:
-    value = read.output
-    if value is None:
-        # Reading the initial value: anomalous if any write strictly
-        # preceded the read in real time.
-        for w in writes:
-            if w.returned_at < read.invoked_at:
-                return [
-                    Anomaly(
-                        read,
-                        "stale-read",
-                        f"returned initial value although write of {w.value!r} "
-                        f"completed at {w.returned_at:.6f} before the read "
-                        f"began at {read.invoked_at:.6f}",
-                    )
-                ]
-        return []
-    source = write_by_value.get(value)
-    if source is None:
-        return [
-            Anomaly(read, "dirty-read", f"returned {value!r}, which no client wrote")
-        ]
-    if source.invoked_at > read.returned_at:
-        return [
-            Anomaly(
-                read,
-                "future-read",
-                f"returned {value!r} before its write was invoked "
-                f"({source.invoked_at:.6f} > {read.returned_at:.6f})",
-            )
-        ]
-    # Stale read: some other write strictly follows the source write and
-    # strictly precedes the read.
-    for w2 in writes:
-        if w2 is source:
-            continue
-        if w2.invoked_at > source.returned_at and w2.returned_at < read.invoked_at:
-            return [
-                Anomaly(
-                    read,
-                    "stale-read",
-                    f"returned {value!r} although {w2.value!r} was written "
-                    f"strictly in between",
-                )
-            ]
-    return []
+def _response(write: tuple[float, float, OperationTable, int]) -> float:
+    return write[0]
+
+
+def _invocation(write: tuple[float, float, OperationTable, int]) -> float:
+    return write[1]
+
+
+def _anomaly(table: OperationTable, row: int, kind: str, detail: str) -> Anomaly:
+    return Anomaly(table.row(row), kind, detail)
 
 
 # ----------------------------------------------------------------------

@@ -245,7 +245,7 @@ class Replica:
             if not self._admit(message):
                 return
         weight = _CLASS_TRAITS[type(message)][0]
-        # ServiceProfile.incoming_cost, written out.
+        # The receive cost (see ServiceProfile).
         profile = self._profile
         cost = profile.t_in * weight + size_bytes / profile.bandwidth_bps
         if self._priority_lanes and not isinstance(message, ClientRequest):
@@ -375,7 +375,7 @@ class Replica:
         weight, size, has_wire = _CLASS_TRAITS[type(message)]
         if has_wire:
             size = message.wire_size()
-        # ServiceProfile.outgoing_cost for one copy (``1 * x`` is ``x``).
+        # The send cost for one copy (see ServiceProfile).
         profile = self._profile
         cost = profile.t_out * weight + size / profile.bandwidth_bps
         if self._tracer.enabled and type(message) is ClientReply:
@@ -397,7 +397,7 @@ class Replica:
         weight, size, has_wire = _CLASS_TRAITS[type(message)]
         if has_wire:
             size = message.wire_size()
-        # ServiceProfile.outgoing_cost: t_out once, NIC time per copy.
+        # The send cost: t_out once, NIC time per copy (see ServiceProfile).
         profile = self._profile
         cost = profile.t_out * weight + len(targets) * (size / profile.bandwidth_bps)
         self._server.submit(cost, self._network.transit_all, self.id, targets, message, size)

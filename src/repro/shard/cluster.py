@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.errors import ConfigError, PlacementError
 from repro.paxi.deployment import Deployment, ReplicaFactory
-from repro.paxi.history import Operation
+from repro.paxi.history import HistoryView
 from repro.paxi.message import Command
 from repro.sim.clock import EventLoop
 from repro.shard.placement import HashPlacement, ShardSpec
@@ -173,7 +173,8 @@ class _MergedHistory:
     All groups share one event loop, so ``invoked_at`` / ``returned_at``
     are globally comparable and the merged history is a sound input for
     the (per-key) linearizability checker: every key's operations all come
-    from whichever group(s) owned it.
+    from whichever group(s) owned it.  The views are the groups' views one
+    after another, in group order; no row is copied or sorted.
     """
 
     def __init__(self, cluster: "ShardedCluster") -> None:
@@ -183,28 +184,11 @@ class _MergedHistory:
         return [group.history for group in self._cluster.groups]
 
     @property
-    def operations(self) -> list[Operation]:
-        out: list[Operation] = []
-        for recorder in self._recorders():
-            out.extend(recorder.operations)
-        out.sort(key=lambda op: op.invoked_at)
-        return out
+    def operations(self) -> HistoryView:
+        return HistoryView.concat(recorder.operations for recorder in self._recorders())
 
-    def snapshot(self) -> list[Operation]:
-        out: list[Operation] = []
-        for recorder in self._recorders():
-            out.extend(recorder.snapshot())
-        out.sort(key=lambda op: op.invoked_at)
-        return out
-
-    def per_key(self) -> dict[Hashable, list[Operation]]:
-        grouped: dict[Hashable, list[Operation]] = {}
-        for operation in self.operations:
-            grouped.setdefault(operation.key, []).append(operation)
-        return grouped
-
-    def latencies(self) -> list[float]:
-        return [op.latency for op in self.operations]
+    def snapshot(self) -> HistoryView:
+        return HistoryView.concat(recorder.snapshot() for recorder in self._recorders())
 
     @property
     def in_flight(self) -> int:

@@ -55,30 +55,17 @@ class ServiceProfile:
     around 8,000 rounds/s, the figure the paper reports for m5.large
     instances (Figure 7): ``ts = 2*t_out + N*t_in + 2*N*size/bandwidth``
     = 2*10us + 9*10us + 18*0.8us = 124.4 us -> ~8,040 rounds/s.
+
+    A replica (``repro.paxi.node``) charges its queue
+    ``t_in*weight + size/bandwidth`` for a received message and
+    ``t_out*weight + copies*(size/bandwidth)`` for one sent to ``copies``
+    peers: serialization once, NIC time per copy.
     """
 
     t_in: float = 10e-6
     t_out: float = 10e-6
     bandwidth_bps: float = 1e9 / 8.0  # 1 Gb/s expressed in bytes per second
     default_message_bytes: int = 100
-
-    def nic_seconds(self, size_bytes: int) -> float:
-        """Time to push ``size_bytes`` through the NIC."""
-        return size_bytes / self.bandwidth_bps
-
-    def incoming_cost(self, size_bytes: int, weight: float = 1.0) -> float:
-        """Queue occupancy for one received message."""
-        return self.t_in * weight + self.nic_seconds(size_bytes)
-
-    def outgoing_cost(self, size_bytes: int, copies: int = 1, weight: float = 1.0) -> float:
-        """Queue occupancy for sending one message to ``copies`` peers.
-
-        Serialization (``t_out``) is paid once; NIC transmission is paid per
-        copy, matching the paper's broadcast accounting.
-        """
-        if copies < 1:
-            raise SimulationError(f"outgoing message needs >=1 copy, got {copies}")
-        return self.t_out * weight + copies * self.nic_seconds(size_bytes)
 
 
 @dataclass(slots=True)

@@ -10,6 +10,8 @@ from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.checkers.consensus import check_deployment
 from repro.checkers.linearizability import check_history
+from repro.errors import CheckerError
+from repro.paxi.history import HistoryRecorder, HistoryView
 
 
 def run_protocol(
@@ -37,6 +39,36 @@ def assert_correct(deployment: Deployment) -> None:
     assert linearizable.ok, [a.detail for a in linearizable.anomalies[:3]]
     consensus = check_deployment(deployment)
     assert consensus.ok, consensus.violations[:3]
+
+
+@pytest.fixture
+def columns_agree(request, monkeypatch):
+    """Route the test module's ``check_history`` through every input form
+    — a list, a recorder holding the same rows, and the view it was given
+    — and require one identical ``CheckResult`` from all of them."""
+    module = request.module
+    check = module.check_history
+
+    def checked(operations):
+        rows = list(operations)
+        recorder = HistoryRecorder()
+        for operation in rows:
+            recorder.record(operation)
+        inputs = [recorder.operations]
+        if isinstance(operations, HistoryView):
+            inputs.append(operations)
+        try:
+            result = check(rows)
+        except CheckerError:
+            for other in inputs:
+                with pytest.raises(CheckerError):
+                    check(other)
+            raise
+        for other in inputs:
+            assert check(other) == result
+        return result
+
+    monkeypatch.setattr(module, "check_history", checked)
 
 
 @pytest.fixture

@@ -37,6 +37,9 @@ import pytest
 
 from tests.conftest import assert_correct, run_protocol
 
+# Every history checked here is checked as a list and as recorder columns.
+pytestmark = pytest.mark.usefixtures("columns_agree")
+
 
 @dataclass(frozen=True)
 class LazyReplicate(Message):

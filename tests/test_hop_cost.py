@@ -37,9 +37,6 @@ FORWARDERS = (
     ("sim/clock.py", "__init__"),  # EventHandle wrapping its heap entry
     ("sim/clock.py", "call_after"),
     ("sim/clock.py", "now"),  # EventLoop.now / NodeClock.now as a property
-    ("sim/server.py", "nic_seconds"),
-    ("sim/server.py", "incoming_cost"),
-    ("sim/server.py", "outgoing_cost"),
 )
 
 
@@ -85,10 +82,9 @@ class _Wired:
 
 
 def test_charged_costs_are_the_service_profile_formulas(monkeypatch):
-    """``on_network_receive`` / ``send`` / ``multicast`` write the cost
-    expressions out instead of calling ``ServiceProfile``; its methods are
-    the documented reference, and this is what ties the two together — an
-    edit to either side alone fails here, bit for bit."""
+    """``on_network_receive`` / ``send`` / ``multicast`` charge
+    ``t·weight + copies·size/bandwidth`` from the ``ServiceProfile``
+    (``t_in`` received, ``t_out`` sent; one copy received), bit for bit."""
     # Three peers: ``2 * x`` is exact however the NIC term is grouped.
     deployment = Deployment(Config.lan(1, 4, seed=11)).start(MultiPaxos)
     replica = deployment.replicas[NodeID(1, 1)]
@@ -103,9 +99,10 @@ def test_charged_costs_are_the_service_profile_formulas(monkeypatch):
         replica.on_network_receive(peers[0], message, size)
         replica.send(peers[0], message)
         replica.multicast(peers, message)
+        nic = size / profile.bandwidth_bps
         assert charged == [
-            (profile.incoming_cost(size, weight), "_dispatch"),
-            (profile.outgoing_cost(size, 1, weight), "transit"),
-            (profile.outgoing_cost(size, len(peers), weight), "transit_all"),
+            (profile.t_in * weight + nic, "_dispatch"),
+            (profile.t_out * weight + nic, "transit"),
+            (profile.t_out * weight + len(peers) * nic, "transit_all"),
         ]
         charged.clear()

@@ -4,12 +4,14 @@ Four things used to grow with every operation and be read by nobody: a
 slot's vote set after the slot committed, the cached reply to a request
 its client had long concluded, one ``Version`` object per write, and
 MultiPaxos's executed log entries.  The client edge kept per-request
-maps, tuples and sets the same way.  The guard counts objects on short
+maps, tuples and sets the same way, and the operation history kept one
+``Operation`` object per row where it now keeps columns.  The guard counts objects on short
 seeded runs of two lengths — it does not weigh the process — so it is
 deterministic and runs in the quick loop.
 """
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.bench.workload import WorkloadSpec
 from repro.paxi.client import Client
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
-from repro.paxi.history import Operation
+from repro.paxi.history import HistoryRecorder, Operation
 from repro.paxi.replies import ReplyTable
 from repro.protocols.fpaxos import FPaxos
 from repro.protocols.mencius import Mencius
@@ -158,9 +160,8 @@ def test_client_edge_keeps_only_what_it_reports():
                 assert row.above.bit_length() <= issued[client]
                 slots = [getattr(row, name) for name in type(row).__slots__]
                 assert not [s for s in slots if isinstance(s, set)]
-        ops = [o for o in gc.get_objects() if type(o) is Operation]
-        assert len(ops) >= result.completed
-        assert not [o for o in ops if hasattr(o, "__dict__")]
+        assert len(dep.history) >= result.completed
+        assert not hasattr(dep.history.operations[0], "__dict__")
         completed.append(result.completed)
     assert completed[1] > 3 * completed[0]
 
@@ -248,3 +249,58 @@ def test_sharded_edge_is_flat_in_run_length():
                         assert not [s for s in slots if isinstance(s, dict)]
         completed.append(result.completed)
     assert completed[1] > 3 * completed[0]
+
+
+def _operations_alive() -> set[int]:
+    gc.collect()
+    return {id(o) for o in gc.get_objects() if type(o) is Operation}
+
+
+def test_drained_runs_keep_no_operation_objects():
+    """The history holds its rows as columns: after a drained, checked run
+    no ``Operation`` the run made is alive — on one deployment and on a
+    2-group sharded cluster."""
+    before = _operations_alive()
+    dep, result = _closed_loop(MultiPaxos, N)
+    dep.run_for(0.1)
+    assert dep.history.in_flight == 0 and len(dep.history) >= result.completed > 0
+    assert dep.verify() == (True, True)
+    assert not _operations_alive() - before
+
+    cluster = ShardedDeploymentFactory(
+        MultiPaxos, Config.lan(3, 3, seed=9), ShardSpec(count=2, buckets=8)
+    )()
+    bench = ShardedClosedLoopBenchmark(cluster, WorkloadSpec(keys=40), concurrency=CLIENTS)
+    result = bench.run(N, 0.02, 0.05)
+    cluster.run_for(0.1)
+    assert cluster.history.in_flight == 0 and len(cluster.history) >= result.completed > 0
+    assert all(len(group.history) for group in cluster.groups)
+    assert cluster.verify() == (True, True)
+    assert not _operations_alive() - before
+
+
+def test_history_row_costs_at_most_48_bytes():
+    """Measured over 10,000 rows fed through ``begin`` / ``complete``, with
+    the keys, values, clients and times made before tracing starts (the
+    workload owns those)."""
+    rows = 10_000
+    clients = [("client", c) for c in range(8)]
+    keys = [f"key-{i % 100}" for i in range(rows)]
+    values = [f"value-{i}" for i in range(rows)]
+    times = [i * 1e-4 for i in range(2 * rows)]
+    recorder = HistoryRecorder()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(rows):
+            write = i % 10 == 0
+            token = recorder.begin(
+                clients[i % 8], "PUT" if write else "GET", keys[i],
+                values[i] if write else None, times[2 * i],
+            )  # fmt: skip
+            recorder.complete(token, values[i], times[2 * i + 1])
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(recorder) == rows
+    assert grown / rows <= 48, grown / rows

@@ -114,10 +114,10 @@ class TestRecorder:
         rec = HistoryRecorder()
         token = rec.begin("c1", "PUT", "k", "v", 1.0)
         assert rec.in_flight == 1
-        op = rec.complete(token, "v", 2.0)
+        rec.complete(token, "v", 2.0)
         assert rec.in_flight == 0
         assert len(rec) == 1
-        assert op.latency == pytest.approx(1.0)
+        assert rec.operations[0].latency == pytest.approx(1.0)
 
     def test_snapshot_includes_pending_writes_with_open_interval(self):
         rec = HistoryRecorder()
@@ -136,14 +136,14 @@ class TestRecorder:
         rec.record(Operation("c", "PUT", "k", 2, 2, invoked_at=5.0, returned_at=6.0))
         rec.record(Operation("c", "PUT", "k", 1, 1, invoked_at=1.0, returned_at=2.0))
         rec.record(Operation("c", "PUT", "j", 3, 3, invoked_at=0.0, returned_at=1.0))
-        grouped = rec.per_key()
-        assert [op.value for op in grouped["k"]] == [1, 2]
-        assert len(grouped["j"]) == 1
+        ops = sorted(rec.snapshot(), key=lambda o: o.invoked_at)
+        assert [op.value for op in ops if op.key == "k"] == [1, 2]
+        assert len([op for op in ops if op.key == "j"]) == 1
 
     def test_latencies(self):
         rec = HistoryRecorder()
         rec.record(Operation("c", "GET", "k", None, 1, invoked_at=0.0, returned_at=0.25))
-        assert rec.latencies() == [0.25]
+        assert [op.latency for op in rec.snapshot()] == [0.25]
 
 
 @given(st.lists(st.integers(), min_size=1, max_size=30))

@@ -8,6 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
+from repro.paxi.config import Config
+from repro.paxi.deployment import Deployment
+from repro.paxi.ids import NodeID
+from repro.protocols.paxos import MultiPaxos
 from repro.sim.clock import EventLoop
 from repro.sim.server import Server, ServerStats, ServiceProfile
 
@@ -117,31 +121,67 @@ def test_completion_callback_can_submit_more():
     assert done == [1.0, 2.0, 3.0]
 
 
+class _Probe:
+    """A message the replica's cost path can price: class traits only."""
+
+    WEIGHT = 1.0
+    SIZE_BYTES = 100
+
+
+class _Heavy(_Probe):
+    WEIGHT = 2.0
+
+
+def _charging_replica(monkeypatch, profile):
+    """A replica of a 6-node cluster on ``profile`` that records what it
+    charges its server queue instead of running the job."""
+    deployment = Deployment(Config.lan(1, 6, seed=1, profile=profile)).start(MultiPaxos)
+    replica = deployment.replicas[NodeID(1, 1)]
+    charged = []
+    monkeypatch.setattr(replica._server, "submit", lambda cost, fn, *args: charged.append(cost))
+    return replica, charged
+
+
 class TestServiceProfile:
+    """A replica charges ``t·weight + copies·size/bandwidth``: ``t_in`` and
+    one copy for a received message, ``t_out`` once and one NIC copy per
+    peer for a sent one."""
+
+    PROFILE = ServiceProfile(t_in=1e-6, t_out=2e-6, bandwidth_bps=1e6)
+
     def test_default_paxos_calibration(self):
         """The default profile puts 9-node Paxos saturation near 8,000/s
         (paper Figure 7)."""
         p = ServiceProfile()
-        ts = p.t_out * 2 + 9 * p.t_in + 18 * p.nic_seconds(100)
+        ts = p.t_out * 2 + 9 * p.t_in + 18 * (100 / p.bandwidth_bps)
         assert 1 / ts == pytest.approx(8000, rel=0.05)
 
-    def test_incoming_cost(self):
-        p = ServiceProfile(t_in=1e-6, t_out=2e-6, bandwidth_bps=1e6)
-        assert p.incoming_cost(100) == pytest.approx(1e-6 + 100 / 1e6)
+    def test_incoming_cost(self, monkeypatch):
+        replica, charged = _charging_replica(monkeypatch, self.PROFILE)
+        replica.on_network_receive(replica.peers[0], _Probe(), 100)
+        assert charged == [pytest.approx(1e-6 + 100 / 1e6)]
 
-    def test_outgoing_cost_serializes_once(self):
-        p = ServiceProfile(t_in=1e-6, t_out=2e-6, bandwidth_bps=1e6)
-        one = p.outgoing_cost(100, copies=1)
-        many = p.outgoing_cost(100, copies=5)
+    def test_outgoing_cost_serializes_once(self, monkeypatch):
+        replica, charged = _charging_replica(monkeypatch, self.PROFILE)
+        replica.send(replica.peers[0], _Probe())
+        replica.multicast(replica.peers, _Probe())
+        one, many = charged
+        assert len(replica.peers) == 5
+        assert one == pytest.approx(2e-6 + 100 / 1e6)
         assert many - one == pytest.approx(4 * 100 / 1e6)
 
-    def test_weight_scales_cpu_only(self):
-        p = ServiceProfile(t_in=1e-6, t_out=2e-6, bandwidth_bps=1e6)
-        assert p.incoming_cost(100, weight=2.0) == pytest.approx(2e-6 + 1e-4)
+    def test_weight_scales_cpu_only(self, monkeypatch):
+        replica, charged = _charging_replica(monkeypatch, self.PROFILE)
+        replica.on_network_receive(replica.peers[0], _Heavy(), 100)
+        assert charged == [pytest.approx(2e-6 + 1e-4)]
 
-    def test_zero_copies_rejected(self):
-        with pytest.raises(SimulationError):
-            ServiceProfile().outgoing_cost(100, copies=0)
+    def test_zero_copies_rejected(self, monkeypatch):
+        """A multicast with no peer but the sender is not sent: it costs
+        nothing."""
+        replica, charged = _charging_replica(monkeypatch, self.PROFILE)
+        replica.multicast([], _Probe())
+        replica.multicast([replica.id], _Probe())
+        assert charged == []
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0, allow_nan=False), min_size=1, max_size=30))
