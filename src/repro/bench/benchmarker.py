@@ -19,8 +19,9 @@ completed operations per virtual second within the measurement window.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro.bench.stats import LatencySummary
 from repro.bench.workload import WorkloadGenerator, WorkloadSpec
@@ -48,9 +49,11 @@ class BenchmarkResult:
 
     throughput: float  # completed ops / virtual second (measurement window)
     latency: LatencySummary  # milliseconds
-    latencies_ms: list[float] = field(repr=False, default_factory=list)
+    # In-window samples in completion order; the drivers hand over
+    # ``array('d')``s, eight bytes a sample.
+    latencies_ms: Sequence[float] = field(repr=False, default_factory=list)
     per_site: dict[str, LatencySummary] = field(default_factory=dict)
-    per_site_latencies: dict[str, list[float]] = field(repr=False, default_factory=dict)
+    per_site_latencies: dict[str, Sequence[float]] = field(repr=False, default_factory=dict)
     completed: int = 0
     failed: int = 0
     window: float = 0.0
@@ -74,7 +77,7 @@ class _RunState:
 
     Every driver hands each completion to :meth:`record` as it happens; only
     a completion inside ``[warmup_end, end_time]`` is kept, converted to
-    milliseconds once, the same float going to the run's list and its
+    milliseconds once and packed as a double into the run's array and its
     site's.  Nothing else is kept per request.
     """
 
@@ -83,8 +86,8 @@ class _RunState:
     def __init__(self, warmup_end: float = math.inf, end_time: float = math.inf) -> None:
         self.warmup_end = warmup_end
         self.end_time = end_time
-        self.latencies_ms: list[float] = []
-        self.per_site: dict[str, list[float]] = {}
+        self.latencies_ms = array("d")
+        self.per_site: dict[str, array] = {}
 
     @property
     def window(self) -> float:
@@ -99,7 +102,7 @@ class _RunState:
         self.latencies_ms.append(latency_ms)
         samples = self.per_site.get(site)
         if samples is None:
-            samples = self.per_site[site] = []
+            samples = self.per_site[site] = array("d")
         samples.append(latency_ms)
         return True
 

@@ -33,7 +33,7 @@ from typing import Any, Hashable
 SpanKey = tuple[Hashable, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanEvent:
     name: str
     t: float
@@ -47,9 +47,13 @@ class SpanEvent:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """The life of one client request, in virtual time."""
+    """The life of one client request, in virtual time.
+
+    One per traced request and one :class:`SpanEvent` per hop, so both are
+    slotted: neither carries a ``__dict__`` or takes ad-hoc attributes.
+    """
 
     client: Hashable
     request_id: int

@@ -464,25 +464,30 @@ class Replica:
         self,
         kind: str,
         data: Any,
+        *,
         slot: int | None = None,
-        size_bytes: int = WAL_RECORD_BYTES,
-        then: Callable[[], None] | None = None,
+        command: Any = None,
+        then: Callable[..., None] | None = None,
+        args: tuple = (),
     ) -> None:
-        """Append a WAL record and run ``then()`` once it is durable.
+        """Append a WAL record and run ``then(*args)`` once it is durable.
 
         With durability off this *is* the seed's in-memory behavior:
-        ``then()`` runs synchronously and nothing else happens — no job is
-        submitted, no cost is charged, accounting stays byte-identical.
-        With durability on, the record goes through the node's
+        ``then(*args)`` runs synchronously and nothing else happens — no
+        record is built, no job is submitted, no cost is charged.  With
+        durability on, the record goes through the node's
         :class:`~repro.sim.storage.WalWriter` (fsync-per-record or group
-        commit per :attr:`Config.durability`) and ``then()`` fires only
-        when the covering fsync completes.
+        commit per :attr:`Config.durability`) and ``then(*args)`` fires
+        only when the covering fsync completes.  ``command`` is the log
+        entry's command (or batch) the record carries; it sizes the record
+        (:func:`wal_record_bytes`).
         """
         if self._wal_writer is None:
             if then is not None:
-                then()
+                then(*args)
             return
-        self._wal_writer.persist(WalRecord(kind, slot, data, size_bytes), then)
+        record = WalRecord(kind, slot, data, wal_record_bytes(command))
+        self._wal_writer.persist(record, then, args)
 
     def maybe_snapshot(self, executed_upto: int) -> None:
         """Write a periodic disk snapshot if the configured interval has

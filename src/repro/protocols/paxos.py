@@ -39,7 +39,6 @@ from typing import Any, Hashable
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
 from repro.paxi.message import Batch, ClientReply, ClientRequest, Message
-from repro.paxi.node import wal_record_bytes
 from repro.paxi.quorum import MajorityQuorum, Quorum
 from repro.paxi.recovery import (
     CatchupReply,
@@ -364,7 +363,7 @@ class MultiPaxos(LeaderLog):
             # The promise must survive a reboot before the candidate can
             # count it, so the P1b waits for the WAL record's fsync.
             reply = P1b(ballot=m.ballot, ok=True, entries=self.log.snapshots(above=m.commit_upto))
-            self.persist("promise", m.ballot, then=lambda: self.send(src, reply))
+            self.persist("promise", m.ballot, then=self.send, args=(src, reply))
             self._reset_election_timer()
         else:
             self.send(src, P1b(ballot=self.promised, ok=False))
@@ -458,8 +457,9 @@ class MultiPaxos(LeaderLog):
             "accept",
             (slot, self.ballot, command, request),
             slot=slot,
-            size_bytes=wal_record_bytes(command),
-            then=lambda: self._self_ack(slot, check_commit),
+            command=command,
+            then=self._self_ack,
+            args=(slot, check_commit),
         )
 
     def _self_ack(self, slot: int, check_commit: bool) -> None:
@@ -569,8 +569,9 @@ class MultiPaxos(LeaderLog):
                 "accept",
                 (m.slot, m.ballot, m.command, m.request),
                 slot=m.slot,
-                size_bytes=wal_record_bytes(m.command),
-                then=lambda: self.send(src, reply),
+                command=m.command,
+                then=self.send,
+                args=(src, reply),
             )
             self._on_watermark(m.commit_upto, m.ballot, src)
             self._reset_election_timer()

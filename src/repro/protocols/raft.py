@@ -29,13 +29,14 @@ from typing import Any, Hashable
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
 from repro.paxi.message import Batch, ClientReply, ClientRequest, Message
-from repro.paxi.node import wal_record_bytes
 from repro.protocols.leaderlog import LeaderLog
 from repro.protocols.log import EntryCommand, entry_pairs
 from repro.sim.storage import Snapshot
 
 # One replicated log record: (term, command-or-batch, request-info(s))
 LogRecord = tuple[int, EntryCommand, Any]
+# One log position, (index, record): built once by the proposing leader
+LogEntry = tuple[int, LogRecord]
 
 FOLLOWER, CANDIDATE, LEADER = "follower", "candidate", "leader"
 
@@ -64,7 +65,7 @@ class AppendEntries(Message):
     term: int = 0
     prev_index: int = 0
     prev_term: int = 0
-    entries: tuple[tuple[int, LogRecord], ...] = ()  # (index, record)
+    entries: tuple[LogEntry, ...] = ()
     leader_commit: int = 0
     lease_seq: int = 0  # leader-lease grant round (0 = leases off)
     #: Leader-clock stamp at heartbeat-timer fire, set on empty-entries
@@ -148,7 +149,7 @@ class Raft(LeaderLog):
         self.term = 0
         self.state = FOLLOWER
         self.voted_for: NodeID | None = None
-        self.log: list[tuple[int, LogRecord]] = []  # [(index, record)], 1-based
+        self.log: list[LogEntry] = []  # 1-based indices
         self.commit_index = 0
         self.last_applied = 0
         # Log-compaction boundary: entries at or below _snap_index live only
@@ -244,9 +245,7 @@ class Raft(LeaderLog):
             last_log_term=self.last_log_term,
             handoff_from=token,
         )
-        self.persist(
-            "term", (term, self.id), then=lambda: self._solicit_votes(term, request)
-        )
+        self.persist("term", (term, self.id), then=self._solicit_votes, args=(term, request))
 
     def _solicit_votes(self, term: int, request: RequestVote) -> None:
         if self.term != term or self.state != CANDIDATE:
@@ -280,11 +279,8 @@ class Raft(LeaderLog):
             self._reset_election_timer()
             # The vote leaves the node only after it is durable.
             term = self.term
-            self.persist(
-                "term",
-                (term, src),
-                then=lambda: self.send(src, VoteReply(term=term, granted=True)),
-            )
+            granted = VoteReply(term=term, granted=True)
+            self.persist("term", (term, src), then=self.send, args=(src, granted))
             return
         self.send(src, VoteReply(term=self.term, granted=grant))
 
@@ -372,17 +368,16 @@ class Raft(LeaderLog):
 
     def _propose(self, command: EntryCommand, request: Any) -> None:
         index = self.last_log_index + 1
-        record: LogRecord = (self.term, command, request)
-        self.log.append((index, record))
+        # The one (index, record) pair for this entry: every log holding
+        # it, every AppendEntries carrying it and every WAL record of it
+        # share this object.
+        entry: LogEntry = (index, (self.term, command, request))
+        self.log.append(entry)
         # The leader's own record joins the commit count only once durable
         # (synchronously for in-memory configs, after the fsync otherwise);
         # the local disk write overlaps the AppendEntries round trips.
         self.persist(
-            "append",
-            (index, record),
-            slot=index,
-            size_bytes=wal_record_bytes(record[1]),
-            then=lambda: self._mark_durable(index),
+            "append", entry, slot=index, command=command, then=self._mark_durable, args=(index,)
         )
         self._replicate()
 
@@ -480,17 +475,18 @@ class Raft(LeaderLog):
                 ),
             )
             return
-        appended: list[tuple[int, LogRecord]] = []
-        for index, record in m.entries:
+        appended: list[LogEntry] = []
+        for entry in m.entries:
+            index = entry[0]
             if index <= self._snap_index:
                 continue  # compacted away: already applied and durable
-            if index <= self.last_log_index and self._term_at(index) != record[0]:
+            if index <= self.last_log_index and self._term_at(index) != entry[1][0]:
                 del self.log[self._pos(index) :]  # conflict: truncate the suffix
                 self._durable_index = min(self._durable_index, index - 1)
                 self.persist("truncate", index, slot=index)
             if index > self.last_log_index:
-                self.log.append((index, record))
-                appended.append((index, record))
+                self.log.append(entry)  # the leader's pair, not a copy
+                appended.append(entry)
         if m.leader_commit > self.commit_index:
             self.commit_index = min(m.leader_commit, self.last_log_index)
             self._apply()
@@ -503,30 +499,26 @@ class Raft(LeaderLog):
         if appended:
             # One WAL record per entry; the success reply waits for the
             # last record's sync (group commit folds them into one fsync).
-            for index, record in appended[:-1]:
+            last = appended.pop()
+            for entry in appended:
+                index = entry[0]
                 self.persist(
-                    "append",
-                    (index, record),
-                    slot=index,
-                    size_bytes=wal_record_bytes(record[1]),
-                    then=lambda i=index: self._mark_durable(i),
-                )
-            last_index, last_record = appended[-1]
-
-            def _synced() -> None:
-                self._mark_durable(last_index)
-                self.send(src, reply)
-
+                    "append", entry, slot=index, command=entry[1][1],
+                    then=self._mark_durable, args=(index,),
+                )  # fmt: skip
+            index = last[0]
             self.persist(
-                "append",
-                (last_index, last_record),
-                slot=last_index,
-                size_bytes=wal_record_bytes(last_record[1]),
-                then=_synced,
-            )
+                "append", last, slot=index, command=last[1][1],
+                then=self._synced, args=(index, src, reply),
+            )  # fmt: skip
         else:
             self.send(src, reply)
         self._maybe_finish_recovery()
+
+    def _synced(self, index: int, src: Hashable, reply: AppendReply) -> None:
+        """A follower's last appended record hit disk: it may now ack."""
+        self._mark_durable(index)
+        self.send(src, reply)
 
     def _maybe_finish_recovery(self) -> None:
         if (
@@ -701,13 +693,13 @@ class Raft(LeaderLog):
                     if term >= self.term:
                         self.term, self.voted_for = term, voted
                 elif record.kind == "append":
-                    index, rec = record.data
+                    index = record.data[0]
                     if index <= self._snap_index:
                         continue
                     pos = self._pos(index)
                     if pos < len(self.log):
                         del self.log[pos:]
-                    self.log.append((index, rec))
+                    self.log.append(record.data)
                 elif record.kind == "truncate":
                     pos = self._pos(record.data)
                     if 0 <= pos < len(self.log):

@@ -78,14 +78,15 @@ class DiskProfile:
         return self.fsync_latency + size_bytes / self.write_bandwidth_bps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalRecord:
     """One durable log record.
 
     ``kind`` is protocol-defined (``"promise"``, ``"accept"``, ``"term"``,
     ``"append"``, ``"truncate"``...).  ``slot`` tags records that belong to
     one log position so snapshotting can truncate them; slot-less records
-    (ballot promises, term/vote pairs) survive truncation.
+    (ballot promises, term/vote pairs) survive truncation.  A durable run
+    keeps one per log entry, so the record is slotted: no ``__dict__``.
     """
 
     kind: str
@@ -177,9 +178,9 @@ class Disk:
 class WalWriter:
     """The volatile write path from a replica to its :class:`Disk`.
 
-    ``persist(record, then)`` schedules ``record`` for durability and
-    invokes ``then()`` (if given) once the covering fsync completes.  The
-    fsync occupies the node's single CPU+NIC queue via
+    ``persist(record, then, args)`` schedules ``record`` for durability
+    and invokes ``then(*args)`` (if given) once the covering fsync
+    completes.  The fsync occupies the node's single CPU+NIC queue via
     ``server.submit``, so durability contends with message processing.
 
     Two modes:
@@ -199,7 +200,7 @@ class WalWriter:
     for lost records never fire.
     """
 
-    _Entry = tuple  # (WalRecord, callback | None)
+    _Entry = tuple  # (WalRecord, callback | None, callback args)
 
     def __init__(self, server: Any, disk: Disk, mode: str) -> None:
         if mode not in ("fsync", "group"):
@@ -216,17 +217,19 @@ class WalWriter:
         """Records handed over but not yet durable."""
         return len(self._pending) + self._inflight
 
-    def persist(self, record: WalRecord, then: Callable[[], None] | None = None) -> None:
+    def persist(
+        self, record: WalRecord, then: Callable[..., None] | None = None, args: tuple = ()
+    ) -> None:
         if self.mode == "fsync":
-            self._submit_sync([(record, then)])
+            self._submit_sync([(record, then, args)])
         else:
-            self._pending.append((record, then))
+            self._pending.append((record, then, args))
             if self._inflight == 0:
                 self._submit_sync(self._pending)
                 self._pending = []
 
     def _submit_sync(self, group: list) -> None:
-        size = sum(r.size_bytes for r, _ in group)
+        size = sum(entry[0].size_bytes for entry in group)
         self._inflight += len(group)
         self._server.submit(
             self._disk.profile.sync_cost(size), self._sync_done, self._epoch, group
@@ -237,11 +240,11 @@ class WalWriter:
             return  # stale sync from before a power failure
         self._inflight -= len(group)
         self._disk.fsyncs += 1
-        for record, _ in group:
+        for record, _then, _args in group:
             self._disk.wal.append(record)
-        for _, then in group:
+        for _record, then, args in group:
             if then is not None:
-                then()
+                then(*args)
         if self._pending and self._inflight == 0:
             self._submit_sync(self._pending)
             self._pending = []

@@ -1,6 +1,8 @@
 """Tests for latency statistics and benchmark drivers."""
 
 import math
+import pickle
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -174,14 +176,41 @@ def test_in_window_recorder_matches_the_post_run_filter(monkeypatch):
         else:
             assert result.goodput_timeline == expected.pop("goodput_timeline")
         assert result.completed > 100
-        assert {name: getattr(result, name) for name in expected} == expected
+        assert _reported(result, expected) == expected
     # Both window edges are inclusive, which no simulated completion hits.
     state = _RunState(1.0, 2.0)
     edges = [(0.9, 1e-3, "a"), (1.0, 2e-3, "b"), (2.0, 3e-3, "a"), (2.1, 4e-3, "a")]
     assert [state.record(*edge) for edge in edges] == [False, True, True, False]
     expected = _post_run_filter(edges, 1.0, 2.0, 1)
     del expected["goodput_timeline"]
-    assert {name: getattr(state.result(0), name) for name in expected} == expected
+    assert _reported(state.result(0), expected) == expected
+
+
+def _reported(result, expected):
+    """``result``'s fields named in ``expected``, its packed sample arrays
+    as lists of the same doubles (compared by ``repr``, so bit for bit)."""
+    got = {name: getattr(result, name) for name in expected}
+    got["latencies_ms"] = list(got["latencies_ms"])
+    got["per_site_latencies"] = {site: list(ls) for site, ls in got["per_site_latencies"].items()}
+    for name in ("latencies_ms", "per_site_latencies"):
+        assert repr(got[name]) == repr(expected[name])
+    return got
+
+
+def test_packed_result_pickles_and_summarizes_like_a_list():
+    """A result holds its samples as ``array('d')``: it crosses a process
+    boundary (``run_grid``) intact, and its summaries equal the ones a
+    plain list of the same samples gives."""
+    deployment = Deployment(Config.wan(("VA", "OH"), 1, seed=12)).start(MultiPaxos)
+    result = ClosedLoopBenchmark(deployment, WorkloadSpec(keys=20), 4).run(0.2, 0.05, 0.1)
+    assert type(result.latencies_ms) is array and result.completed > 50
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone == result
+    assert clone.latency == LatencySummary.of(list(result.latencies_ms)) == result.latency
+    for site, samples in result.per_site_latencies.items():
+        assert type(clone.per_site_latencies[site]) is array
+        assert result.per_site[site] == LatencySummary.of(list(samples))
+    assert cdf(result.latencies_ms, 10) == cdf(list(result.latencies_ms), 10)
 
 
 class TestSweep:

@@ -5,17 +5,22 @@ slot's vote set after the slot committed, the cached reply to a request
 its client had long concluded, one ``Version`` object per write, and
 MultiPaxos's executed log entries.  The client edge kept per-request
 maps, tuples and sets the same way, and the operation history kept one
-``Operation`` object per row where it now keeps columns.  The guard counts objects on short
+``Operation`` object per row where it now keeps columns.  What is kept per
+operation costs bytes, not objects: latency samples are packed doubles, a
+Raft entry is one pair shared by every log and WAL record that holds it,
+and WAL records and spans are slotted.  The guard counts objects on short
 seeded runs of two lengths — it does not weigh the process — so it is
 deterministic and runs in the quick loop.
 """
 
 import gc
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 
-from repro.bench.benchmarker import ClosedLoopBenchmark
+from repro.bench.benchmarker import ClosedLoopBenchmark, _RunState
 from repro.bench.openloop import OpenLoopEngine, PoissonArrivals
 from repro.bench.shard_bench import ShardedClosedLoopBenchmark, ShardedDeploymentFactory
 from repro.bench.workload import WorkloadSpec
@@ -23,6 +28,8 @@ from repro.paxi.client import Client
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.paxi.history import HistoryRecorder, Operation
+from repro.obs.tracing import Span, SpanEvent
+from repro.paxi import node
 from repro.paxi.replies import ReplyTable
 from repro.protocols.fpaxos import FPaxos
 from repro.protocols.mencius import Mencius
@@ -32,6 +39,7 @@ from repro.protocols.vpaxos import VPaxos
 from repro.protocols.wankeeper import WanKeeper
 from repro.protocols.wpaxos import WPaxos
 from repro.shard.placement import ShardSpec
+from repro.sim.storage import WalRecord
 
 from tests.conftest import run_protocol
 
@@ -146,13 +154,14 @@ def test_client_edge_keeps_only_what_it_reports():
         assert result.completed > 0 and all(c.failed == 0 for c in dep.clients)
         for client in dep.clients:
             assert not client._attempts_done and not client._key_versions
-        # The benchmark keeps one float per in-window sample, shared by the
-        # run's list and its site's, and no per-completion tuple.
-        held = list(_reachable(bench._state))
-        samples = {id(x) for x in bench._state.latencies_ms}
-        samples |= {id(x) for ls in bench._state.per_site.values() for x in ls}
-        assert len(samples) == result.completed
-        assert not [o for o in held if type(o) is tuple]
+        # The benchmark packs each in-window sample as a double into the
+        # run's array and its site's, and keeps no per-completion tuple.
+        state = bench._state
+        assert type(state.latencies_ms) is array and state.latencies_ms.typecode == "d"
+        assert all(type(ls) is array and ls.typecode == "d" for ls in state.per_site.values())
+        assert sum(len(ls) for ls in state.per_site.values()) == result.completed
+        assert len(state.latencies_ms) == result.completed
+        assert not [o for o in _reachable(state) if type(o) is tuple]
         issued = {c.address: c._next_request_id for c in dep.clients}
         for replica in dep.replicas.values():
             for client, row in replica.replies._rows.items():
@@ -304,3 +313,90 @@ def test_history_row_costs_at_most_48_bytes():
         tracemalloc.stop()
     assert len(recorder) == rows
     assert grown / rows <= 48, grown / rows
+
+
+def test_run_state_sample_costs_at_most_20_bytes():
+    """A kept sample is one double in the run's array and one in its
+    site's, measured over 10,000 ``record`` calls inside the window."""
+    samples = 10_000
+    latencies = [i * 1e-6 for i in range(samples)]
+    sites = ["VA", "OH"]
+    state = _RunState(0.0, 1.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(samples):
+            state.record(0.5, latencies[i], sites[i % 2])
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(state.latencies_ms) == samples
+    assert grown / samples <= 20, grown / samples
+
+
+def test_per_operation_records_are_slotted():
+    span = Span(("client", 1), 1, "GET", "k", 0.0)
+    span.mark("submit", 0.0, ("client", 1))
+    for record in (WalRecord("append", 1, None), span, span.events[0]):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    with pytest.raises(AttributeError):
+        span.note = "ad hoc"
+
+
+def test_raft_entry_is_one_pair_in_every_log_and_wal_record():
+    """A single leader proposes every entry: each follower's log position
+    and each ``append`` WAL record holds the leader's own pair."""
+    config = Config.lan(3, 3, seed=9, durability="group")
+    dep, result = run_protocol(Raft, config, WorkloadSpec(keys=20), CLIENTS, N)
+    assert result.completed > 0
+    leaders = [r for r in dep.replicas.values() if r.state == "leader"]
+    assert len(leaders) == 1 and leaders[0].term == 1
+    leader = leaders[0]
+    by_index = {entry[0]: entry for entry in leader.log}
+    for replica in dep.replicas.values():
+        assert replica._snap_index == 0 and len(replica.log) > 100
+        for entry in replica.log:
+            assert entry is by_index[entry[0]]
+    appended = 0
+    for replica in dep.replicas.values():
+        for record in replica.disk.wal.records:
+            if record.kind == "append":
+                assert record.data is replica.log[replica._pos(record.slot)]
+                appended += 1
+    assert appended > 3 * len(leader.log) // 2
+
+
+def _count_wal_work(monkeypatch):
+    """Count ``wal_record_bytes`` calls and ``WalRecord`` constructions,
+    wherever a module imported either name."""
+    calls = {"sized": 0, "built": 0}
+    sized, built = node.wal_record_bytes, WalRecord
+
+    def counted_size(command):
+        calls["sized"] += 1
+        return sized(command)
+
+    def counted_record(*args):
+        calls["built"] += 1
+        return built(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro."):
+            if getattr(module, "wal_record_bytes", None) is sized:
+                monkeypatch.setattr(module, "wal_record_bytes", counted_size)
+            if getattr(module, "WalRecord", None) is built:
+                monkeypatch.setattr(module, "WalRecord", counted_record)
+    return calls
+
+
+@pytest.mark.parametrize("protocol", [MultiPaxos, Raft])
+def test_in_memory_persist_does_no_wal_work(monkeypatch, protocol):
+    calls = _count_wal_work(monkeypatch)
+    _dep, result = _closed_loop(protocol, N)
+    assert result.completed > 0
+    assert calls == {"sized": 0, "built": 0}
+    _dep, result = run_protocol(
+        protocol, Config.lan(3, 3, seed=9, durability="fsync"), WorkloadSpec(keys=20), CLIENTS, N
+    )
+    assert result.completed > 0
+    assert calls["sized"] == calls["built"] > result.completed
