@@ -3,14 +3,14 @@
 Client-observed linearizability can hold even when the replicated state
 machines diverge, so Paxi additionally validates *consensus*: for every
 data record, the per-node version histories must share a common prefix.
-We collect each replica's multi-version chain per key and verify that any
+We read each replica's multi-version chain per key and verify that any
 two chains agree on their overlapping prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Hashable, Mapping, Sequence
 
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
@@ -39,9 +39,20 @@ class ConsensusResult:
 
 
 def common_prefix_violations(
-    histories: dict[NodeID, list[Any]], key: Hashable = None
+    histories: Mapping[NodeID, Sequence[Any]], key: Hashable = None
 ) -> list[PrefixViolation]:
-    """Pairwise common-prefix check over per-node value histories."""
+    """Every pair of per-node value histories that disagrees on their
+    overlapping prefix, with its first differing position.
+
+    When every chain is a prefix of the longest, every chain is a prefix of
+    every longer one and no pair can disagree, so one slice comparison per
+    chain settles the common case.  Only otherwise does the pairwise scan
+    run, to name each disagreeing pair.
+    """
+    if histories:
+        longest = max(histories.values(), key=len)
+        if all(not chain or chain == longest[: len(chain)] for chain in histories.values()):
+            return []
     violations: list[PrefixViolation] = []
     nodes = sorted(histories)
     for index, node_a in enumerate(nodes):
@@ -65,15 +76,14 @@ def common_prefix_violations(
 
 
 def check_deployment(deployment: Deployment) -> ConsensusResult:
-    """Check every key across every replica of a deployment."""
+    """Check every key across every replica of a deployment, reading each
+    replica's chains in place."""
+    stores = {node_id: replica.store for node_id, replica in deployment.replicas.items()}
     keys: set[Hashable] = set()
-    for replica in deployment.replicas.values():
-        keys.update(replica.store.keys())
+    for store in stores.values():
+        keys.update(store.keys())
     violations: list[PrefixViolation] = []
     for key in keys:
-        histories = {
-            node_id: replica.store.history(key)
-            for node_id, replica in deployment.replicas.items()
-        }
+        histories = {node_id: store.chain(key) for node_id, store in stores.items()}
         violations.extend(common_prefix_violations(histories, key))
     return ConsensusResult(ok=not violations, violations=violations, checked_keys=len(keys))

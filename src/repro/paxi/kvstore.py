@@ -11,7 +11,7 @@ values written to it, oldest first: version ``n`` is ``chain[n - 1]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any, Hashable, Sequence
 
 from repro.paxi.message import CAS, Command
 
@@ -72,6 +72,11 @@ class MultiVersionStore:
     def history(self, key: Hashable) -> list[Any]:
         """All values ever written to ``key``, oldest first."""
         return list(self._chains.get(key, ()))
+
+    def chain(self, key: Hashable) -> Sequence[Any]:
+        """:meth:`history` without the copy, for readers that only look:
+        the live chain (empty when ``key`` was never written)."""
+        return self._chains.get(key, ())
 
     def adopt(self, key: Hashable, values: list[Any]) -> None:
         """Replace ``key``'s chain with ``values`` if it is an extension.

@@ -14,6 +14,12 @@ section 2):
   connected components are executed dependencies-first, ordered by sequence
   number within a component, identically on every replica.
 
+An executed instance leaves behind only its ``seq``, in ``_executed``:
+later instances that name it still need that number, and a late PreAccept,
+Accept or Commit for it must still be told apart from a new instance.  Its
+command, dependency set, request and vote state are dropped, so
+``_instances`` holds only the instances not yet executed here.
+
 The EPaxos message types carry dependency lists and therefore use a larger
 ``SIZE_BYTES`` and a CPU ``WEIGHT`` > 1 — the paper's model explicitly
 "penalizes the message processing to account for extra resources required
@@ -42,12 +48,7 @@ from repro.protocols.log import RequestInfo
 
 InstanceID = tuple[NodeID, int]
 
-PREACCEPTED, ACCEPTED, COMMITTED, EXECUTED = (
-    "preaccepted",
-    "accepted",
-    "committed",
-    "executed",
-)
+PREACCEPTED, ACCEPTED, COMMITTED = "preaccepted", "accepted", "committed"
 
 # CPU weight of EPaxos protocol messages relative to plain Paxos messages.
 #
@@ -144,7 +145,8 @@ class EPaxos(Protocol):
             "fast_quorum_size", math.ceil(3 * n / 4)
         )
         self.slow_quorum_size: int = n // 2 + 1
-        self._instances: dict[InstanceID, _Instance] = {}
+        self._instances: dict[InstanceID, _Instance] = {}  # not yet executed
+        self._executed: dict[InstanceID, int] = {}  # executed here -> its seq
         self._next_instance = 0
         # Execution frontier: the committed instances still waiting to
         # execute, and for every unexecuted instance some other instance
@@ -183,7 +185,7 @@ class EPaxos(Protocol):
             return
         if command.is_write:
             self._last_write[command.key] = instance
-            self._reads_since_write[command.key] = []
+            self._reads_since_write.pop(command.key, None)  # absent means none
         else:
             self._reads_since_write.setdefault(command.key, []).append(instance)
 
@@ -191,11 +193,10 @@ class EPaxos(Protocol):
         """Record that ``instance`` names ``deps``.  Called wherever an
         instance's ``deps`` are set.  An executed dependency gets no entry:
         nothing ever waits for it, and nothing would release the entry."""
-        instances = self._instances
+        executed = self._executed
         dependents = self._dependents
         for dep in deps:
-            known = instances.get(dep)
-            if known is None or known.status != EXECUTED:
+            if dep not in executed:
                 waiting = dependents.get(dep)
                 if waiting is None:
                     dependents[dep] = {instance}
@@ -203,11 +204,15 @@ class EPaxos(Protocol):
                     waiting.add(instance)
 
     def _seq_of(self, deps: set[InstanceID] | frozenset[InstanceID]) -> int:
+        """One more than the highest ``seq`` among the ``deps`` known here."""
+        instances = self._instances
+        executed = self._executed
         highest = 0
         for dep in deps:
-            known = self._instances.get(dep)
-            if known is not None:
-                highest = max(highest, known.seq)
+            known = instances.get(dep)
+            seq = known.seq if known is not None else executed.get(dep, 0)
+            if seq > highest:
+                highest = seq
         return highest + 1
 
     # ------------------------------------------------------------------
@@ -299,7 +304,11 @@ class EPaxos(Protocol):
         seq = max(m.seq, self._seq_of(merged))
         changed = merged != set(m.deps)
         existing = self._instances.get(m.instance)
-        if existing is None or existing.status == PREACCEPTED:
+        if existing is None:
+            fresh = m.instance not in self._executed  # late: answered, not re-created
+        else:
+            fresh = existing.status == PREACCEPTED
+        if fresh:
             record = _Instance(
                 command=m.command,
                 deps=frozenset(merged),
@@ -317,11 +326,12 @@ class EPaxos(Protocol):
     def on_accept(self, src: Hashable, m: Accept) -> None:
         existing = self._instances.get(m.instance)
         if existing is None:
-            self._instances[m.instance] = _Instance(
-                command=m.command, deps=m.deps, seq=m.seq, status=ACCEPTED
-            )
-            self._index_deps(m.instance, m.deps)
-            self._track(m.instance, m.command)
+            if m.instance not in self._executed:  # late: acknowledged, not re-created
+                self._instances[m.instance] = _Instance(
+                    command=m.command, deps=m.deps, seq=m.seq, status=ACCEPTED
+                )
+                self._index_deps(m.instance, m.deps)
+                self._track(m.instance, m.command)
         elif existing.status in (PREACCEPTED, ACCEPTED):
             existing.deps = m.deps
             existing.seq = m.seq
@@ -332,12 +342,12 @@ class EPaxos(Protocol):
     def on_commit(self, src: Hashable, m: CommitMsg) -> None:
         existing = self._instances.get(m.instance)
         if existing is None:
+            if m.instance in self._executed:
+                return
             self._instances[m.instance] = _Instance(
                 command=m.command, deps=m.deps, seq=m.seq, status=COMMITTED
             )
             self._track(m.instance, m.command)
-        elif existing.status == EXECUTED:
-            return
         else:
             existing.deps = m.deps
             existing.seq = m.seq
@@ -366,27 +376,29 @@ class EPaxos(Protocol):
         bit-identical.
         """
         instances = self._instances
+        executed = self._executed
         deps = instances[committed].deps
         # A dependency this replica has not seen committed blocks
         # ``committed`` and with it everything that reaches it.  Tested
         # before the walk: a chain committed newest-first would otherwise
         # re-walk its whole tail on every commit.
         for dep in deps:
-            known = instances.get(dep)
-            if known is None or known.status not in (COMMITTED, EXECUTED):
-                return
+            if dep not in executed:
+                known = instances.get(dep)
+                if known is None or known.status != COMMITTED:
+                    return
         reach = {committed}
         pending = [committed]
         dependents = self._dependents
         while pending:
             for waiter in dependents.get(pending.pop(), ()):
-                if waiter not in reach and instances[waiter].status != EXECUTED:
+                if waiter not in reach and waiter not in executed:
                     reach.add(waiter)
                     pending.append(waiter)
         # A committed dependency that does not reach ``committed`` is as
         # blocked as it was before this commit.
         for dep in deps:
-            if dep not in reach and instances[dep].status != EXECUTED:
+            if dep not in reach and dep not in executed:
                 return
         if len(reach) == 1:
             self._execute_instance(committed)
@@ -408,19 +420,18 @@ class EPaxos(Protocol):
         record = self._instances[instance]
         if record.status != COMMITTED:
             return True
+        executed = self._executed
         for dep in record.deps:
-            if dep not in component:
-                known = self._instances.get(dep)
-                if known is None or known.status != EXECUTED:
-                    return True
+            if dep not in component and dep not in executed:
+                return True
         return False
 
     def _execute_instance(self, instance: InstanceID) -> None:
-        record = self._instances[instance]
+        record = self._instances.pop(instance)
+        self._executed[instance] = record.seq
         value = None
         if record.command is not None:
             value = self.store.execute(record.command)
-        record.status = EXECUTED
         self._frontier.discard(instance)
         self._dependents.pop(instance, None)
         if record.request is not None and instance[0] == self.id:

@@ -6,7 +6,9 @@ feeds the network's seeded delay stream, so the incremental executor has to
 be *exactly* the full scan it replaced, not merely a correct EPaxos.
 ``FullScanEPaxos`` below is that full scan, kept as the reference; the
 scaling tests then pin what the rewrite bought (host time per commit does
-not grow with history) and that its bookkeeping drains.
+not grow with history) and that its bookkeeping drains.  Production keeps
+only the ``seq`` of an executed instance; the oracle keeps every record it
+has ever seen, so it stays a scan over all of them.
 """
 
 import time
@@ -20,16 +22,27 @@ from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
 from repro.paxi.message import ClientReply, Command
-from repro.protocols.epaxos import COMMITTED, EXECUTED, CommitMsg, EPaxos, _Instance
+from repro.protocols.epaxos import COMMITTED, CommitMsg, EPaxos, _Instance
 from repro.protocols.graph import tarjan_sccs
 
 from tests.conftest import run_protocol
 
 
+# The oracle's status for the records it keeps after execution.
+EXECUTED = "executed"
+
+
 class FullScanEPaxos(EPaxos):
     """Reference executor: on every commit, Tarjan over every committed
     instance this replica has ever seen (the executor before the
-    dependency frontier, verbatim)."""
+    dependency frontier, verbatim).  It puts each record back into
+    ``_instances`` after executing it, so the scan still sees them all."""
+
+    def _execute_instance(self, instance):
+        record = self._instances[instance]
+        super()._execute_instance(instance)
+        record.status = EXECUTED
+        self._instances[instance] = record
 
     def on_commit(self, src, m):
         existing = self._instances.get(m.instance)
@@ -93,7 +106,7 @@ class FullScanEPaxos(EPaxos):
 
 class _Recording:
     """Mixin: what a replica executed and whom it answered, in order, and
-    how often a commit arrived in the awkward shapes."""
+    how often a message arrived in the awkward shapes."""
 
     def __init__(self, deployment, node_id):
         super().__init__(deployment, node_id)
@@ -101,11 +114,23 @@ class _Recording:
         self.replied = []
         self.commit_before_preaccept = 0
         self.commit_with_unknown_dep = 0
+        self.vote_after_execution = 0
+
+    def _known(self, instance):
+        return instance in self._instances or instance in self._executed
 
     def on_commit(self, src, m):
-        self.commit_before_preaccept += m.instance not in self._instances
-        self.commit_with_unknown_dep += any(d not in self._instances for d in m.deps)
+        self.commit_before_preaccept += not self._known(m.instance)
+        self.commit_with_unknown_dep += any(not self._known(d) for d in m.deps)
         super().on_commit(src, m)
+
+    def on_preaccept(self, src, m):
+        self.vote_after_execution += m.instance in self._executed
+        super().on_preaccept(src, m)
+
+    def on_accept(self, src, m):
+        self.vote_after_execution += m.instance in self._executed
+        super().on_accept(src, m)
 
     def _execute_instance(self, instance):
         self.executed.append(instance)
@@ -153,25 +178,43 @@ def test_frontier_executor_matches_full_scan_under_drops():
     """Dropped and flaky links leave holes: commits for instances a replica
     never pre-accepted, dependencies it has never heard of, instances that
     never commit and block their dependents for good, and dependency
-    cycles.  The two executors must still agree event for event."""
+    cycles.  A slow link also delivers a PreAccept or Accept after its
+    instance has executed at the receiver, which must answer it from the
+    executed instance's seq alone, as the oracle does from the full record
+    it keeps.  The two executors must still agree event for event."""
+    schedules = {"drop-flaky": (4, ("drop", "flaky")), "slow": (1, ("drop", "flaky", "slow"))}
+    shapes = {}
+    for name, (seed, kinds) in schedules.items():
 
-    def nemesis():
-        return Nemesis(seed=4, horizon=0.1, events=6, kinds=("drop", "flaky"), max_duration=0.1)
+        def nemesis():
+            return Nemesis(seed=seed, horizon=0.1, events=6, kinds=kinds, max_duration=0.1)
 
-    got, replicas = _run(EPaxos, 7, 0.4, 10, nemesis())
-    want, _ = _run(FullScanEPaxos, 7, 0.4, 10, nemesis())
-    assert got == want
-    # The schedule really produced the shapes this test is named for.
-    assert sum(r.commit_before_preaccept for r in replicas.values()) > 0
-    assert sum(r.commit_with_unknown_dep for r in replicas.values()) > 0
-    assert any(r._frontier for r in replicas.values())  # blocked for good
-    assert any(
-        instance in r._instances[dep].deps
-        for r in replicas.values()
-        for instance, record in r._instances.items()
-        for dep in record.deps
-        if dep in r._instances
-    )  # a two-instance cycle
+        got, replicas = _run(EPaxos, 7, 0.4, 10, nemesis())
+        want, oracle = _run(FullScanEPaxos, 7, 0.4, 10, nemesis())
+        assert got == want, name
+        shapes[name] = {
+            "commit_before_preaccept": sum(r.commit_before_preaccept for r in replicas.values()),
+            "commit_with_unknown_dep": sum(r.commit_with_unknown_dep for r in replicas.values()),
+            "blocked_for_good": any(r._frontier for r in replicas.values()),
+            "two_instance_cycle": any(
+                instance in r._instances[dep].deps
+                for r in oracle.values()  # the oracle keeps executed records
+                for instance, record in r._instances.items()
+                for dep in record.deps
+                if dep in r._instances
+            ),
+            "vote_after_execution": sum(r.vote_after_execution for r in replicas.values()),
+        }
+        assert shapes[name]["vote_after_execution"] == sum(
+            r.vote_after_execution for r in oracle.values()
+        ), name
+    # The schedules really produced the shapes this test is named for.
+    for name, seen in shapes.items():
+        assert seen["commit_before_preaccept"] > 0, (name, seen)
+        assert seen["commit_with_unknown_dep"] > 0, (name, seen)
+        assert seen["blocked_for_good"], (name, seen)
+    assert shapes["drop-flaky"]["two_instance_cycle"], shapes
+    assert shapes["slow"]["vote_after_execution"] > 0, shapes
 
 
 # ----------------------------------------------------------------------
@@ -220,12 +263,12 @@ def _feed(commits):
 
 
 def _assert_drained(replica):
-    """Everything executed and nothing left behind by the executor's
-    bookkeeping or a command leader's PreAccept round."""
-    assert all(record.status == EXECUTED for record in replica._instances.values())
+    """Everything executed and nothing left behind: no instance record (a
+    command leader's PreAccept scratch goes with it), no frontier entry and
+    no reverse-index entry."""
+    assert not replica._instances
     assert not replica._frontier
     assert not replica._dependents
-    assert all(record.union_deps is None for record in replica._instances.values())
 
 
 @pytest.mark.parametrize("shape", [_independent, _chain_tail_first, _cycle_every])
@@ -237,7 +280,7 @@ def test_commit_cost_does_not_grow_with_history(shape):
     small = min(_feed(shape(n))[0] for _ in range(3))
     large, replica = min((_feed(shape(4 * n)) for _ in range(3)), key=lambda timed: timed[0])
     assert large / small < 8, (small, large)
-    assert len(replica._instances) == 4 * n
+    assert len(replica._executed) == 4 * n
     _assert_drained(replica)
 
 
@@ -248,5 +291,5 @@ def test_leader_scratch_and_index_drain_after_a_run():
     dep, _result = run_protocol(EPaxos, Config.lan(3, 3, seed=3), spec, concurrency=12, duration=0.08)
     dep.run_for(0.1)
     for replica in dep.replicas.values():
-        assert len(replica._instances) > 100
+        assert len(replica._executed) > 100
         _assert_drained(replica)

@@ -3,7 +3,8 @@
 Four things used to grow with every operation and be read by nobody: a
 slot's vote set after the slot committed, the cached reply to a request
 its client had long concluded, one ``Version`` object per write, and
-MultiPaxos's executed log entries.  The client edge kept per-request
+MultiPaxos's executed log entries, and every EPaxos instance record after
+it executed (only its seq is kept).  The client edge kept per-request
 maps, tuples and sets the same way, and the operation history kept one
 ``Operation`` object per row where it now keeps columns.  What is kept per
 operation costs bytes, not objects: latency samples are packed doubles, a
@@ -31,6 +32,7 @@ from repro.paxi.history import HistoryRecorder, Operation
 from repro.obs.tracing import Span, SpanEvent
 from repro.paxi import node
 from repro.paxi.replies import ReplyTable
+from repro.protocols.epaxos import EPaxos
 from repro.protocols.fpaxos import FPaxos
 from repro.protocols.mencius import Mencius
 from repro.protocols.paxos import MultiPaxos
@@ -126,6 +128,45 @@ def test_executed_log_retention_is_flat_in_run_length(protocol, durable):
             assert replica.log.floor > 0
             assert len(replica.log.entries) <= bound
         executed.append(leader.log.execute_index)
+    assert executed[1] > 3 * executed[0]
+
+
+def _retained_bytes(run):
+    """Bytes that ``run()`` allocated and that are still allocated after it
+    returns and a full collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_epaxos_keeps_a_seq_per_executed_instance():
+    """An executed EPaxos instance leaves its seq behind and nothing else:
+    the instance table holds only what is in flight, and what a replica
+    retains per executed instance is a few dozen bytes (a dict entry, plus
+    the run's own per-operation costs spread over the replicas), not the
+    ~230 of a kept record with its dependency set and request."""
+    executed = []
+    for duration in (N, 4 * N):
+        dep = Deployment(Config.lan(3, 3, seed=9)).start(EPaxos)
+        bench = ClosedLoopBenchmark(dep, WorkloadSpec(keys=20), concurrency=CLIENTS)
+        replicas = dep.replicas.values()
+        if duration == N:  # tracing the long run too would take seconds
+            kept = _retained_bytes(lambda: bench.run(duration, warmup=0.02, settle=0.05))
+            instances = sum(len(r._executed) + len(r._instances) for r in replicas)
+            assert kept / instances <= 128, f"{kept / instances:.0f} bytes per instance"
+        else:
+            bench.run(duration, warmup=0.02, settle=0.05)
+        for replica in replicas:
+            # One request in flight per client, plus one its command leader
+            # has executed and answered whose Commit is still on its way.
+            assert len(replica._instances) <= 2 * CLIENTS
+        executed.append(min(len(r._executed) for r in replicas))
     assert executed[1] > 3 * executed[0]
 
 

@@ -5,7 +5,15 @@ from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID, grid_ids
 from repro.paxi.message import Command
 from repro.paxi.quorum import FastQuorum, GridQuorum
-from repro.protocols.epaxos import COMMITTED, EXECUTED, Accept, CommitMsg, EPaxos
+from repro.protocols.epaxos import (
+    COMMITTED,
+    Accept,
+    AcceptOK,
+    CommitMsg,
+    EPaxos,
+    PreAccept,
+    PreAcceptOK,
+)
 from repro.protocols.log import RequestInfo
 from repro.protocols.paxos import MultiPaxos, P2a
 from repro.protocols.ballot import Ballot
@@ -77,8 +85,9 @@ class TestEPaxosOutOfOrderDelivery:
             NodeID(1, 1),
             CommitMsg(instance=instance, command=Command.put("k", "v"), deps=frozenset(), seq=1),
         )
-        record = replica._instances[instance]
-        assert record.status == EXECUTED  # no deps: executes immediately
+        # No deps: executes immediately, and only its seq is kept.
+        assert instance not in replica._instances
+        assert replica._executed[instance] == 1
         assert replica.store.read("k") == "v"
 
     def test_accept_before_preaccept_creates_instance(self):
@@ -107,13 +116,55 @@ class TestEPaxosOutOfOrderDelivery:
             ),
         )
         assert replica._instances[instance].status == COMMITTED  # not executed
+        assert instance not in replica._executed
         # The ghost dependency arrives and commits: now both execute.
         replica.on_commit(
             NodeID(1, 3),
             CommitMsg(instance=ghost, command=Command.put("k", "older"), deps=frozenset(), seq=1),
         )
-        assert replica._instances[instance].status == EXECUTED
+        assert replica._executed == {ghost: 1, instance: 2}
+        assert not replica._instances
         assert replica.store.history("k") == ["older", "v"]
+
+    def test_late_messages_for_an_executed_instance(self):
+        """A PreAccept, Accept or Commit that arrives after its instance
+        executed is answered from the executed seq alone: the same reply as
+        when the full record was kept, no record re-created, nothing run
+        twice and no executor bookkeeping left behind."""
+        dep = Deployment(Config.lan(1, 3, seed=5)).start(EPaxos)
+        replica = dep.replicas[NodeID(1, 2)]
+        sent, executed = [], []
+        replica.send = lambda dst, message: sent.append((dst, message))
+        execute = replica._execute_instance
+        replica._execute_instance = lambda iid: (executed.append(iid), execute(iid))
+        leader, other = NodeID(1, 1), NodeID(1, 3)
+        late, later = (leader, 1), (other, 1)
+        put = Command.put("k", "v")
+        replica.on_commit(leader, CommitMsg(instance=late, command=put, deps=frozenset(), seq=1))
+        replica.on_commit(
+            other,
+            CommitMsg(instance=later, command=Command.put("k", "w"), deps=frozenset({late}), seq=2),
+        )
+        assert executed == [late, later]
+        chain = replica.store.history("k")
+        assert chain == ["v", "w"]
+
+        replica.on_preaccept(leader, PreAccept(instance=late, command=put, deps=frozenset(), seq=1))
+        replica.on_accept(leader, Accept(instance=late, command=put, deps=frozenset(), seq=1))
+        replica.on_commit(leader, CommitMsg(instance=late, command=put, deps=frozenset(), seq=1))
+        # The key's last write is now ``later`` (seq 2): the late PreAccept
+        # is told to depend on it, one seq higher.
+        assert sent == [
+            (leader, PreAcceptOK(instance=late, deps=frozenset({later}), seq=3, changed=True)),
+            (leader, AcceptOK(instance=late)),
+        ]
+        assert not replica._instances  # nothing re-created
+        assert replica._executed == {late: 1, later: 2}
+        assert executed == [late, later]  # nothing run twice
+        assert replica.store.history("k") == chain
+        assert replica._last_write["k"] == later  # not re-tracked
+        assert not replica._frontier
+        assert not replica._dependents
 
 
 class TestPaxosStaleMessages:

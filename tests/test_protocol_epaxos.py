@@ -8,9 +8,17 @@ from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
 from repro.paxi.message import Command
-from repro.protocols.epaxos import COMMITTED, EXECUTED, EPaxos
+from repro.protocols.epaxos import EPaxos
 
 from tests.conftest import assert_correct, run_protocol
+
+
+def _rounds(dep, message_type):
+    """Rounds a command leader opened with ``message_type``: every round
+    broadcasts one copy to each of the other n - 1 replicas."""
+    copies = sum(node.sent[message_type] for node in dep.cluster.obs.metrics.nodes.values())
+    assert copies % (dep.config.n - 1) == 0
+    return copies // (dep.config.n - 1)
 
 
 def test_single_command_commits_everywhere(lan9):
@@ -39,19 +47,10 @@ def test_any_node_can_lead(lan9):
 def test_fast_path_for_disjoint_keys(lan9):
     """Non-interfering commands commit on the fast path (one round)."""
     dep, res = run_protocol(EPaxos, lan9, WorkloadSpec(keys=100_000), concurrency=4)
-    leaders = dep.replicas.values()
-    slow = sum(
-        1
-        for r in leaders
-        for inst in r._instances.values()
-        if inst.status in (COMMITTED, EXECUTED) and inst.changed
-    )
-    total = sum(
-        1
-        for r in leaders
-        for inst in r._instances.values()
-        if inst.request is not None
-    )
+    # Every command opens a PreAccept round; the slow path is exactly the
+    # Accept round that follows a PreAccept round whose replies changed.
+    slow = _rounds(dep, "Accept")
+    total = _rounds(dep, "PreAccept")
     assert total > 100
     assert slow / total < 0.05
     assert_correct(dep)
@@ -61,12 +60,7 @@ def test_hot_key_takes_slow_path(lan9):
     dep, res = run_protocol(
         EPaxos, lan9, WorkloadSpec(keys=10, conflict_ratio=1.0, write_ratio=1.0), concurrency=6
     )
-    slow = sum(
-        1
-        for r in dep.replicas.values()
-        for inst in r._instances.values()
-        if inst.request is not None and inst.changed
-    )
+    slow = _rounds(dep, "Accept")
     assert slow > 20  # interference forces Accept rounds
     assert_correct(dep)
 
