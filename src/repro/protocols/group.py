@@ -92,7 +92,6 @@ class GroupEngine:
         self.on_execute = on_execute
         self.flush_interval = flush_interval
         self.log = CommandLog()  # items ride in Entry.command
-        self._sent_at: dict[int, float] = {}  # leader: uncommitted slot -> last sent at
         replica.register(GAccept, self._on_accept)
         replica.register(GAck, self._on_ack)
         replica.register(GFlush, self._on_flush)
@@ -110,8 +109,7 @@ class GroupEngine:
         assert self.is_leader, "only the group leader proposes"
         quorum = GroupQuorum(self.members)
         quorum.ack(self.replica.id)
-        slot = self.log.append(GROUP_BALLOT, item, quorum=quorum)
-        self._sent_at[slot] = self.replica.now
+        slot = self.log.propose(GROUP_BALLOT, item, quorum=quorum, now=self.replica.now)
         peers = [m for m in self.members if m != self.replica.id]
         if peers:
             self.replica.multicast(
@@ -122,18 +120,11 @@ class GroupEngine:
             self._commit(slot)
 
     def _on_ack(self, src: Hashable, m: GAck) -> None:
-        if m.zone != self.zone or not self.is_leader:
-            return
-        entry = self.log.entries.get(m.slot)
-        if entry is None or entry.quorum is None or entry.committed:
-            return
-        entry.quorum.ack(src)
-        if entry.quorum.satisfied():
+        if m.zone == self.zone and self.is_leader and self.log.ack(m.slot, src):
             self._commit(m.slot)
 
     def _commit(self, slot: int) -> None:
         self.log.commit(slot)
-        self._sent_at.pop(slot, None)
         self._mark_quorum(self.log.entries[slot].command)
         self._advance()
 
@@ -192,21 +183,11 @@ class GroupEngine:
         peers = [m for m in self.members if m != self.replica.id]
         if upto > 0 and peers:
             self.replica.multicast(peers, GFlush(zone=self.zone, commit_upto=upto))
-        # Retransmit accepts that lost their race with the network: under
-        # normal operation slots commit well within one flush interval, so
-        # this only fires after drops.
-        now = self.replica.now
-        for slot, sent_at in list(self._sent_at.items()):
-            if now - sent_at < RETRANSMIT_GRACE:
-                continue  # acks plausibly still in flight
-            self._sent_at[slot] = now
-            entry = self.log.entries[slot]
-            behind = [m for m in peers if m not in entry.quorum.acks]
-            if behind:
-                self.replica.multicast(
-                    behind,
-                    GAccept(zone=self.zone, slot=slot, item=entry.command, commit_upto=upto),
-                )
+        # Re-send what lost its race with the network (drops, partitions).
+        for slot, entry, behind in self.log.due(self.replica.now, RETRANSMIT_GRACE, peers, GROUP_BALLOT):
+            self.replica.multicast(
+                behind, GAccept(zone=self.zone, slot=slot, item=entry.command, commit_upto=upto)
+            )
         self.replica.set_timer(self.flush_interval, self._flush_tick)
 
     def _advance(self) -> None:

@@ -7,16 +7,19 @@ place of an explicit commit phase (the paper's phase-3 optimization,
 section 2).
 
 It is the one slot log under MultiPaxos (and FPaxos), WPaxos (one per
-object), :class:`~repro.protocols.group.GroupEngine` and Mencius: the
-watermark rule, gap-fill retry, fill adoption, entry snapshots and the
-in-order execute loop live here once, and each host keeps only its
-messages and its phase-1 and retransmit policies.
+object), :class:`~repro.protocols.group.GroupEngine` and Mencius, on both
+sides of phase 2.  The proposer's side: placing a proposal and stamping
+when it went out, counting its votes, and the retransmit scan that finds
+what is due again.  The acceptor's side: the watermark rule, gap-fill
+retry, fill adoption, entry snapshots and the in-order execute loop.  Each
+host keeps only its messages, the peers it sends them to, its phase-1
+adoption and its flush or heartbeat policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from repro.errors import ProtocolError
 from repro.paxi.message import Batch, ClientRequest, Command
@@ -119,19 +122,76 @@ class CommandLog:
     floor: int = 0  # every slot at or below is compacted away
     _fill_deadline: float = field(default=0.0, repr=False)  # next fill request, not before
     _executing: bool = field(default=False, repr=False)
+    #: The proposer's record: slot -> when its accept last went out, for
+    #: each slot proposed here that has not committed yet.
+    _sent: dict[int, float] = field(default_factory=dict, repr=False)
 
-    def append(
+    def propose(
         self,
         ballot: Ballot,
         command: EntryCommand,
         request: Any = None,
         quorum: Quorum | None = None,
+        *,
+        now: float,
+        slot: int | None = None,
     ) -> int:
-        """Leader-side: place a command in the next free slot."""
-        slot = self.next_slot
-        self.next_slot += 1
+        """Leader-side: place a proposal in ``slot`` (by default the next
+        free one) with the vote set ``quorum``, stamped as sent at ``now``."""
+        if slot is None:
+            slot = self.next_slot
         self.entries[slot] = Entry(ballot, command, request, quorum)
+        if slot >= self.next_slot:
+            self.next_slot = slot + 1
+        self._sent[slot] = now
         return slot
+
+    @property
+    def in_flight(self) -> int:
+        """Proposals not yet committed (what a pipeline bound counts)."""
+        return len(self._sent)
+
+    def ack(self, slot: int, voter: Hashable) -> bool:
+        """Count ``voter``'s accept of ``slot``; True when the slot's vote
+        set is now a quorum (the caller commits it).  A vote for a slot
+        that committed, or that this log did not propose, counts for
+        nothing."""
+        entry = self.entries.get(slot)
+        if entry is None or entry.quorum is None or entry.committed:
+            return False
+        entry.quorum.ack(voter)
+        return entry.quorum.satisfied()
+
+    def due(
+        self, now: float, timeout: float, targets: list[Hashable], ballot: Ballot
+    ) -> Iterator[tuple[int, Entry, list[Hashable]]]:
+        """The retransmit scan: yield ``(slot, entry, behind)`` for each
+        proposal whose accept went out ``timeout`` or more ago, in slot
+        order, and re-stamp it at ``now``; ``behind`` lists the members of
+        ``targets`` whose vote it still lacks (a slot with none is not
+        yielded).  In a clean run slots commit well inside the timeout, so
+        this only fires after drops or partitions.
+
+        A slot leaves the record once it is no longer this proposer's to
+        re-send under ``ballot``, the one it proposes under now: it
+        committed, was compacted, lost its vote set to a higher ballot's
+        accept, or was proposed under another ballot (a leader deposed
+        since, or an object stolen away).
+        """
+        sent = self._sent
+        entries = self.entries
+        for slot in sorted(sent):
+            if now - sent[slot] < timeout:
+                continue  # acks are plausibly still in flight
+            entry = entries.get(slot)
+            if entry is None or entry.committed or entry.quorum is None or entry.ballot != ballot:
+                del sent[slot]
+                continue
+            sent[slot] = now
+            acks = entry.quorum.acks
+            behind = [p for p in targets if p not in acks]
+            if behind:
+                yield slot, entry, behind
 
     def accept(
         self,
@@ -162,6 +222,7 @@ class CommandLog:
             raise ProtocolError(f"commit of unknown slot {slot}")
         entry.committed = True
         entry.quorum = None
+        self._sent.pop(slot, None)
 
     def commit_upto(self) -> int:
         """Highest slot S such that every slot <= S is committed."""
@@ -218,6 +279,31 @@ class CommandLog:
             if local is None or not local.committed:
                 entries[slot] = Entry(ballot, command, request, committed=True)
                 self.next_slot = max(self.next_slot, slot + 1)
+
+    def recover(self, learned: dict[int, EntrySnapshot]) -> Iterator[tuple[int, EntryCommand, Any]]:
+        """Phase-1 adoption for a new leader, whose phase-1 quorum taught
+        it ``learned`` (merged by :func:`merge_snapshots`).  Walk every
+        slot from ``execute_index`` to the highest one learned or held
+        here: keep what committed here, take a value learned as committed
+        wholesale (as :meth:`adopt` does), and yield ``(slot, command,
+        request)`` for the rest, which the leader re-proposes under its
+        own ballot (``command`` is None for a gap nobody accepted: a
+        no-op).  ``next_slot`` moves past the walk once it is done."""
+        top = max(max(learned, default=0), self.next_slot - 1)
+        entries = self.entries
+        for slot in range(self.execute_index, top + 1):
+            local = entries.get(slot)
+            if local is not None and local.committed:
+                continue
+            snapshot = learned.get(slot)
+            if snapshot is None:
+                yield slot, None, None
+            elif snapshot[4]:
+                entries[slot] = Entry(snapshot[1], snapshot[2], snapshot[3], committed=True)
+                self._sent.pop(slot, None)
+            else:
+                yield slot, snapshot[2], snapshot[3]
+        self.next_slot = max(self.next_slot, top + 1)
 
     def snapshots(self, slots: Iterable[int] | None = None, above: int = 0) -> tuple[EntrySnapshot, ...]:
         """Copies of the entries named in ``slots`` that this log holds (a

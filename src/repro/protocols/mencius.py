@@ -72,9 +72,12 @@ class Mencius(Protocol):
 
     Recognized config params:
 
-    - ``skip_flush_interval``: how often a node re-sends accepts still
-      unacknowledged after ``retransmit_timeout`` (default 0.02 s); skips
-      are announced when they happen, not on this tick.
+    - ``skip_flush_interval``: the retransmit tick (default 0.02 s).
+      Each tick re-sends the accepts still short of a majority after
+      ``retransmit_timeout``; skips are announced when they happen, not on
+      this tick;
+    - ``retransmit_timeout``: how long an accept waits for its votes
+      before it is re-sent (default 0.3 s).
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
@@ -88,7 +91,6 @@ class Mencius(Protocol):
         # committed no-op (``command is None``).
         self.log = CommandLog(execute_index=0)
         self.next_own_slot = self.index
-        self._retransmit: dict[int, float] = {}
         self.retransmit_timeout: float = self.config.param("retransmit_timeout", 0.3)
 
         self.register(MAccept, self.on_accept)
@@ -126,8 +128,7 @@ class Mencius(Protocol):
         quorum = MajorityQuorum(self.config.node_ids)
         quorum.ack(self.id)
         request = RequestInfo.of(m)
-        self.log.entries[slot] = Entry(ZERO, m.command, request, quorum)
-        self._retransmit[slot] = self.now
+        self.log.propose(ZERO, m.command, request, quorum, now=self.now, slot=slot)
         self.broadcast(MAccept(slot=slot, command=m.command, request=request))
 
     # ------------------------------------------------------------------
@@ -168,14 +169,10 @@ class Mencius(Protocol):
     # ------------------------------------------------------------------
 
     def on_accept_ack(self, src: Hashable, m: MAcceptAck) -> None:
-        entry = self.log.entries.get(m.slot)
-        if entry is None or entry.quorum is None or entry.committed:
-            return
-        entry.quorum.ack(src)
-        if entry.quorum.satisfied():
+        if self.log.ack(m.slot, src):
             self.log.commit(m.slot)
+            entry = self.log.entries[m.slot]
             self.trace_mark(entry.request)
-            self._retransmit.pop(m.slot, None)
             self.broadcast(MCommit(slot=m.slot, command=entry.command, request=entry.request))
             self._try_execute()
 
@@ -215,18 +212,6 @@ class Mencius(Protocol):
     # ------------------------------------------------------------------
 
     def _flush_tick(self) -> None:
-        now = self.now
-        for slot, sent_at in list(self._retransmit.items()):
-            if now - sent_at < self.retransmit_timeout:
-                continue
-            entry = self.log.entries.get(slot)
-            if entry is None or entry.committed or entry.quorum is None:
-                self._retransmit.pop(slot, None)
-                continue
-            self._retransmit[slot] = now
-            behind = [p for p in self.peers if p not in entry.quorum.acks]
-            if behind:
-                self.multicast(
-                    behind, MAccept(slot=slot, command=entry.command, request=entry.request)
-                )
+        for slot, entry, behind in self.log.due(self.now, self.retransmit_timeout, self.peers, ZERO):
+            self.multicast(behind, MAccept(slot=slot, command=entry.command, request=entry.request))
         self.set_timer(self.flush_interval, self._flush_tick)

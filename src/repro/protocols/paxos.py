@@ -210,7 +210,6 @@ class MultiPaxos(LeaderLog):
 
         self._p1_quorum: Quorum | None = None
         self._p1_entries: dict[int, EntrySnapshot] = {}
-        self._uncommitted_slots: dict[int, float] = {}  # slot -> last sent at
         self._peer_floors: dict[Hashable, int] = {}  # acceptor -> floor, this heartbeat
         self._heartbeat_armed = False
         self._catchup: CatchupRunner | None = None
@@ -245,7 +244,7 @@ class MultiPaxos(LeaderLog):
 
     @property
     def in_flight(self) -> int:
-        return len(self._uncommitted_slots)
+        return self.log.in_flight
 
     def _superseded(self, epoch: Ballot) -> bool:
         """Someone other than ``epoch``'s owner holds our newer promise."""
@@ -389,32 +388,19 @@ class MultiPaxos(LeaderLog):
         self.active = True
         self._p1_quorum = None
         self.leader_hint = self.id
-        max_slot = max(self._p1_entries, default=0)
-        max_slot = max(max_slot, self.log.next_slot - 1)
         if self._lease is not None:
-            # Fresh term: grant rounds restart under the new ballot, and
-            # lease reads wait until every slot adopted from the previous
-            # leader has executed locally (that leader may have replied to
-            # clients for them already).
+            # Fresh term: grant rounds restart under the new ballot.
             self._lease.reset()
-            self._read_barrier = max_slot
         # Adopt committed entries; re-propose uncommitted ones with our
         # ballot; fill gaps with no-ops (paper section 2: the leader must
         # instruct followers to accept pending commands it learned).
-        # Slots below execute_index are executed and may be compacted away.
-        for slot in range(self.log.execute_index, max_slot + 1):
-            local = self.log.entries.get(slot)
-            if local is not None and local.committed:
-                continue
-            learned = self._p1_entries.get(slot)
-            if learned is not None and learned[4]:
-                self.log.accept(slot, learned[1], learned[2], learned[3])
-                self.log.commit(slot)
-                continue
-            command = learned[2] if learned is not None else None
-            request = learned[3] if learned is not None else None
-            self._repropose(slot, command, request)
-        self.log.next_slot = max(self.log.next_slot, max_slot + 1)
+        for slot, command, request in self.log.recover(self._p1_entries):
+            self._propose(command, request, slot)
+        if self._lease is not None:
+            # Lease reads wait until every slot adopted from the previous
+            # leader has executed locally (that leader may have replied to
+            # clients for them already).
+            self._read_barrier = self.log.next_slot - 1
         self._p1_entries = {}
         self._peer_floors = {}  # a past term's reports may predate a wipe
         self._advance_execution()
@@ -425,54 +411,14 @@ class MultiPaxos(LeaderLog):
         for m in parked:
             self.on_request(m.client, m)
 
-    def _repropose(self, slot: int, command: EntryCommand, request: Any) -> None:
-        quorum = self.phase2_quorum()
-        if self.disk is None:
-            quorum.ack(self.id)
-        self.log.entries[slot] = Entry(self.ballot, command, request, quorum)
-        self.log.next_slot = max(self.log.next_slot, slot + 1)
-        self._uncommitted_slots[slot] = self.now
-        self.multicast(
-            self.phase2_targets(),
-            P2a(
-                ballot=self.ballot,
-                slot=slot,
-                command=command,
-                request=request,
-                commit_upto=self.log.commit_upto(),
-                lease_seq=self._lease_stamp(),
-            ),
-        )
-        if self.disk is not None:
-            # Durable mode: our own accept joins the quorum only once the
-            # WAL record is synced (it overlaps the P2a round trips).
-            self._persist_accept(slot, command, request, check_commit=True)
-        elif quorum.satisfied():
-            self._on_slot_committed(slot)
-
-    def _persist_accept(
-        self, slot: int, command: EntryCommand, request: Any, check_commit: bool
-    ) -> None:
-        self.persist(
-            "accept",
-            (slot, self.ballot, command, request),
-            slot=slot,
-            command=command,
-            then=self._self_ack,
-            args=(slot, check_commit),
-        )
-
-    def _self_ack(self, slot: int, check_commit: bool) -> None:
+    def _self_ack(self, slot: int) -> None:
         """Count the leader's own (now durable) accept toward ``slot``."""
         if not self.active:
             return
         entry = self.log.entries.get(slot)
-        if entry is None or entry.quorum is None or entry.committed:
-            return
-        if entry.ballot != self.ballot:
+        if entry is None or entry.ballot != self.ballot:
             return  # re-led in between; the new ballot re-persisted it
-        entry.quorum.ack(self.id)
-        if check_commit and entry.quorum.satisfied():
+        if self.log.ack(slot, self.id):
             self._on_slot_committed(slot)
 
     # ------------------------------------------------------------------
@@ -521,12 +467,13 @@ class MultiPaxos(LeaderLog):
             return
         self._submit_group(list(requests))
 
-    def _propose(self, command: EntryCommand, request: Any) -> None:
+    def _propose(self, command: EntryCommand, request: Any, slot: int | None = None) -> None:
+        """Replicate ``command`` in the next free slot, or re-propose it in
+        ``slot`` under our ballot (phase-1 recovery)."""
         quorum = self.phase2_quorum()
         if self.disk is None:
             quorum.ack(self.id)
-        slot = self.log.append(self.ballot, command, request, quorum)
-        self._uncommitted_slots[slot] = self.now
+        slot = self.log.propose(self.ballot, command, request, quorum, now=self.now, slot=slot)
         self.multicast(
             self.phase2_targets(),
             P2a(
@@ -539,7 +486,18 @@ class MultiPaxos(LeaderLog):
             ),
         )
         if self.disk is not None:
-            self._persist_accept(slot, command, request, check_commit=True)
+            # Durable mode: our own accept joins the quorum only once the
+            # WAL record is synced (it overlaps the P2a round trips).
+            self.persist(
+                "accept",
+                (slot, self.ballot, command, request),
+                slot=slot,
+                command=command,
+                then=self._self_ack,
+                args=(slot,),
+            )
+        elif quorum.satisfied():  # single-node cluster
+            self._on_slot_committed(slot)
 
     # ------------------------------------------------------------------
     # Phase 2
@@ -594,18 +552,13 @@ class MultiPaxos(LeaderLog):
             # Count the grant even if the slot already committed: grant
             # tallies are per round, not per entry.
             self._lease.record_grant(m.lease_seq, src)
-        entry = self.log.entries.get(m.slot)
-        if entry is None or entry.quorum is None or entry.committed:
-            return
-        entry.quorum.ack(src)
-        if entry.quorum.satisfied():
+        if self.log.ack(m.slot, src):
             self._on_slot_committed(m.slot)
 
     def _on_slot_committed(self, slot: int) -> None:
         self.log.commit(slot)
         for info in request_infos(self.log.entries[slot].request):
             self.trace_mark(info)
-        self._uncommitted_slots.pop(slot, None)
         if self.active:
             self._release_pipeline()
         self._advance_execution()
@@ -623,6 +576,8 @@ class MultiPaxos(LeaderLog):
             if m.ballot > self.promised:
                 self.promised = m.ballot
                 self.persist("promise", m.ballot)
+            if self.active and m.ballot.owner != self.id:
+                self.active = False  # deposed while cut off: step down
             self.leader_hint = m.ballot.owner
             if self._monitor is not None and src != self.id:
                 delay = self.clock.now - m.sent_at if m.sent_at > 0.0 else None
@@ -722,47 +677,25 @@ class MultiPaxos(LeaderLog):
         # no report outlives the log it described.
         floors, self._peer_floors = self._peer_floors, {}
         floor = min([self._floor()] + [floors.get(p, 0) for p in self.peers])
+        upto = self.log.commit_upto()
         self.broadcast(
             Commit(
                 ballot=self.ballot,
-                commit_upto=self.log.commit_upto(),
+                commit_upto=upto,
                 lease_seq=self._lease_stamp(),
                 floor=floor,
                 sent_at=self.clock.now if self.detector_enabled else 0.0,
             )
         )
         self._compact(floor)
-        self._retransmit_uncommitted()
+        # Re-send what lost its race with the network (drops, partitions).
+        due = self.log.due(self.now, self.retransmit_timeout, self.phase2_targets(), self.ballot)
+        for slot, entry, behind in due:
+            self.multicast(
+                behind,
+                P2a(ballot=self.ballot, slot=slot, command=entry.command, request=entry.request, commit_upto=upto),
+            )
         self.set_timer(self.heartbeat_interval, self._heartbeat)
-
-    def _retransmit_uncommitted(self) -> None:
-        """Re-send accepts that lost their race with the network: in normal
-        operation slots commit well within one heartbeat, so this only
-        fires after drops or partitions (liveness, not the common path)."""
-        upto = self.log.commit_upto()
-        now = self.now
-        for slot in sorted(self._uncommitted_slots):
-            if now - self._uncommitted_slots[slot] < self.retransmit_timeout:
-                continue  # acks are plausibly still in flight
-            entry = self.log.entries.get(slot)
-            if entry is None or entry.committed or entry.quorum is None:
-                self._uncommitted_slots.pop(slot, None)
-                continue
-            if entry.ballot != self.ballot:
-                continue
-            self._uncommitted_slots[slot] = now
-            behind = [p for p in self.phase2_targets() if p not in entry.quorum.acks]
-            if behind:
-                self.multicast(
-                    behind,
-                    P2a(
-                        ballot=self.ballot,
-                        slot=slot,
-                        command=entry.command,
-                        request=entry.request,
-                        commit_upto=upto,
-                    ),
-                )
 
     # ------------------------------------------------------------------
     # Crash recovery: WAL replay, catch-up, and state transfer

@@ -123,7 +123,11 @@ class WPaxos(Protocol):
     - ``steal_threshold``: consecutive non-owned accesses before stealing
       (default 3; 1 = steal immediately);
     - ``leaders_per_zone``: nodes per zone allowed to lead (default 1);
-    - ``flush_interval``: watermark broadcast period (default 0.02 s).
+    - ``flush_interval``: watermark broadcast and retransmit period
+      (default 0.02 s);
+    - ``retransmit_timeout``: how long an accept waits for its votes
+      before it is re-sent, and a fill request for its reply before it is
+      asked again (default 0.3 s).
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
@@ -139,7 +143,6 @@ class WPaxos(Protocol):
         self.flush_interval: float = self.config.param("flush_interval", 0.02)
         self.retransmit_timeout: float = self.config.param("retransmit_timeout", 0.3)
         self.objects: dict[Hashable, _ObjectState] = {}
-        self._pending_slots: dict[tuple[Hashable, int], float] = {}
 
         self.register(WP1a, self.on_p1a)
         self.register(WP1b, self.on_p1b)
@@ -271,20 +274,8 @@ class WPaxos(Protocol):
         state.active = True
         state.owner = self.id
         state.p1_quorum = None
-        max_slot = max(state.p1_entries, default=0)
-        max_slot = max(max_slot, state.log.next_slot - 1)
-        for slot in range(1, max_slot + 1):
-            local = state.log.entries.get(slot)
-            if local is not None and local.committed:
-                continue
-            learned = state.p1_entries.get(slot)
-            if learned is not None and learned[4]:
-                state.log.entries[slot] = Entry(learned[1], learned[2], learned[3], committed=True)
-                continue
-            command = learned[2] if learned is not None else None
-            request = learned[3] if learned is not None else None
-            self._propose_at(key, state, slot, command, request)
-        state.log.next_slot = max(state.log.next_slot, max_slot + 1)
+        for slot, command, request in state.log.recover(state.p1_entries):
+            self._propose(key, state, command, request, slot)
         state.p1_entries = {}
         self._advance_execution(state)
         pending, state.pending = state.pending, []
@@ -301,22 +292,13 @@ class WPaxos(Protocol):
         state: _ObjectState,
         command: Command | None,
         request: RequestInfo | None,
+        slot: int | None = None,
     ) -> None:
-        self._propose_at(key, state, state.log.next_slot, command, request)
-
-    def _propose_at(
-        self,
-        key: Hashable,
-        state: _ObjectState,
-        slot: int,
-        command: Command | None,
-        request: RequestInfo | None,
-    ) -> None:
+        """Replicate ``command`` in the object's next free slot, or
+        re-propose it in ``slot`` after a steal."""
         quorum = self._phase2_quorum()
         quorum.ack(self.id)
-        state.log.entries[slot] = Entry(state.ballot, command, request, quorum)
-        state.log.next_slot = max(state.log.next_slot, slot + 1)
-        self._pending_slots[(key, slot)] = self.now
+        slot = state.log.propose(state.ballot, command, request, quorum, now=self.now, slot=slot)
         self.broadcast(
             WP2a(
                 key=key,
@@ -328,7 +310,7 @@ class WPaxos(Protocol):
             )
         )
         if quorum.satisfied():
-            self._commit_slot(key, state, slot)
+            self._commit_slot(state, slot)
 
     def on_p2a(self, src: Hashable, m: WP2a) -> None:
         state = self._object(m.key)
@@ -365,19 +347,12 @@ class WPaxos(Protocol):
                 state.owner = m.ballot.owner
                 state.active = False
             return
-        if not state.active or m.ballot != state.ballot:
-            return
-        entry = state.log.entries.get(m.slot)
-        if entry is None or entry.quorum is None or entry.committed:
-            return
-        entry.quorum.ack(src)
-        if entry.quorum.satisfied():
-            self._commit_slot(m.key, state, m.slot)
+        if state.active and m.ballot == state.ballot and state.log.ack(m.slot, src):
+            self._commit_slot(state, m.slot)
 
-    def _commit_slot(self, key: Hashable, state: _ObjectState, slot: int) -> None:
+    def _commit_slot(self, state: _ObjectState, slot: int) -> None:
         state.log.commit(slot)
         self.trace_mark(state.log.entries[slot].request)
-        self._pending_slots.pop((key, slot), None)
         state.dirty_watermark = 3
         self._advance_execution(state)
 
@@ -393,31 +368,12 @@ class WPaxos(Protocol):
                 state.dirty_watermark -= 1
         if dirty:
             self.broadcast(WFlush(watermarks=tuple(dirty)))
-        self._retransmit_pending()
-        self.set_timer(self.flush_interval, self._flush_tick)
-
-    def _retransmit_pending(self) -> None:
-        """Re-send accepts lost to drops/partitions (liveness only: in
-        normal operation slots commit well inside the grace period)."""
+        # Re-send what lost its race with the network, object by object (an
+        # object stolen away holds its proposals under an older ballot, and
+        # the scan drops them).
         now = self.now
-        for (key, slot), sent_at in list(self._pending_slots.items()):
-            if now - sent_at < self.retransmit_timeout:
-                continue
-            state = self.objects.get(key)
-            entry = state.log.entries.get(slot) if state is not None else None
-            if (
-                state is None
-                or entry is None
-                or entry.committed
-                or entry.quorum is None
-                or not state.active
-                or entry.ballot != state.ballot
-            ):
-                self._pending_slots.pop((key, slot), None)
-                continue
-            self._pending_slots[(key, slot)] = now
-            behind = [p for p in self.peers if p not in entry.quorum.acks]
-            if behind:
+        for key, state in self.objects.items():
+            for slot, entry, behind in state.log.due(now, self.retransmit_timeout, self.peers, state.ballot):
                 self.multicast(
                     behind,
                     WP2a(
@@ -429,6 +385,7 @@ class WPaxos(Protocol):
                         commit_upto=state.log.commit_upto(),
                     ),
                 )
+        self.set_timer(self.flush_interval, self._flush_tick)
 
     def on_flush(self, src: Hashable, m: WFlush) -> None:
         for key, upto in m.watermarks:

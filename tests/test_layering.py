@@ -178,3 +178,42 @@ def test_only_the_slot_log_executes_and_keeps_slot_records():
                 if {"committed", "executed"} <= fields:
                     offenders.append(f"{path.name}:{node.lineno} defines slot record {node.name}")
     assert not offenders, "\n".join(offenders)
+
+
+# ----------------------------------------------------------------------
+# One proposer-side slot lifecycle: CommandLog stamps what a leader
+# proposed, counts its votes and finds what is due again; the hosts only
+# build their own accept message for it.
+# ----------------------------------------------------------------------
+
+PROPOSER_HOSTS = ("paxos.py", "wpaxos.py", "group.py", "mencius.py")
+
+
+def _is_now(node: ast.AST) -> bool:
+    """``now``, ``self.now``, ``self.replica.now`` and the like."""
+    return getattr(node, "id", None) == "now" or getattr(node, "attr", None) == "now"
+
+
+def _names_a_retransmit_timeout(node: ast.AST) -> bool:
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or ""
+    return "retransmit" in name.lower() or "grace" in name.lower()
+
+
+@pytest.mark.parametrize("host", PROPOSER_HOSTS)
+def test_only_the_slot_log_stamps_and_times_out_proposals(host):
+    """No host keeps a ``slot -> sent at`` record (a subscripted store of
+    the current time) or times a proposal out itself (``now - stamp``
+    compared with a retransmit timeout): ``CommandLog.propose`` stamps and
+    ``CommandLog.due`` decides."""
+    path = PROTOCOLS_DIR / host
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Assign) and _is_now(node.value):
+            if any(isinstance(t, ast.Subscript) for t in node.targets):
+                offenders.append(f"{host}:{node.lineno} stamps a slot with the current time")
+        elif isinstance(node, ast.Compare):
+            left = node.left
+            aged = isinstance(left, ast.BinOp) and isinstance(left.op, ast.Sub) and _is_now(left.left)
+            if aged and any(_names_a_retransmit_timeout(c) for c in node.comparators):
+                offenders.append(f"{host}:{node.lineno} times a proposal out")
+    assert not offenders, "\n".join(offenders)

@@ -115,6 +115,40 @@ def test_message_drops_recovered_by_fill(lan9):
     assert_correct(dep)
 
 
+def test_deposed_leader_steps_down_on_a_higher_ballot_commit():
+    """An idle leader cut off long enough for the rest to elect another
+    hears only the winner's heartbeats after the heal: each is a ``Commit``
+    under a higher ballot, and it must stop leading on the first one
+    (no P2b ever reaches it to depose it another way)."""
+    dep = Deployment(Config.lan(3, 3, seed=7, election_timeout=0.15)).start(MultiPaxos)
+    dep.run_for(0.1)
+    old = NodeID(1, 1)
+    everyone = set(dep.config.node_ids)
+    dep.cluster.partition([{old}, everyone - {old}], duration=0.6, at=dep.now)
+    dep.run_for(0.6 + 1.2)
+    leaders = [nid for nid, r in dep.replicas.items() if r.active]
+    assert len(leaders) == 1 and leaders[0] != old
+    deposed = dep.replicas[old]
+    assert deposed.promised == dep.replicas[leaders[0]].ballot
+    assert deposed.leader_hint == leaders[0]
+
+
+def test_single_node_cluster_commits_its_own_proposals():
+    """The leader's own vote is a quorum of one: a proposal commits the
+    moment it is made, in memory and on disk alike."""
+    for params in ({}, {"durability": "fsync"}):
+        dep = Deployment(Config.lan(1, 1, seed=7, **params)).start(MultiPaxos)
+        client = dep.new_client()
+        seen = []
+        dep.run_for(0.05)
+        client.invoke(Command.put("a", 1), on_done=lambda r, l: seen.append(r.value))
+        dep.run_for(0.05)
+        client.invoke(Command.get("a"), on_done=lambda r, l: seen.append(r.value))
+        dep.run_for(0.05)
+        assert seen == [1, 1], params
+        assert_correct(dep)
+
+
 def test_initial_leader_configurable():
     cfg = Config.lan(3, 3, seed=1, leader=NodeID(2, 1))
     dep = Deployment(cfg).start(MultiPaxos)

@@ -48,13 +48,13 @@ def _execute(log):
 class TestCommandLog:
     def test_append_assigns_sequential_slots(self):
         log = CommandLog()
-        assert log.append(B1, Command.get("a")) == 1
-        assert log.append(B1, Command.get("b")) == 2
+        assert log.propose(B1, Command.get("a"), now=0.0) == 1
+        assert log.propose(B1, Command.get("b"), now=0.0) == 2
 
     def test_commit_and_execute_in_order(self):
         log = CommandLog()
-        s1 = log.append(B1, Command.get("a"))
-        s2 = log.append(B1, Command.get("b"))
+        s1 = log.propose(B1, Command.get("a"), now=0.0)
+        s2 = log.propose(B1, Command.get("b"), now=0.0)
         log.commit(s2)
         assert _execute(log) == []  # s1 not committed: s2 must wait
         log.commit(s1)
@@ -65,7 +65,7 @@ class TestCommandLog:
     def test_commit_upto_contiguous(self):
         log = CommandLog()
         for _ in range(3):
-            log.append(B1, Command.get("x"))
+            log.propose(B1, Command.get("x"), now=0.0)
         log.commit(1)
         log.commit(3)
         assert log.commit_upto() == 1
@@ -102,13 +102,13 @@ class TestCommandLog:
 
     def test_execute_never_runs_an_uncommitted_slot(self):
         log = CommandLog()
-        log.append(B1, Command.get("a"))
+        log.propose(B1, Command.get("a"), now=0.0)
         assert _execute(log) == []
         assert log.execute_index == 1
 
     def test_execute_advances_only_after_the_slot_ran(self):
         log = CommandLog()
-        log.append(B1, Command.get("a"))
+        log.propose(B1, Command.get("a"), now=0.0)
         log.commit(1)
         seen = []
         log.execute(lambda slot, entry: seen.append((slot, log.execute_index)))
@@ -121,18 +121,18 @@ class TestCommandLog:
         def run(slot, entry):
             ran.append(slot)
             if slot == 1:
-                log.commit(log.append(B1, Command.get("follow-up")))
+                log.commit(log.propose(B1, Command.get("follow-up"), now=0.0))
                 log.execute(run)  # returns at once: the outer loop owns execution
                 assert ran == [1]
 
-        log.commit(log.append(B1, Command.get("a")))
+        log.commit(log.propose(B1, Command.get("a"), now=0.0))
         log.execute(run)
         assert ran == [1, 2] and log.execute_index == 3
 
     def test_uncommitted_view(self):
         log = CommandLog()
-        log.append(B1, Command.get("a"))
-        log.append(B1, Command.get("b"))
+        log.propose(B1, Command.get("a"), now=0.0)
+        log.propose(B1, Command.get("b"), now=0.0)
         log.commit(1)
         assert list(log.uncommitted()) == [2]
 
@@ -190,7 +190,7 @@ class TestCommandLog:
 
     def test_watermark_commit_drops_the_votes(self):
         log = CommandLog()
-        log.append(B1, Command.get("a"), quorum=MajorityQuorum([NodeID(1, 1), NodeID(1, 2)]))
+        log.propose(B1, Command.get("a"), quorum=MajorityQuorum([NodeID(1, 1), NodeID(1, 2)]), now=0.0)
         assert _fill_targets(log, 1) == []
         assert log.entries[1].committed and log.entries[1].quorum is None
 
@@ -232,10 +232,79 @@ class TestCommandLog:
     def test_quorum_attached_to_entry(self):
         log = CommandLog()
         q = MajorityQuorum([NodeID(1, 1), NodeID(1, 2), NodeID(1, 3)])
-        slot = log.append(B1, Command.get("a"), RequestInfo("c", 1), q)
+        slot = log.propose(B1, Command.get("a"), RequestInfo("c", 1), q, now=0.0)
         assert log.entries[slot].quorum is q  # while the slot is open
         log.commit(slot)
         assert log.entries[slot].committed and log.entries[slot].quorum is None
+
+
+class TestProposerSide:
+    """What CommandLog keeps for the slots its host proposed."""
+
+    PEERS = [NodeID(1, 2), NodeID(1, 3)]
+
+    def _proposed(self, log, now=0.0, slot=None):
+        q = MajorityQuorum([NodeID(1, 1), *self.PEERS])
+        q.ack(NodeID(1, 1))
+        return log.propose(B1, Command.get("a"), None, q, now=now, slot=slot)
+
+    def test_propose_places_at_the_next_or_the_given_slot(self):
+        log = CommandLog()
+        assert self._proposed(log) == 1
+        assert self._proposed(log, slot=5) == 5 and log.next_slot == 6
+        assert self._proposed(log, slot=3) == 3 and log.next_slot == 6
+        assert log.in_flight == 3
+
+    def test_ack_reports_the_vote_that_completes_the_quorum(self):
+        log = CommandLog()
+        slot = self._proposed(log)
+        assert log.ack(slot, NodeID(1, 2))
+        log.commit(slot)
+        assert not log.ack(slot, NodeID(1, 3))  # committed: nothing to count
+        assert not log.ack(9, NodeID(1, 2))  # never proposed here
+        assert log.in_flight == 0
+
+    def test_due_waits_for_the_timeout_then_restamps(self):
+        log = CommandLog()
+        slot = self._proposed(log, now=1.0)
+        assert list(log.due(1.2, 0.3, self.PEERS, B1)) == []
+        [(due_slot, entry, behind)] = log.due(1.3, 0.3, self.PEERS, B1)
+        assert (due_slot, behind) == (slot, self.PEERS) and entry is log.entries[slot]
+        assert list(log.due(1.5, 0.3, self.PEERS, B1)) == []  # re-stamped at 1.3
+
+    def test_due_lists_only_the_members_still_behind(self):
+        log = CommandLog()
+        slot = self._proposed(log)
+        log.entries[slot].quorum.ack(NodeID(1, 2))
+        assert [behind for _, _, behind in log.due(1.0, 0.3, self.PEERS, B1)] == [[NodeID(1, 3)]]
+        log.entries[slot].quorum.ack(NodeID(1, 3))
+        assert list(log.due(2.0, 0.3, self.PEERS, B1)) == [] and log.in_flight == 1
+
+    def test_due_drops_what_is_no_longer_this_proposers_to_resend(self):
+        log = CommandLog()
+        committed, overwritten, compacted, open_ = (self._proposed(log) for _ in range(4))
+        log.entries[committed].committed = True  # by a watermark, not commit()
+        log.accept(overwritten, B2, Command.get("newer"))
+        log.entries.pop(compacted)
+        assert [slot for slot, _, _ in log.due(1.0, 0.3, self.PEERS, B1)] == [open_]
+        assert log.in_flight == 1
+        # Deposed: the proposer leads under B2 now, so a B1 proposal is not its to re-send.
+        assert list(log.due(2.0, 0.3, self.PEERS, B2)) == [] and log.in_flight == 0
+
+    def test_recover_adopts_chosen_values_and_yields_the_rest(self):
+        log = CommandLog()
+        log.accept(1, B1, Command.get("mine"))
+        log.commit(1)
+        log.accept(2, B1, Command.get("accepted"))
+        learned = {
+            2: (2, B1, Command.get("accepted"), None, False),
+            3: (3, B2, Command.get("chosen"), None, True),
+            5: (5, B1, Command.get("pending"), None, False),
+        }
+        walk = [(slot, command and command.key) for slot, command, _ in log.recover(learned)]
+        assert walk == [(2, "accepted"), (4, None), (5, "pending")]
+        assert log.entries[3].committed and log.entries[3].ballot == B2
+        assert log.next_slot == 6
 
 
 class TestTarjan:
