@@ -153,6 +153,12 @@ class LeaderLog(Protocol):
         """Start an election for a higher epoch."""
 
     @abc.abstractmethod
+    def _step_down(self, epoch: Any) -> None:
+        """Adopt a newer ``epoch`` from a message: the one place the
+        ballot or term rises.  It hands pending requests on with
+        :meth:`_forward_pending`."""
+
+    @abc.abstractmethod
     def _handoff_ready(self, successor: NodeID) -> bool:
         """The drain reached ``_handoff_point`` and ``successor`` can win."""
 
@@ -339,6 +345,30 @@ class LeaderLog(Protocol):
             self.pipeline_depth is None or self.in_flight < self.pipeline_depth
         ):
             self._propose_group(self._proposal_queue.popleft())
+
+    def _forward_pending(self, *, keep_own: bool = True) -> None:
+        """Hand what nobody here will propose to ``leader_hint``: parked
+        requests, then those caught mid-batch or queued behind the pipeline
+        bound (their admission withdrawn).  A planned handoff in progress
+        is moot.  Nothing moves while this replica leads.  While it is its
+        own hint it keeps them (``keep_own``: MultiPaxos, which parks such
+        requests while it campaigns) or drops them for the clients'
+        retries to find the leader (Raft, whose ``_submit`` drops too)."""
+        hint = self.leader_hint
+        if self.active or (keep_own and hint == self.id):
+            return
+        if self._handing_off:
+            self._handing_off = False
+            self._handoff_successor = None
+        pending: list[ClientRequest] = self.batcher.drain() if self.batcher is not None else []
+        while self._proposal_queue:
+            pending.extend(self._proposal_queue.popleft())
+        for m in pending:
+            self.replies.withdraw(m)
+        parked, self._parked = self._parked, []
+        if hint is not None and hint != self.id:
+            for m in parked + pending:
+                self.send(hint, m)
 
     # ------------------------------------------------------------------
     # Local reads (bounded staleness, session tokens)
@@ -656,9 +686,7 @@ class LeaderLog(Protocol):
             self.retransmit_timeout,
             lambda: self._retransmit_handoff(successor, epoch, 3),
         )
-        parked, self._parked = self._parked, []
-        for m in parked:
-            self.send(successor, m)
+        self._forward_pending()
         self._reset_election_timer()
 
     def _stop_leading(self) -> None:

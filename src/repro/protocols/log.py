@@ -11,9 +11,14 @@ object), :class:`~repro.protocols.group.GroupEngine` and Mencius, on both
 sides of phase 2.  The proposer's side: placing a proposal and stamping
 when it went out, counting its votes, and the retransmit scan that finds
 what is due again.  The acceptor's side: the watermark rule, gap-fill
-retry, fill adoption, entry snapshots and the in-order execute loop.  Each
-host keeps only its messages, the peers it sends them to, its phase-1
-adoption and its flush or heartbeat policy.
+retry, fill adoption, entry snapshots and the in-order execute loop.
+
+:class:`Acceptor` is the one ballot rule over such a log, for the hosts
+that elect a leader by ballot (MultiPaxos per replica, WPaxos per object):
+the promise, the own ballot, the promise and accept rules and the
+phase-1 candidacy.  Each host keeps only its messages, the peers it sends
+them to, its durability calls, its one step-down and its flush or
+heartbeat policy.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator
 from repro.errors import ProtocolError
 from repro.paxi.message import Batch, ClientRequest, Command
 from repro.paxi.quorum import Quorum
-from repro.protocols.ballot import Ballot
+from repro.protocols.ballot import Ballot, ZERO
 
 # A slot's value is a single command or a batch; its reply routing is a
 # single RequestInfo or one per batched command (aligned by position).
@@ -338,14 +343,6 @@ class CommandLog:
         finally:
             self._executing = False
 
-    def uncommitted(self) -> dict[int, Entry]:
-        """Accepted-but-uncommitted entries (what P1b messages carry)."""
-        return {
-            slot: entry
-            for slot, entry in self.entries.items()
-            if not entry.committed
-        }
-
     def compact(self, upto: int) -> None:
         """Drop every slot at or below ``upto`` (executed, never asked for
         again).  Costs O(newly compacted)."""
@@ -353,3 +350,85 @@ class CommandLog:
         for slot in range(self.floor + 1, upto + 1):
             pop(slot, None)
         self.floor = max(self.floor, upto)
+
+
+class Acceptor:
+    """One Paxos acceptor and candidate over one :class:`CommandLog`:
+    MultiPaxos (and FPaxos) is one per replica, WPaxos one per object.
+
+    Its rules (:meth:`promises`, :meth:`accepts`, :meth:`outranked`,
+    :meth:`superseded`) are the only code that compares a ballot with the
+    promise, and :meth:`adopt`, :meth:`campaign`, :meth:`tally` and
+    :meth:`win` the only code that moves the promise or the phase-1 votes.
+    A host adopts a ballot in one method of its own (MultiPaxos's
+    ``_step_down``, WPaxos's ``_adopt``) that calls :meth:`adopt` and then
+    does the host's part: leader hint or owner, durability, the requests it
+    buffered.
+    """
+
+    promised: Ballot = ZERO  #: highest ballot promised
+    ballot: Ballot = ZERO  #: own ballot while leading or campaigning
+    active: bool = False  #: won phase 1 under ``ballot`` and leads
+    p1_quorum: Quorum | None = None  #: phase-1 votes while campaigning
+    p1_learned: dict[int, EntrySnapshot] | None = None  #: merged P1b suffixes
+
+    def promises(self, ballot: Ballot, commit_upto: int, log: CommandLog) -> bool:
+        """The promise rule, for a P1a: ``ballot`` is strictly higher than
+        the promise, and the candidate (committed through ``commit_upto``)
+        is not behind ``log``'s floor, or it would find the slots executed
+        and compacted here empty in the suffix and fill them with no-ops."""
+        return ballot > self.promised and commit_upto >= log.floor
+
+    def accepts(self, ballot: Ballot) -> bool:
+        """The accept rule, for a P2a or a commit: at least the promise."""
+        return ballot >= self.promised
+
+    def outranked(self, ballot: Ballot) -> bool:
+        """A refusal, a donor or a WAL record names a higher ballot."""
+        return ballot > self.promised
+
+    def superseded(self, ballot: Ballot) -> bool:
+        """A node other than ``ballot``'s owner holds a newer promise here."""
+        return ballot < self.promised and ballot.owner != self.promised.owner
+
+    def adopt(self, ballot: Ballot, me: Hashable) -> bool:
+        """Take ``ballot``, which a rule above let in: raise the promise to
+        it; if another node owns it, stop leading and end any candidacy.
+        True if a candidacy ended."""
+        if ballot > self.promised:
+            self.promised = ballot
+        if ballot.owner == me:
+            return False
+        self.active = False
+        if self.p1_quorum is None:
+            return False
+        self.p1_quorum = self.p1_learned = None
+        return True
+
+    def campaign(self, me: Hashable, quorum: Quorum, log: CommandLog) -> bool:
+        """Run for leader under a fresh ballot above all seen here, promised
+        to ourselves: ``quorum`` counts our vote and ``log``'s entries start
+        the suffix learned.  True if our vote is a quorum (:meth:`win`)."""
+        self.ballot = self.promised = Ballot(max(self.promised.counter, self.ballot.counter) + 1, me)
+        self.active = False
+        self.p1_quorum = quorum
+        quorum.ack(me)
+        self.p1_learned = {}
+        merge_snapshots(self.p1_learned, log.snapshots())
+        return quorum.satisfied()
+
+    def tally(self, voter: Hashable, ballot: Ballot, entries: Iterable[EntrySnapshot]) -> bool:
+        """Count ``voter``'s promise of ``ballot`` and merge its suffix;
+        True once the candidacy has its quorum (:meth:`win`)."""
+        if self.p1_quorum is None or ballot != self.ballot or self.active:
+            return False
+        merge_snapshots(self.p1_learned, entries)
+        self.p1_quorum.ack(voter)
+        return self.p1_quorum.satisfied()
+
+    def win(self, log: CommandLog) -> Iterator[tuple[int, EntryCommand, Any]]:
+        """Lead under ``ballot``: walk ``log.recover`` over what phase 1
+        learned, yielding each slot to re-propose."""
+        self.active = True
+        learned, self.p1_quorum, self.p1_learned = self.p1_learned, None, None
+        return log.recover(learned)

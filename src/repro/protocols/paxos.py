@@ -46,16 +46,16 @@ from repro.paxi.recovery import (
     CatchupRunner,
     entries_payload_bytes,
 )
-from repro.protocols.ballot import Ballot, ZERO, initial_ballot
+from repro.protocols.ballot import Ballot, ZERO
 from repro.protocols.leaderlog import LeaderLog
 from repro.sim.storage import Snapshot
 from repro.protocols.log import (
+    Acceptor,
     CommandLog,
     Entry,
     EntryCommand,
     EntrySnapshot,
     entry_pairs,
-    merge_snapshots,
     request_infos,
 )
 
@@ -159,8 +159,9 @@ class FillReply(Message):
     floor: int = 0  # the server's log floor: slots at or below it are gone
 
 
-class MultiPaxos(LeaderLog):
-    """A MultiPaxos replica: a slot map with gaps, ordered by ballots.
+class MultiPaxos(LeaderLog, Acceptor):
+    """A MultiPaxos replica: a slot map with gaps, ordered by ballots, and
+    one :class:`~repro.protocols.log.Acceptor` over it.
 
     Batching and pipelining come from the typed config fields
     (``Config.batch_size`` / ``batch_window`` / ``pipeline_depth``): the
@@ -199,17 +200,12 @@ class MultiPaxos(LeaderLog):
         #: Committed entries per CatchupReply (the requester re-asks).
         self.catchup_max_entries: int = params.get("catchup_max_entries", 256)
 
-        self.promised: Ballot = ZERO
-        self.ballot: Ballot = ZERO  # own ballot while leading / campaigning
-        self.active = False  # completed phase-1 and currently leading
         self.log = CommandLog()
         if self._lease is not None:
             # A grant quorum only has to intersect every phase-1 quorum:
             # FPaxos's leases need |q2| grants, not a majority.
             self._lease.quorum_size = self.phase2_quorum().size
 
-        self._p1_quorum: Quorum | None = None
-        self._p1_entries: dict[int, EntrySnapshot] = {}
         self._peer_floors: dict[Hashable, int] = {}  # acceptor -> floor, this heartbeat
         self._heartbeat_armed = False
         self._catchup: CatchupRunner | None = None
@@ -246,9 +242,7 @@ class MultiPaxos(LeaderLog):
     def in_flight(self) -> int:
         return self.log.in_flight
 
-    def _superseded(self, epoch: Ballot) -> bool:
-        """Someone other than ``epoch``'s owner holds our newer promise."""
-        return epoch < self.promised and epoch.owner != self.promised.owner
+    _superseded = Acceptor.superseded
 
     def _read_hint(self, local: bool) -> NodeID | None:
         return self.id if self.active and not local else None
@@ -286,17 +280,8 @@ class MultiPaxos(LeaderLog):
 
     def start_phase1(self) -> None:
         """Campaign to lead with a ballot above everything seen so far."""
-        self.ballot = Ballot(max(self.promised.counter, self.ballot.counter) + 1, self.id)
-        if self.ballot <= self.promised:
-            self.ballot = initial_ballot(self.id)
-        self.promised = self.ballot
-        self.active = False
         self.leader_hint = self.id
-        self._p1_quorum = self.phase1_quorum()
-        self._p1_quorum.ack(self.id)
-        self._p1_entries = {}
-        merge_snapshots(self._p1_entries, self.log.snapshots())
-        if self._p1_quorum.satisfied():  # single-node cluster
+        if self.campaign(self.id, self.phase1_quorum(), self.log):  # single-node cluster
             self.persist("promise", self.ballot)
             self._become_leader()
             return
@@ -319,89 +304,58 @@ class MultiPaxos(LeaderLog):
 
     _campaign = start_phase1
 
-    def _drain_buffered(self) -> None:
-        """Forward requests buffered during a failed candidacy to whoever
-        won; otherwise they would wait for an election that may be
-        disabled.  Requests caught mid-batch or queued behind the pipeline
-        bound when we stepped down follow them to the new leader."""
-        if self.active or self.leader_hint == self.id:
-            return
-        if self._handing_off:
-            # Deposed mid-handoff by a competing ballot: the drain is moot.
-            self._handing_off = False
-            self._handoff_successor = None
-        pending: list[ClientRequest] = (
-            self.batcher.drain() if self.batcher is not None else []
-        )
-        while self._proposal_queue:
-            pending.extend(self._proposal_queue.popleft())
-        for m in pending:
-            self.replies.withdraw(m)
-        if not self._parked and not pending:
-            return
-        self._p1_quorum = None
-        parked, self._parked = self._parked, []
-        for m in parked + pending:
-            self.send(self.leader_hint, m)
+    def _step_down(self, ballot: Ballot, *, reply: tuple = (), logged: bool = False) -> None:
+        """Adopt ``ballot``, which a rule of the acceptor let in: the one
+        place MultiPaxos's promise rises or leadership moves.  The hint
+        and the buffered requests follow the ballot's owner, and the
+        election timer restarts.  A risen promise is persisted, and a P1b
+        ``reply = (dst, message)`` leaves once it is durable, unless a WAL
+        record already carries the ballot (``logged``: an accept record,
+        whose P2a writes no promise record, or replay)."""
+        durable = not logged and self.outranked(ballot)
+        self.adopt(ballot, self.id)
+        self.leader_hint = ballot.owner
+        self._forward_pending()
+        if durable:
+            self.persist("promise", ballot, then=self.send if reply else None, args=reply)
+        self._reset_election_timer()
 
     def on_p1a(self, src: Hashable, m: P1a) -> None:
         if self.recovering:
             return  # a learner's promise history is gone; abstain
-        # A candidate behind our floor would find slots we executed but
-        # no longer hold empty in our suffix, and fill them with no-ops.
         blocked = self._lease_blocks(m.ballot.owner, released_by=m.handoff_from)
-        if blocked or m.commit_upto < self.log.floor:
+        if blocked or not self.promises(m.ballot, m.commit_upto, self.log):
             self.send(src, P1b(ballot=self.promised, ok=False))
             return
-        if m.ballot > self.promised:
-            self.promised = m.ballot
-            self.leader_hint = m.ballot.owner
-            if self.active:
-                self.active = False  # step down
-            self._drain_buffered()
-            # The promise must survive a reboot before the candidate can
-            # count it, so the P1b waits for the WAL record's fsync.
-            reply = P1b(ballot=m.ballot, ok=True, entries=self.log.snapshots(above=m.commit_upto))
-            self.persist("promise", m.ballot, then=self.send, args=(src, reply))
-            self._reset_election_timer()
-        else:
-            self.send(src, P1b(ballot=self.promised, ok=False))
+        # The promise must survive a reboot before the candidate can count
+        # it, so the P1b waits for the WAL record's fsync.
+        reply = P1b(ballot=m.ballot, ok=True, entries=self.log.snapshots(above=m.commit_upto))
+        self._step_down(m.ballot, reply=(src, reply))
 
     def on_p1b(self, src: Hashable, m: P1b) -> None:
         if not m.ok:
-            if m.ballot > self.promised:
-                self.promised = m.ballot
-                self.persist("promise", m.ballot)  # no reply gated on this
-                self.leader_hint = m.ballot.owner
-                self._p1_quorum = None
-                self._reset_election_timer()
-                self._drain_buffered()
+            if self.outranked(m.ballot):
+                self._step_down(m.ballot)
             return
-        if self._p1_quorum is None or m.ballot != self.ballot or self.active:
-            return
-        merge_snapshots(self._p1_entries, m.entries)
-        self._p1_quorum.ack(src)
-        if self._p1_quorum.satisfied():
+        if self.tally(src, m.ballot, m.entries):
             self._become_leader()
 
     def _become_leader(self) -> None:
-        self.active = True
-        self._p1_quorum = None
         self.leader_hint = self.id
+        walk = self.win(self.log)
         if self._lease is not None:
             # Fresh term: grant rounds restart under the new ballot.
             self._lease.reset()
         # Adopt committed entries; re-propose uncommitted ones with our
         # ballot; fill gaps with no-ops (paper section 2: the leader must
         # instruct followers to accept pending commands it learned).
-        for slot, command, request in self.log.recover(self._p1_entries):
+        for slot, command, request in walk:
             self._propose(command, request, slot)
         if self._lease is not None:
             # Lease reads wait until every slot adopted from the previous
             # leader has executed locally (that leader may have replied to
             # clients for them already).
             self._read_barrier = self.log.next_slot - 1
-        self._p1_entries = {}
         self._peer_floors = {}  # a past term's reports may predate a wipe
         self._advance_execution()
         if self.heartbeat_interval is not None and not self._heartbeat_armed:
@@ -506,44 +460,35 @@ class MultiPaxos(LeaderLog):
     def on_p2a(self, src: Hashable, m: P2a) -> None:
         if self.recovering:
             return  # learners don't vote; catch-up will deliver the slot
-        if m.ballot >= self.promised:
-            self.promised = m.ballot
-            if self.active and m.ballot.owner != self.id:
-                self.active = False
-            self.leader_hint = m.ballot.owner
-            self._drain_buffered()
-            self.log.accept(m.slot, m.ballot, m.command, m.request)
-            # Accepting doubles as a lease grant: echo the round number so
-            # the leader can anchor the window at its own broadcast time.
-            lease_seq = m.lease_seq if self._grant is not None else 0
-            if lease_seq:
-                self._grant.grant(m.ballot.owner)
-            # The accept record carries its ballot, so replay restores both
-            # the entry and the implied promise; the P2b leaves only after
-            # the record is durable (the paper's "fsync in critical path").
-            floor = self._floor()
-            reply = P2b(ballot=m.ballot, slot=m.slot, ok=True, lease_seq=lease_seq, floor=floor)
-            self.persist(
-                "accept",
-                (m.slot, m.ballot, m.command, m.request),
-                slot=m.slot,
-                command=m.command,
-                then=self.send,
-                args=(src, reply),
-            )
-            self._on_watermark(m.commit_upto, m.ballot, src)
-            self._reset_election_timer()
-        else:
+        if not self.accepts(m.ballot):
             self.send(src, P2b(ballot=self.promised, slot=m.slot, ok=False))
+            return
+        # The accept record carries its ballot, so replay restores both the
+        # entry and the implied promise: no promise record of its own.
+        self._step_down(m.ballot, logged=True)
+        self.log.accept(m.slot, m.ballot, m.command, m.request)
+        # Accepting doubles as a lease grant: echo the round number so the
+        # leader can anchor the window at its own broadcast time.
+        lease_seq = m.lease_seq if self._grant is not None else 0
+        if lease_seq:
+            self._grant.grant(m.ballot.owner)
+        # The P2b leaves only after the record is durable (the paper's
+        # "fsync in critical path").
+        reply = P2b(ballot=m.ballot, slot=m.slot, ok=True, lease_seq=lease_seq, floor=self._floor())
+        self.persist(
+            "accept",
+            (m.slot, m.ballot, m.command, m.request),
+            slot=m.slot,
+            command=m.command,
+            then=self.send,
+            args=(src, reply),
+        )
+        self._on_watermark(m.commit_upto, m.ballot, src)
 
     def on_p2b(self, src: Hashable, m: P2b) -> None:
         if not m.ok:
-            if m.ballot > self.promised:
-                self.promised = m.ballot
-                self.persist("promise", m.ballot)
-                self.leader_hint = m.ballot.owner
-                self.active = False
-                self._reset_election_timer()
+            if self.outranked(m.ballot):
+                self._step_down(m.ballot)
             return
         self._peer_floors[src] = m.floor
         if not self.active or m.ballot != self.ballot:
@@ -570,25 +515,18 @@ class MultiPaxos(LeaderLog):
     # ------------------------------------------------------------------
 
     def on_commit(self, src: Hashable, m: Commit) -> None:
-        if self.recovering:
-            return  # catch-up owns a learner's commit progress
-        if m.ballot >= self.promised:
-            if m.ballot > self.promised:
-                self.promised = m.ballot
-                self.persist("promise", m.ballot)
-            if self.active and m.ballot.owner != self.id:
-                self.active = False  # deposed while cut off: step down
-            self.leader_hint = m.ballot.owner
-            if self._monitor is not None and src != self.id:
-                delay = self.clock.now - m.sent_at if m.sent_at > 0.0 else None
-                self._observe_leader(src, m.ballot, delay)
-            if m.lease_seq and self._grant is not None:
-                self._grant.grant(m.ballot.owner)
-                self.send(src, LeaseGrant(ballot=m.ballot, seq=m.lease_seq))
-            self._drain_buffered()
-            self._on_watermark(m.commit_upto, m.ballot, src)
-            self._compact(m.floor)
-            self._reset_election_timer()
+        if self.recovering or not self.accepts(m.ballot):
+            return  # (catch-up owns a learner's commit progress)
+        if self._monitor is not None and src != self.id:
+            # Before the step-down: its election timer uses what this teaches.
+            delay = self.clock.now - m.sent_at if m.sent_at > 0.0 else None
+            self._observe_leader(src, m.ballot, delay)
+        self._step_down(m.ballot)  # a leader deposed while cut off leaves here
+        if m.lease_seq and self._grant is not None:
+            self._grant.grant(m.ballot.owner)
+            self.send(src, LeaseGrant(ballot=m.ballot, seq=m.lease_seq))
+        self._on_watermark(m.commit_upto, m.ballot, src)
+        self._compact(m.floor)
 
     def on_lease_grant(self, src: Hashable, m: LeaseGrant) -> None:
         if self.active and m.ballot == self.ballot and self._lease is not None:
@@ -733,17 +671,15 @@ class MultiPaxos(LeaderLog):
             for record in self.disk.wal.records:
                 had_state = True
                 if record.kind == "promise":
-                    if record.data > self.promised:
-                        self.promised = record.data
-                elif record.kind == "accept":
+                    ballot = record.data
+                else:  # "accept"
                     slot, ballot, command, request = record.data
                     if slot >= self.log.execute_index:
                         self.log.accept(slot, ballot, command, request)
-                    if ballot > self.promised:
-                        self.promised = ballot
+                if self.outranked(ballot):
+                    self._step_down(ballot, logged=True)
         self.recovering = self.restart_reason == "wipe" or not had_state
         if not self.recovering:
-            self.leader_hint = self.promised.owner if self.promised != ZERO else self.initial_leader
             if self._failover_enabled:
                 self._reset_election_timer()
             elif self.id == self.initial_leader:
@@ -822,11 +758,10 @@ class MultiPaxos(LeaderLog):
                 continue
             self.log.accept(slot, ballot, command, request)
             self.log.commit(slot)
-        if isinstance(m.extra, Ballot) and m.extra > self.promised:
+        if isinstance(m.extra, Ballot) and self.outranked(m.extra):
             # Adopting the donor's promise is always safe (promising more
             # restricts us) and lets a wiped ex-leader pick a fresh ballot.
-            self.promised = m.extra
-            self.persist("promise", m.extra)
+            self._step_down(m.extra)
         if m.leader_hint is not None:
             self.leader_hint = m.leader_hint
         self._advance_execution()
@@ -854,4 +789,4 @@ class MultiPaxos(LeaderLog):
             self._reset_election_timer()
         elif was_recovering and self.id == self.initial_leader and not self.active:
             self.set_timer(0.0, self.start_phase1)
-        self._drain_buffered()
+        self._forward_pending()

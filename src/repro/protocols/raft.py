@@ -316,23 +316,8 @@ class Raft(LeaderLog):
         self.term = term
         self.state = FOLLOWER
         self.voted_for = None
-        if self._handing_off:
-            # Deposed mid-handoff by a competing term: the drain is moot.
-            self._handing_off = False
-            self._handoff_successor = None
         self.persist("term", (term, None))  # nothing waits on this record
-        # Requests caught mid-batch or behind the pipeline bound chase the
-        # new leader (or are dropped for the client's retry to find it).
-        pending: list[ClientRequest] = (
-            self.batcher.drain() if self.batcher is not None else []
-        )
-        while self._proposal_queue:
-            pending.extend(self._proposal_queue.popleft())
-        pending.extend(self._parked)
-        self._parked = []
-        for m in pending:
-            if self.leader_hint is not None and self.leader_hint != self.id:
-                self.send(self.leader_hint, m)
+        self._forward_pending(keep_own=False)
 
     # ------------------------------------------------------------------
     # Client requests

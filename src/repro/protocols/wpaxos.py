@@ -31,7 +31,7 @@ from repro.paxi.message import ClientReply, ClientRequest, Command, Message
 from repro.paxi.protocol import Protocol
 from repro.paxi.quorum import GridQuorum, Quorum
 from repro.protocols.ballot import Ballot, ZERO
-from repro.protocols.log import CommandLog, Entry, EntrySnapshot, RequestInfo, merge_snapshots
+from repro.protocols.log import Acceptor, CommandLog, Entry, EntrySnapshot, RequestInfo
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +51,6 @@ class WP1b(Message):
     ballot: Ballot = ZERO
     ok: bool = True
     entries: tuple[EntrySnapshot, ...] = ()
-    next_slot: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,15 +95,12 @@ class WFillReply(Message):
 
 
 @dataclass
-class _ObjectState:
-    """Everything one replica knows about one object."""
+class _ObjectState(Acceptor):
+    """Everything one replica knows about one object: its acceptor
+    (``active`` while this node owns it) and log, and the stealing state."""
 
-    ballot: Ballot = ZERO  # highest promised ballot for this object
     owner: NodeID | None = None
-    active: bool = False  # this node currently owns the object
     log: CommandLog = field(default_factory=CommandLog)
-    p1_quorum: Quorum | None = None
-    p1_entries: dict[int, EntrySnapshot] = field(default_factory=dict)
     pending: list[ClientRequest] = field(default_factory=list)
     steal_streak: int = 0
     forwarded: set = field(default_factory=set)  # (client, request_id) we forwarded
@@ -216,67 +212,43 @@ class WPaxos(Protocol):
     def _start_steal(self, key: Hashable, state: _ObjectState, request: ClientRequest) -> None:
         state.steal_streak = 0
         state.pending.append(request)
-        ballot = Ballot(state.ballot.counter + 1, self.id)
-        state.ballot = ballot
         state.owner = self.id
-        state.p1_quorum = self._phase1_quorum()
-        state.p1_quorum.ack(self.id)
-        state.p1_entries = {}
-        merge_snapshots(state.p1_entries, state.log.snapshots())
-        self.broadcast(WP1a(key=key, ballot=ballot, commit_upto=state.log.commit_upto()))
-        if state.p1_quorum.satisfied():
+        won = state.campaign(self.id, self._phase1_quorum(), state.log)
+        self.broadcast(WP1a(key=key, ballot=state.ballot, commit_upto=state.log.commit_upto()))
+        if won:
             self._acquire(key, state)
 
-    def _abandon_candidacy(self, state: _ObjectState) -> None:
-        """A higher ballot beat our in-flight steal: drop the candidacy and
-        re-route everything we had buffered to the winner."""
-        if state.p1_quorum is None or state.ballot.owner == self.id:
-            return
-        state.p1_quorum = None
-        state.p1_entries = {}
-        pending, state.pending = state.pending, []
-        for request in pending:
-            self.send(state.owner, request)
+    def _adopt(self, state: _ObjectState, ballot: Ballot) -> None:
+        """Adopt ``ballot`` for the object, which a rule of its acceptor let
+        in: the one place an object's promise rises or ownership moves.  A
+        steal it beats re-routes everything buffered for it to the winner."""
+        ended = state.adopt(ballot, self.id)
+        state.owner = ballot.owner
+        if ended:
+            pending, state.pending = state.pending, []
+            for request in pending:
+                self.send(state.owner, request)
 
     def on_p1a(self, src: Hashable, m: WP1a) -> None:
         state = self._object(m.key)
-        if m.ballot > state.ballot:
-            state.ballot = m.ballot
-            state.owner = m.ballot.owner
-            if state.active:
-                state.active = False  # ownership stolen away
-            self._abandon_candidacy(state)
+        if state.promises(m.ballot, m.commit_upto, state.log):
+            self._adopt(state, m.ballot)
             suffix = state.log.snapshots(above=m.commit_upto)
-            self.send(
-                src,
-                WP1b(key=m.key, ballot=m.ballot, ok=True, entries=suffix, next_slot=state.log.next_slot),
-            )
+            self.send(src, WP1b(key=m.key, ballot=m.ballot, ok=True, entries=suffix))
         else:
-            self.send(src, WP1b(key=m.key, ballot=state.ballot, ok=False))
+            self.send(src, WP1b(key=m.key, ballot=state.promised, ok=False))
 
     def on_p1b(self, src: Hashable, m: WP1b) -> None:
         state = self._object(m.key)
         if not m.ok:
-            if m.ballot > state.ballot:
-                state.ballot = m.ballot
-                state.owner = m.ballot.owner
-            self._abandon_candidacy(state)
-            return
-        if state.p1_quorum is None or m.ballot != state.ballot or state.active:
-            return
-        merge_snapshots(state.p1_entries, m.entries)
-        state.log.next_slot = max(state.log.next_slot, m.next_slot)
-        state.p1_quorum.ack(src)
-        if state.p1_quorum.satisfied():
+            if state.outranked(m.ballot):
+                self._adopt(state, m.ballot)
+        elif state.tally(src, m.ballot, m.entries):
             self._acquire(m.key, state)
 
     def _acquire(self, key: Hashable, state: _ObjectState) -> None:
-        state.active = True
-        state.owner = self.id
-        state.p1_quorum = None
-        for slot, command, request in state.log.recover(state.p1_entries):
+        for slot, command, request in state.win(state.log):
             self._propose(key, state, command, request, slot)
-        state.p1_entries = {}
         self._advance_execution(state)
         pending, state.pending = state.pending, []
         for request in pending:
@@ -314,13 +286,8 @@ class WPaxos(Protocol):
 
     def on_p2a(self, src: Hashable, m: WP2a) -> None:
         state = self._object(m.key)
-        if m.ballot >= state.ballot:
-            state.ballot = m.ballot
-            state.owner = m.ballot.owner
-            if state.active and m.ballot.owner != self.id:
-                state.active = False
-            if m.ballot.owner != self.id:
-                self._abandon_candidacy(state)
+        if state.accepts(m.ballot):
+            self._adopt(state, m.ballot)
             state.log.accept(m.slot, m.ballot, m.command, m.request)
             if self.is_leader_node and m.ballot.owner != self.id:
                 # A command we forwarded ourselves still counts toward our
@@ -337,15 +304,13 @@ class WPaxos(Protocol):
             self.send(src, WP2b(key=m.key, ballot=m.ballot, slot=m.slot, ok=True))
             self._on_watermark(m.key, state, m.commit_upto, src)
         else:
-            self.send(src, WP2b(key=m.key, ballot=state.ballot, slot=m.slot, ok=False))
+            self.send(src, WP2b(key=m.key, ballot=state.promised, slot=m.slot, ok=False))
 
     def on_p2b(self, src: Hashable, m: WP2b) -> None:
         state = self._object(m.key)
         if not m.ok:
-            if m.ballot > state.ballot:
-                state.ballot = m.ballot
-                state.owner = m.ballot.owner
-                state.active = False
+            if state.outranked(m.ballot):
+                self._adopt(state, m.ballot)
             return
         if state.active and m.ballot == state.ballot and state.log.ack(m.slot, src):
             self._commit_slot(state, m.slot)
@@ -373,7 +338,7 @@ class WPaxos(Protocol):
         # the scan drops them).
         now = self.now
         for key, state in self.objects.items():
-            for slot, entry, behind in state.log.due(now, self.retransmit_timeout, self.peers, state.ballot):
+            for slot, entry, behind in state.log.due(now, self.retransmit_timeout, self.peers, state.promised):
                 self.multicast(
                     behind,
                     WP2a(
@@ -394,7 +359,7 @@ class WPaxos(Protocol):
     def _on_watermark(self, key: Hashable, state: _ObjectState, upto: int, origin: Hashable) -> None:
         # Only the owner's watermark certifies values chosen under its
         # ballot; one from anyone else commits nothing (CommandLog's rule).
-        ballot = state.ballot if state.ballot.owner == origin else None
+        ballot = state.promised if state.promised.owner == origin else None
         need = state.log.apply_watermark(upto, ballot, self.now, self.retransmit_timeout)
         if need:
             self.send(origin, WFillRequest(key=key, slots=need))

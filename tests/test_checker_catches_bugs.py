@@ -4,9 +4,10 @@ must be caught.
 A checker that never fires is worthless; these tests implement unsound
 replication schemes — reply-before-replicate with stale follower reads,
 divergent state machines, a leader lease that ignores its own expiry, an
-EPaxos executor that ignores dependencies, and a reply table that forgets
-executions along with replies — and assert the linearizability and
-consensus checkers flag them.  The read-anomaly
+EPaxos executor that ignores dependencies, a reply table that forgets
+executions along with replies, a ballot-blind commit watermark, a
+promise-blind Paxos acceptor and a slot log that executes past a gap — and
+assert the linearizability and consensus checkers flag them.  The read-anomaly
 histories (stale lease read, split-brain read, non-monotonic quorum read)
 are also replayed against ``checkers.staleness`` to pin the
 boundary: the local-read variants are *accepted* within their staleness
@@ -26,9 +27,11 @@ from repro.paxi.node import Replica
 from repro.paxi.replies import ReplyTable
 from repro.paxi.session import SessionOptions
 from repro.protocols.epaxos import EPaxos
-from repro.protocols.log import CommandLog
+from repro.protocols.log import Acceptor, CommandLog
+from repro.protocols.mencius import Mencius
 from repro.protocols.paxos import MultiPaxos
 from repro.protocols.raft import Raft
+from repro.protocols.wankeeper import WanKeeper
 from repro.protocols.wpaxos import WPaxos
 from dataclasses import dataclass
 from typing import Any, Hashable
@@ -491,4 +494,111 @@ def test_the_watermark_rule_survives_the_same_schedule(protocol, params):
     dep = _stale_watermark_scenario(protocol, params)
     for node in (FOLLOWER, NodeID(1, 3)):
         assert dep.replicas[node].store.history("k") == ["v0", "fresh", "after"]
+    assert check_deployment(dep).ok
+
+
+# ----------------------------------------------------------------------
+# The planted promise-blind acceptor: the one accept rule MultiPaxos and
+# WPaxos share takes a P2a of any ballot, so a deposed leader that comes
+# back still holding an old proposal gets it chosen over the newer
+# leader's value for the same slot.  One patch reaches both hosts.
+# ----------------------------------------------------------------------
+
+
+def _promise_blind(monkeypatch):
+    monkeypatch.setattr(Acceptor, "accepts", lambda acceptor, ballot: True)  # the bug
+
+
+def _deposed_leader_scenario(protocol, params):
+    """The stale-watermark schedule up to ``fresh``: leader 1.1 proposed
+    ``stale`` to 1.2 only, and the majority put ``fresh`` in that slot
+    under a newer ballot.  Then the cut heals, except that 1.3 stays
+    unheard at 1.1, so 1.1 re-sends its old accept before it learns the
+    newer ballot from anyone who would tell it."""
+    old, majority = NodeID(1, 1), [NodeID(1, n) for n in (3, 4, 5)]
+    dep = Deployment(Config.lan(1, 5, seed=3, **params)).start(protocol)
+    client = dep.new_client()
+    client.invoke(Command.put("k", "v0"), target=old)
+    dep.run_for(0.2)
+    for cut_off in (old, FOLLOWER):
+        for peer in majority:
+            dep.drop(cut_off, peer, duration=1.0)
+            dep.drop(peer, cut_off, duration=1.0)
+    client.invoke(Command.put("k", "stale"), target=old)
+    dep.run_for(0.6)
+    dep.new_client().invoke(Command.put("k", "fresh"), target=majority[0])
+    dep.run_for(0.3)
+    dep.drop(majority[0], old, duration=1.5)
+    dep.run_for(1.0)  # the cut heals at 1.2 s
+    return dep
+
+
+@pytest.mark.parametrize("protocol, params", STALE_WATERMARK_HOSTS)
+def test_consensus_checker_flags_a_promise_blind_acceptor(protocol, params, monkeypatch):
+    _promise_blind(monkeypatch)
+    dep = _deposed_leader_scenario(protocol, params)
+    assert dep.replicas[NodeID(1, 1)].store.history("k") == ["v0", "stale"]
+    consensus = check_deployment(dep)
+    assert not consensus.ok
+    assert consensus.violations[0].key == "k"
+
+
+@pytest.mark.parametrize("protocol, params", STALE_WATERMARK_HOSTS)
+def test_the_accept_rule_survives_the_same_schedule(protocol, params):
+    dep = _deposed_leader_scenario(protocol, params)
+    assert all("stale" not in r.store.history("k") for r in dep.replicas.values())
+    assert dep.replicas[NodeID(1, 3)].store.history("k") == ["v0", "fresh"]
+    assert check_deployment(dep).ok
+
+
+# ----------------------------------------------------------------------
+# The planted gap-skipping executor: CommandLog.execute runs the next
+# committed slot although an earlier one is missing or uncommitted, so a
+# member that lost an accept never applies that write.  GroupEngine
+# (WanKeeper's, and VPaxos's) and Mencius propose under one constant
+# ballot, so the watermark plant above cannot reach them; this one does.
+# ----------------------------------------------------------------------
+
+
+def _execute_past_gaps(monkeypatch):
+    rule = CommandLog.execute
+
+    def execute(log, run):
+        rule(log, run)
+        index = log.execute_index
+        later = [slot for slot, entry in log.entries.items() if slot > index and entry.committed]
+        if later:  # the bug: a gap does not hold the committed slots after it back
+            log.execute_index = min(later)
+            rule(log, run)
+
+    monkeypatch.setattr(CommandLog, "execute", execute)
+
+
+def _lossy_single_key_run(protocol):
+    """Three clients write one key through node 1.1 of three while half of
+    1.1's messages to 1.3 are lost for 0.3 s."""
+    dep = Deployment(Config.lan(1, 3, seed=5)).start(protocol)
+    dep.run_for(0.05)
+    dep.flaky(NodeID(1, 1), NodeID(1, 3), duration=0.3, probability=0.5)
+    clients = [dep.new_client() for _ in range(3)]
+    for i in range(30):
+        for c, client in enumerate(clients):
+            client.invoke(Command.put("k", f"v{i}.{c}"), target=NodeID(1, 1))
+        dep.run_for(0.01)
+    dep.run_for(1.0)
+    return dep
+
+
+@pytest.mark.parametrize("protocol", [WanKeeper, Mencius])
+def test_consensus_checker_flags_execution_past_a_gap(protocol, monkeypatch):
+    _execute_past_gaps(monkeypatch)
+    consensus = check_deployment(_lossy_single_key_run(protocol))
+    assert not consensus.ok
+    assert consensus.violations[0].key == "k"
+
+
+@pytest.mark.parametrize("protocol", [WanKeeper, Mencius])
+def test_in_order_execution_survives_the_same_losses(protocol):
+    dep = _lossy_single_key_run(protocol)
+    assert len(dep.replicas[NodeID(1, 1)].store.history("k")) == 90  # every write applied
     assert check_deployment(dep).ok

@@ -217,3 +217,62 @@ def test_only_the_slot_log_stamps_and_times_out_proposals(host):
             if aged and any(_names_a_retransmit_timeout(c) for c in node.comparators):
                 offenders.append(f"{host}:{node.lineno} times a proposal out")
     assert not offenders, "\n".join(offenders)
+
+
+# ----------------------------------------------------------------------
+# One acceptor: MultiPaxos and WPaxos's objects are each a
+# repro.protocols.log.Acceptor, whose rules are the only code that compares
+# a ballot with the promise, moves the promise or the phase-1 vote set,
+# or merges phase-1 suffixes.
+# ----------------------------------------------------------------------
+
+ACCEPTOR_HOSTS = ("paxos.py", "wpaxos.py")
+
+
+def _name(node: ast.AST) -> str:
+    return getattr(node, "attr", None) or getattr(node, "id", None) or ""
+
+
+def _promise(node: ast.AST) -> bool:
+    return _name(node).endswith("promised")
+
+
+def _acceptor_state(node: ast.AST) -> bool:
+    """The promise or the phase-1 vote set, under any host's name for it."""
+    return _promise(node) or "p1_" in _name(node)
+
+
+def _assigned(node: ast.AST) -> list[ast.AST]:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    flat = []
+    for target in targets:
+        flat.extend(target.elts if isinstance(target, ast.Tuple) else [target])
+    return flat
+
+
+@pytest.mark.parametrize("host", ACCEPTOR_HOSTS)
+def test_only_the_acceptor_applies_the_ballot_rule(host):
+    """No host compares a ballot with its promise, assigns the promise or
+    the phase-1 vote set, counts a phase-1 vote or merges a P1b suffix:
+    ``Acceptor.promises`` / ``accepts`` / ``outranked`` decide,
+    ``Acceptor.adopt`` / ``campaign`` / ``tally`` / ``win`` change."""
+    path = PROTOCOLS_DIR / host
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Compare) and any(map(_promise, [node.left, *node.comparators])):
+            offenders.append(f"{host}:{node.lineno} compares a ballot with the promise")
+        elif any(map(_acceptor_state, _assigned(node))):
+            offenders.append(f"{host}:{node.lineno} assigns the promise or the phase-1 votes")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = _name(func)
+            if name == "merge_snapshots":
+                offenders.append(f"{host}:{node.lineno} merges a phase-1 suffix")
+            elif name == "ack" and _acceptor_state(getattr(func, "value", None)):
+                offenders.append(f"{host}:{node.lineno} counts a phase-1 vote")
+    assert not offenders, "\n".join(offenders)

@@ -8,8 +8,9 @@ from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID
 from repro.paxi.message import Command
+from repro.protocols.ballot import Ballot
 from repro.protocols.fpaxos import FPaxos
-from repro.protocols.paxos import MultiPaxos
+from repro.protocols.paxos import P1a, P1b, MultiPaxos
 
 from tests.conftest import assert_correct, run_protocol
 
@@ -131,6 +132,21 @@ def test_deposed_leader_steps_down_on_a_higher_ballot_commit():
     deposed = dep.replicas[old]
     assert deposed.promised == dep.replicas[leaders[0]].ballot
     assert deposed.leader_hint == leaders[0]
+
+
+def test_a_candidate_outbid_mid_campaign_cannot_win_with_its_old_ballot():
+    """1.1 campaigns, then promises 1.2's higher ballot before any promise
+    of its own ballot comes back.  A late one must not make it leader: it
+    would accept its own proposals under a ballot below its promise, which
+    1.2's phase 1 never heard of."""
+    dep = Deployment(Config.lan(1, 3, seed=1)).start(MultiPaxos)
+    candidate = dep.replicas[NodeID(1, 1)]
+    candidate.start_phase1()
+    higher = Ballot(candidate.ballot.counter + 1, NodeID(1, 2))
+    candidate.on_p1a(NodeID(1, 2), P1a(ballot=higher))
+    candidate.on_p1b(NodeID(1, 3), P1b(ballot=candidate.ballot, ok=True))
+    assert not candidate.active
+    assert candidate.promised == higher and candidate.leader_hint == NodeID(1, 2)
 
 
 def test_single_node_cluster_commits_its_own_proposals():

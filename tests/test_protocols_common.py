@@ -1,4 +1,4 @@
-"""Unit tests for shared protocol machinery: ballots, log, SCC graph."""
+"""Unit tests for shared protocol machinery: ballots, log, acceptor, SCC graph."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +9,7 @@ from repro.paxi.message import Command
 from repro.paxi.quorum import MajorityQuorum
 from repro.protocols.ballot import ZERO, Ballot, initial_ballot
 from repro.protocols.graph import tarjan_sccs
-from repro.protocols.log import FILL_BATCH, CommandLog, RequestInfo, merge_snapshots
+from repro.protocols.log import FILL_BATCH, Acceptor, CommandLog, RequestInfo, merge_snapshots
 
 
 class TestBallot:
@@ -128,13 +128,6 @@ class TestCommandLog:
         log.commit(log.propose(B1, Command.get("a"), now=0.0))
         log.execute(run)
         assert ran == [1, 2] and log.execute_index == 3
-
-    def test_uncommitted_view(self):
-        log = CommandLog()
-        log.propose(B1, Command.get("a"), now=0.0)
-        log.propose(B1, Command.get("b"), now=0.0)
-        log.commit(1)
-        assert list(log.uncommitted()) == [2]
 
     def test_missing_slots(self):
         log = CommandLog()
@@ -305,6 +298,62 @@ class TestProposerSide:
         assert walk == [(2, "accepted"), (4, None), (5, "pending")]
         assert log.entries[3].committed and log.entries[3].ballot == B2
         assert log.next_slot == 6
+
+
+class TestAcceptor:
+    ME, OTHER = NodeID(1, 1), NodeID(1, 2)
+
+    def _candidate(self, promised=ZERO):
+        acceptor = Acceptor()
+        acceptor.promised = promised
+        quorum = MajorityQuorum([self.ME, self.OTHER, NodeID(1, 3)])
+        assert not acceptor.campaign(self.ME, quorum, CommandLog())
+        return acceptor
+
+    def test_a_promise_needs_a_strictly_higher_ballot_and_a_candidate_at_the_floor(self):
+        acceptor, log = Acceptor(), CommandLog()
+        acceptor.promised = B1
+        assert not acceptor.promises(B1, 0, log)
+        assert acceptor.promises(B2, 0, log)
+        log.compact(5)
+        assert not acceptor.promises(B2, 4, log) and acceptor.promises(B2, 5, log)
+
+    def test_accepts_its_promise_and_above(self):
+        acceptor = Acceptor()
+        acceptor.promised = B2
+        assert acceptor.accepts(B2) and acceptor.accepts(Ballot(3, self.ME))
+        assert not acceptor.accepts(B1)
+        assert acceptor.outranked(Ballot(3, self.ME)) and not acceptor.outranked(B2)
+
+    def test_campaign_mints_a_ballot_above_everything_seen_and_votes_for_itself(self):
+        acceptor = self._candidate(promised=Ballot(4, self.OTHER))
+        assert acceptor.ballot == acceptor.promised == Ballot(5, self.ME)
+        assert acceptor.p1_quorum.acks == {self.ME} and not acceptor.active
+
+    def test_tally_counts_only_its_own_ballot_and_wins_with_a_quorum(self):
+        acceptor = self._candidate()
+        assert not acceptor.tally(self.OTHER, Ballot(0, self.ME), ())
+        suffix = ((2, B1, Command.put("k", "v"), None, False),)
+        assert acceptor.tally(self.OTHER, acceptor.ballot, suffix)
+        walk = list(acceptor.win(CommandLog()))
+        assert acceptor.active and acceptor.p1_quorum is None
+        assert walk == [(1, None, None), (2, Command.put("k", "v"), None)]
+
+    def test_another_owners_ballot_ends_leading_and_candidacy(self):
+        acceptor = self._candidate()
+        higher = Ballot(9, self.OTHER)
+        assert acceptor.adopt(higher, self.ME)
+        assert acceptor.promised == higher and acceptor.p1_quorum is None
+        assert not acceptor.tally(NodeID(1, 3), acceptor.ballot, ())
+        acceptor.active = True
+        assert not acceptor.adopt(B2, self.ME)  # lower: the promise stays
+        assert acceptor.promised == higher and not acceptor.active
+
+    def test_its_own_ballot_keeps_it_leading(self):
+        acceptor = Acceptor()
+        acceptor.active = True
+        assert not acceptor.adopt(B1, self.ME)
+        assert acceptor.active and acceptor.promised == B1
 
 
 class TestTarjan:
