@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.bench.stats import LatencySummary
 from repro.bench.workload import WorkloadGenerator, WorkloadSpec
@@ -181,18 +181,3 @@ class ClosedLoopBenchmark:
                 self._issue(client, generator)
 
         client.invoke(command, on_done=done)
-
-
-def run_closed_loop(
-    make_deployment: Callable[[], Deployment],
-    spec: SpecBySite,
-    concurrency: int,
-    duration: float = 1.0,
-    warmup: float = 0.2,
-    settle: float = 0.5,
-    sites: list[str] | None = None,
-) -> BenchmarkResult:
-    """Convenience wrapper: fresh deployment, one closed-loop run."""
-    deployment = make_deployment()
-    bench = ClosedLoopBenchmark(deployment, spec, concurrency, sites)
-    return bench.run(duration, warmup, settle)

@@ -294,13 +294,6 @@ class OpenLoopResult(BenchmarkResult):
     def goodput(self) -> float:
         return self.throughput
 
-    @property
-    def failure_rate(self) -> float:
-        """Fraction of offered requests that did not complete in-window."""
-        if self.offered == 0:
-            return 0.0
-        return max(0.0, 1.0 - self.completed / self.offered)
-
 
 class OpenLoopEngine:
     """Injects an arrival process into a deployment and measures goodput.

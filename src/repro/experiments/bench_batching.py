@@ -18,15 +18,12 @@ batched knee falls below its unbatched knee.
 
 from __future__ import annotations
 
-import json
-import os
 
 from repro.bench.parallel import DeploymentFactory
-from repro.bench.sweep import closed_loop_sweep, max_throughput
 from repro.bench.workload import WorkloadSpec
 from repro.core.protocol_models import BatchedPaxosModel, PaxosModel
 from repro.core.topology import lan
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, check_gate, sweep, write_baseline
 from repro.paxi.config import Config
 from repro.protocols.fpaxos import FPaxos
 from repro.protocols.paxos import MultiPaxos
@@ -95,32 +92,10 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
         curves: dict[str, list[dict]] = {}
         for mode in ("unbatched", "batched"):
             make = DeploymentFactory(factory, _config(batched=(mode == "batched")))
-            points = closed_loop_sweep(
-                make,
-                spec,
-                concurrencies,
-                duration=duration,
-                warmup=duration * 0.2,
-                settle=0.05,
-                workers=jobs,
+            knees[mode], curves[mode] = sweep(
+                result, f"{name}:{mode}", make, spec, concurrencies, duration,
+                row=(name, mode), jobs=jobs,
             )
-            knees[mode] = max_throughput(points)
-            curves[mode] = [
-                {
-                    "clients": p.concurrency,
-                    "throughput": round(p.throughput, 1),
-                    "mean_ms": round(p.mean_latency_ms, 3),
-                    "p99_ms": round(p.p99_latency_ms, 3),
-                }
-                for p in points
-            ]
-            for p in points:
-                result.rows.append(
-                    [name, mode, p.concurrency, round(p.throughput), p.mean_latency_ms, p.p99_latency_ms]
-                )
-            result.series[f"{name}:{mode}"] = [
-                (p.throughput, p.mean_latency_ms) for p in points
-            ]
         speedup = knees["batched"] / knees["unbatched"] if knees["unbatched"] else 0.0
         payload["protocols"][name] = {
             "knee_unbatched": round(knees["unbatched"], 1),
@@ -141,40 +116,25 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
         f"model (batched Table 2): knee {model['unbatched']:.0f} -> "
         f"{model['batched']:.0f} ops/s ({model['batched'] / model['unbatched']:.2f}x)"
     )
-    with open(output, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_baseline(payload, output)
     result.notes.append(f"wrote {output}")
     return result
 
 
 def check_no_regression(path: str = OUTPUT_FILE) -> None:
-    """CI gate: batched throughput must not fall below unbatched.
+    """CI gate: batched throughput must not fall below unbatched."""
+    check_gate(path, "batching", _failures, _summary, required=("protocols",))
 
-    Raises ``SystemExit`` with a readable message on regression (or a
-    missing/malformed baseline file), so it can run as
-    ``python -c "from repro.experiments.bench_batching import check_no_regression; check_no_regression()"``.
-    """
-    if not os.path.exists(path):
-        raise SystemExit(f"batching baseline {path!r} not found — run the bench first")
-    with open(path) as f:
-        payload = json.load(f)
-    protocols = payload.get("protocols") or {}
-    if not protocols:
-        raise SystemExit(f"batching baseline {path!r} has no protocol entries")
-    failures = []
-    for name, entry in sorted(protocols.items()):
+
+def _failures(payload: dict):
+    for name, entry in sorted(payload["protocols"].items()):
         batched = entry.get("knee_batched", 0.0)
         unbatched = entry.get("knee_unbatched", 0.0)
         if batched < unbatched:
-            failures.append(
-                f"{name}: batched knee {batched:.0f} < unbatched {unbatched:.0f}"
-            )
-    if failures:
-        raise SystemExit("batching regression: " + "; ".join(failures))
-    print(
-        "batching baseline ok: "
-        + ", ".join(
-            f"{name} {entry['speedup']:.2f}x" for name, entry in sorted(protocols.items())
-        )
+            yield f"{name}: batched knee {batched:.0f} < unbatched {unbatched:.0f}"
+
+
+def _summary(payload: dict) -> str:
+    return ", ".join(
+        f"{name} {entry['speedup']:.2f}x" for name, entry in sorted(payload["protocols"].items())
     )

@@ -29,18 +29,15 @@ The results land in ``BENCH_faults.json``::
 
     python -m repro.experiments bench_faults [--fast]
 
-``check_recovered()`` is the CI gate: every scenario must have recovered
-(finite MTTR) with availability above 50%.
+``check_no_regression()`` is the CI gate: every scenario must have
+recovered (finite MTTR) with availability above 50%.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro.bench.parallel import run_grid
 from repro.bench.workload import WorkloadGenerator, WorkloadSpec
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, check_gate, write_baseline
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.protocols.paxos import MultiPaxos
@@ -205,39 +202,27 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
             "plus failover, while the victim's WAL replay (reboot) or "
             "snapshot state transfer (wipe) completes off the critical path"
         )
-    with open(output, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_baseline(payload, output)
     result.notes.append(f"wrote {output}")
     return result
 
 
-def check_recovered(path: str = OUTPUT_FILE) -> None:
-    """CI gate: every scenario recovered, with availability above 50%.
+def check_no_regression(path: str = OUTPUT_FILE) -> None:
+    """CI gate: every scenario recovered, with availability above 50%."""
+    check_gate(path, "faults", _failures, _summary, required=("scenarios",))
 
-    Raises ``SystemExit`` with a readable message otherwise, so it can run
-    as ``python -c "from repro.experiments.bench_faults import check_recovered; check_recovered()"``.
-    """
-    if not os.path.exists(path):
-        raise SystemExit(f"faults baseline {path!r} not found — run the bench first")
-    with open(path) as f:
-        payload = json.load(f)
-    scenarios = payload.get("scenarios") or {}
-    if not scenarios:
-        raise SystemExit(f"faults baseline {path!r} has no scenarios")
-    failures = []
-    for name, metrics in sorted(scenarios.items()):
+
+def _failures(payload: dict):
+    for name, metrics in sorted(payload["scenarios"].items()):
         if metrics.get("mttr_s") is None:
-            failures.append(f"{name}: never recovered to 80% of healthy throughput")
+            yield f"{name}: never recovered to 80% of healthy throughput"
         elif metrics.get("availability", 0.0) < 0.5:
-            failures.append(f"{name}: availability {metrics['availability']:.0%} < 50%")
+            yield f"{name}: availability {metrics['availability']:.0%} < 50%"
         elif metrics.get("victim_caught_up") is False:
-            failures.append(f"{name}: fault victim never finished catching up")
-    if failures:
-        raise SystemExit("fault-recovery regression: " + "; ".join(failures))
-    print(
-        "fault baseline ok: "
-        + ", ".join(
-            f"{name} mttr={metrics['mttr_s']}s" for name, metrics in sorted(scenarios.items())
-        )
+            yield f"{name}: fault victim never finished catching up"
+
+
+def _summary(payload: dict) -> str:
+    return ", ".join(
+        f"{name} mttr={metrics['mttr_s']}s" for name, metrics in sorted(payload["scenarios"].items())
     )

@@ -39,9 +39,6 @@ latency and the runs stay cheap.
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro.bench.benchmarker import ClosedLoopBenchmark
 from repro.bench.parallel import DeploymentFactory
 from repro.bench.workload import WorkloadSpec
@@ -49,7 +46,7 @@ from repro.core.grayfail import (
     degraded_leader_capacity,
     slowdown_detection_heartbeats,
 )
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, check_gate, write_baseline
 from repro.paxi.config import Config
 from repro.paxi.ids import NodeID
 from repro.protocols.paxos import MultiPaxos
@@ -79,7 +76,8 @@ DURATION = 2.3
 WARMUP = 0.2
 SETTLE = 0.2
 
-#: Gates (recorded in the payload so the CI check and the JSON agree).
+#: Gates.  The payload records them for the reader; the CI check reads
+#: these constants, never the payload's copy.
 UNDETECTED_CEILING = 0.40  # fail-slow with no detector, fraction of knee
 RECOVERED_FLOOR = 0.85  # fail-slow with detector + handoff
 MAX_CLEAN_HANDOFFS = 0  # false-positive budget on the healthy run
@@ -217,9 +215,7 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
         },
         "protocols": matrices,
     }
-    with open(output, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_baseline(payload, output)
 
     for name, matrix in matrices.items():
         result.notes.append(
@@ -245,56 +241,48 @@ def check_no_regression(path: str = OUTPUT_FILE) -> None:
     spuriously, or when the undetected collapse drifts off the capacity
     model.
     """
-    if not os.path.exists(path):
-        raise SystemExit(f"grayfail baseline {path!r} not found — run the bench first")
-    with open(path) as f:
-        payload = json.load(f)
-    gates = payload.get("gates") or {}
-    ceiling = gates.get("undetected_ceiling", UNDETECTED_CEILING)
-    floor = gates.get("recovered_floor", RECOVERED_FLOOR)
-    clean_budget = gates.get("max_clean_handoffs", MAX_CLEAN_HANDOFFS)
-    band = gates.get("model_band", MODEL_BAND)
-    failures = []
+    check_gate(path, "grayfail", _failures, _summary)
 
+
+def _failures(payload: dict):
     protocols = payload.get("protocols") or {}
     if "multipaxos" not in protocols:
-        failures.append("multipaxos matrix missing from payload")
+        yield "multipaxos matrix missing from payload"
     for name, matrix in protocols.items():
         clean = matrix.get("clean") or {}
         undetected = matrix.get("undetected") or {}
         detected = matrix.get("detected") or {}
-        if clean.get("handoffs", 0) > clean_budget:
-            failures.append(
+        if clean.get("handoffs", 0) > MAX_CLEAN_HANDOFFS:
+            yield (
                 f"{name}: {clean.get('handoffs')} handoff(s) on a healthy cluster "
-                f"(false-positive budget {clean_budget})"
+                f"(false-positive budget {MAX_CLEAN_HANDOFFS})"
             )
-        if undetected.get("over_knee", 0.0) > ceiling:
-            failures.append(
+        if undetected.get("over_knee", 0.0) > UNDETECTED_CEILING:
+            yield (
                 f"{name}: undetected fail-slow at {undetected.get('over_knee', 0.0):.2f}x "
-                f"knee above ceiling {ceiling:.2f} — gray failure not reproduced"
+                f"knee above ceiling {UNDETECTED_CEILING:.2f} — gray failure not reproduced"
             )
-        if undetected.get("model_error", 0.0) > band:
-            failures.append(
+        if undetected.get("model_error", 0.0) > MODEL_BAND:
+            yield (
                 f"{name}: undetected collapse off the capacity model by "
-                f"{undetected.get('model_error', 0.0):.1%} (band {band:.0%})"
+                f"{undetected.get('model_error', 0.0):.1%} (band {MODEL_BAND:.0%})"
             )
-        if detected.get("over_knee", 0.0) < floor:
-            failures.append(
+        if detected.get("over_knee", 0.0) < RECOVERED_FLOOR:
+            yield (
                 f"{name}: detector+handoff recovered only "
-                f"{detected.get('over_knee', 0.0):.2f}x knee (floor {floor:.2f})"
+                f"{detected.get('over_knee', 0.0):.2f}x knee (floor {RECOVERED_FLOOR:.2f})"
             )
         if detected.get("handoffs", 0) < 1:
-            failures.append(f"{name}: no planned handoff completed under fail-slow")
+            yield f"{name}: no planned handoff completed under fail-slow"
         for label, cell in (("clean", clean), ("undetected", undetected),
                             ("detected", detected)):
             if not (cell.get("linearizable", False) and cell.get("consensus_ok", False)):
-                failures.append(f"{name}/{label}: safety violation")
+                yield f"{name}/{label}: safety violation"
 
-    if failures:
-        raise SystemExit("grayfail regression: " + "; ".join(failures))
-    summary = ", ".join(
+
+def _summary(payload: dict) -> str:
+    return ", ".join(
         f"{name} undetected {m.get('undetected', {}).get('over_knee', 0.0):.2f}x / "
         f"recovered {m.get('detected', {}).get('over_knee', 0.0):.2f}x"
-        for name, m in protocols.items()
+        for name, m in payload["protocols"].items()
     )
-    print(f"grayfail baseline ok: {summary}")

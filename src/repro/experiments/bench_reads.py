@@ -26,19 +26,16 @@ drifts more than 25% from its model.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import replace
 
 from repro.bench.benchmarker import ClosedLoopBenchmark
 from repro.bench.parallel import DeploymentFactory
-from repro.bench.sweep import closed_loop_sweep, max_throughput
 from repro.bench.workload import WorkloadSpec
 from repro.core.protocol_models import PaxosModel
 from repro.core.reads import LeaseReadPaxosModel, QuorumReadPaxosModel
 from repro.core.relaxed import RelaxedPaxosModel
 from repro.core.topology import lan
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, check_gate, sweep, write_baseline
 from repro.paxi.config import Config
 from repro.protocols.fpaxos import FPaxos
 from repro.protocols.paxos import MultiPaxos
@@ -65,7 +62,8 @@ SEED = 77
 OUTPUT_FILE = "BENCH_reads.json"
 
 #: CI gate: linearizable-mode knees must sit within this fraction of the
-#: model's prediction (the conformance band recorded in the payload).
+#: model's prediction (the payload records it for the reader; the gate
+#: reads this constant).
 MODEL_BAND = 0.25
 
 
@@ -130,34 +128,11 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
         for mode, read_mode in MODES.items():
             spec = replace(base_spec, read_mode=read_mode)
             config = _config(mode)
-            make = DeploymentFactory(factory, config)
-            points = closed_loop_sweep(
-                make,
-                spec,
-                concurrencies,
-                duration=duration,
-                warmup=duration * 0.2,
-                settle=0.05,
-                workers=jobs,
+            knees[mode], curves[mode] = sweep(
+                result, f"{name}:{mode}", DeploymentFactory(factory, config), spec,
+                concurrencies, duration, row=(name, mode), jobs=jobs,
             )
-            knees[mode] = max_throughput(points)
             shares[mode] = _leader_share(factory, config, spec, duration)
-            curves[mode] = [
-                {
-                    "clients": p.concurrency,
-                    "throughput": round(p.throughput, 1),
-                    "mean_ms": round(p.mean_latency_ms, 3),
-                    "p99_ms": round(p.p99_latency_ms, 3),
-                }
-                for p in points
-            ]
-            for p in points:
-                result.rows.append(
-                    [name, mode, p.concurrency, round(p.throughput), p.mean_latency_ms, p.p99_latency_ms]
-                )
-            result.series[f"{name}:{mode}"] = [
-                (p.throughput, p.mean_latency_ms) for p in points
-            ]
         entry: dict = {"curves": curves}
         for mode in MODES:
             lift = knees[mode] / knees["leader"] if knees["leader"] else 0.0
@@ -182,9 +157,7 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
         "model knees: "
         + ", ".join(f"{mode} {knee:.0f}" for mode, knee in model.items())
     )
-    with open(output, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_baseline(payload, output)
     result.notes.append(f"wrote {output}")
     return result
 
@@ -196,48 +169,41 @@ def check_no_regression(path: str = OUTPUT_FILE) -> None:
     leader-read knee, when quorum reads stop reducing the leader's busy
     share (lease reads deliberately keep reads at the leader — their gate
     is the knee lift), or when a linearizable mode's knee drifts outside
-    the model conformance band (full runs only — fast runs are too short
+    ``MODEL_BAND`` of its model (full runs only — fast runs are too short
     to hold the band).
     """
-    if not os.path.exists(path):
-        raise SystemExit(f"reads baseline {path!r} not found — run the bench first")
-    with open(path) as f:
-        payload = json.load(f)
-    protocols = payload.get("protocols") or {}
-    if not protocols:
-        raise SystemExit(f"reads baseline {path!r} has no protocol entries")
-    band = payload.get("model_band", MODEL_BAND)
+    check_gate(path, "reads", _failures, _summary, required=("protocols",))
+
+
+def _failures(payload: dict):
     strict = payload.get("mode") == "full"
-    failures = []
-    for name, entry in sorted(protocols.items()):
+    for name, entry in sorted(payload["protocols"].items()):
         leader = entry.get("leader", {})
         for mode in ("lease", "quorum"):
             stats = entry.get(mode, {})
             if stats.get("knee", 0.0) < leader.get("knee", 0.0):
-                failures.append(
+                yield (
                     f"{name}: {mode} knee {stats.get('knee', 0):.0f} < "
                     f"leader knee {leader.get('knee', 0):.0f}"
                 )
             if mode == "quorum" and stats.get("leader_share", 1.0) > leader.get(
                 "leader_share", 0.0
             ):
-                failures.append(
+                yield (
                     f"{name}: {mode} leader share {stats.get('leader_share', 1.0):.2f} "
                     f"exceeds leader-mode share {leader.get('leader_share', 0.0):.2f}"
                 )
             if strict:
                 conformance = stats.get("model_conformance", 0.0)
-                if not (1.0 - band) <= conformance <= (1.0 + band):
-                    failures.append(
+                if not (1.0 - MODEL_BAND) <= conformance <= (1.0 + MODEL_BAND):
+                    yield (
                         f"{name}: {mode} knee is {conformance:.2f}x the model "
-                        f"(band {1.0 - band:.2f}-{1.0 + band:.2f})"
+                        f"(band {1.0 - MODEL_BAND:.2f}-{1.0 + MODEL_BAND:.2f})"
                     )
-    if failures:
-        raise SystemExit("read-path regression: " + "; ".join(failures))
-    print(
-        "reads baseline ok: "
-        + ", ".join(
-            f"{name} lease {entry['lease']['lift']:.2f}x / quorum {entry['quorum']['lift']:.2f}x"
-            for name, entry in sorted(protocols.items())
-        )
+
+
+def _summary(payload: dict) -> str:
+    return ", ".join(
+        f"{name} lease {entry['lease']['lift']:.2f}x / quorum {entry['quorum']['lift']:.2f}x"
+        for name, entry in sorted(payload["protocols"].items())
     )

@@ -23,20 +23,16 @@ must hold, and the transaction mix must actually cost capacity.
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro.bench.shard_bench import (
     ShardedClosedLoopBenchmark,
     ShardedDeploymentFactory,
     sharded_closed_loop_sweep,
 )
-from repro.bench.sweep import max_throughput
 from repro.bench.workload import WorkloadSpec
 from repro.core.protocol_models import BatchedPaxosModel
 from repro.core.sharding import ShardedCapacityModel
 from repro.core.topology import lan
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, check_gate, sweep, write_baseline
 from repro.paxi.config import Config
 from repro.protocols.paxos import MultiPaxos
 from repro.shard.placement import ShardSpec
@@ -131,34 +127,12 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
         ("single", 1, single_concurrencies),
         ("sharded", SHARDS, sharded_concurrencies),
     ):
-        make = ShardedDeploymentFactory(MultiPaxos, _config(), _spec(count))
-        points = sharded_closed_loop_sweep(
-            make,
-            spec,
-            concurrencies,
-            duration=duration,
-            warmup=duration * 0.2,
-            settle=0.05,
-            workers=jobs,
+        knees[label], curve = sweep(
+            result, label, ShardedDeploymentFactory(MultiPaxos, _config(), _spec(count)),
+            spec, concurrencies, duration, row=(count,), extra=(0.0,), jobs=jobs,
+            sweeper=sharded_closed_loop_sweep,
         )
-        knees[label] = max_throughput(points)
-        payload[label] = {
-            "knee": round(knees[label], 1),
-            "curve": [
-                {
-                    "clients": p.concurrency,
-                    "throughput": round(p.throughput, 1),
-                    "mean_ms": round(p.mean_latency_ms, 3),
-                    "p99_ms": round(p.p99_latency_ms, 3),
-                }
-                for p in points
-            ],
-        }
-        for p in points:
-            result.rows.append(
-                [count, p.concurrency, 0.0, round(p.throughput), p.mean_latency_ms, p.p99_latency_ms]
-            )
-        result.series[label] = [(p.throughput, p.mean_latency_ms) for p in points]
+        payload[label] = {"knee": round(knees[label], 1), "curve": curve}
 
     knee_ratio = knees["sharded"] / knees["single"] if knees["single"] else 0.0
     model_single = _model(1).max_throughput()
@@ -197,9 +171,7 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
     payload["txn_mix"] = mix
     result.series["txn_mix"] = [(p["measured_f"], p["throughput"]) for p in mix]
 
-    with open(output, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_baseline(payload, output)
     result.notes.append(f"wrote {output}")
     return result
 
@@ -212,29 +184,31 @@ def check_no_regression(path: str = OUTPUT_FILE) -> None:
     drifts outside ``MODEL_TOLERANCE`` of the analytic capacity, or when a
     heavier 2PC mix somehow beats the pure single-key workload (which
     would mean the coordination tax — or the accounting — vanished).
-    Runs as ``python -c "from repro.experiments.bench_sharding import
-    check_no_regression; check_no_regression()"``.
     """
-    if not os.path.exists(path):
-        raise SystemExit(f"sharding baseline {path!r} not found — run the bench first")
-    with open(path) as f:
-        payload = json.load(f)
-    single = (payload.get("single") or {}).get("knee", 0.0)
-    sharded = (payload.get("sharded") or {}).get("knee", 0.0)
-    if not single or not sharded:
-        raise SystemExit(f"sharding baseline {path!r} is missing knee entries")
-    failures = []
-    ratio = sharded / single
+    check_gate(path, "sharding", _failures, _summary, required=("single", "sharded"))
+
+
+def _knees(payload: dict) -> tuple[float, float, float]:
+    """Single-group, sharded and modeled sharded knee."""
+    return (
+        payload["single"].get("knee", 0.0),
+        payload["sharded"].get("knee", 0.0),
+        (payload.get("model") or {}).get("knee_sharded", 0.0),
+    )
+
+
+def _failures(payload: dict):
+    single, sharded, model = _knees(payload)
+    ratio = sharded / single if single else 0.0
     if ratio < MIN_KNEE_RATIO:
-        failures.append(
+        yield (
             f"knee ratio {ratio:.2f}x < required {MIN_KNEE_RATIO:.1f}x "
             f"({sharded:.0f} vs {single:.0f} ops/s)"
         )
-    model = (payload.get("model") or {}).get("knee_sharded", 0.0)
     if model:
         agreement = abs(sharded - model) / model
         if agreement > MODEL_TOLERANCE:
-            failures.append(
+            yield (
                 f"sim {sharded:.0f} vs model {model:.0f} ops/s: "
                 f"{agreement * 100:.1f}% apart (tolerance {MODEL_TOLERANCE * 100:.0f}%)"
             )
@@ -243,13 +217,13 @@ def check_no_regression(path: str = OUTPUT_FILE) -> None:
         pure = mix[0]["throughput"]
         for point in mix[1:]:
             if point["txn_ratio"] > 0 and point["throughput"] > pure * 1.05:
-                failures.append(
+                yield (
                     f"txn mix f={point['measured_f']} throughput "
                     f"{point['throughput']:.0f} exceeds pure workload {pure:.0f}"
                 )
-    if failures:
-        raise SystemExit("sharding regression: " + "; ".join(failures))
-    print(
-        f"sharding baseline ok: {ratio:.2f}x knee at {payload['shards']} shards, "
-        f"sim-model gap {abs(sharded - model) / model * 100:.1f}%"
-    )
+
+
+def _summary(payload: dict) -> str:
+    single, sharded, model = _knees(payload)
+    gap = f"{abs(sharded - model) / model * 100:.1f}%" if model else "not modeled"
+    return f"{sharded / single:.2f}x knee at {payload['shards']} shards, sim-model gap {gap}"

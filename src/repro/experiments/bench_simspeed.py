@@ -28,14 +28,13 @@ than running serially.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
 from repro.bench.benchmarker import ClosedLoopBenchmark
 from repro.bench.parallel import run_grid
 from repro.bench.workload import WorkloadSpec
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, check_gate, write_baseline
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.protocols.paxos import MultiPaxos
@@ -140,9 +139,7 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
             "results_identical": identical,
         },
     }
-    with open(output, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_baseline(payload, output)
 
     result = ExperimentResult(
         experiment="bench_simspeed",
@@ -187,36 +184,34 @@ def check_no_regression(path: str = OUTPUT_FILE) -> None:
     Fails (``SystemExit``) if events/sec fell below the floor, if the
     parallel grid diverged from the serial grid, or — on a multi-core
     machine — if fanning out was slower than running serially (skipped on
-    single-core machines, where a worker pool can only add overhead).  Runs as
-    ``python -c "from repro.experiments.bench_simspeed import check_no_regression; check_no_regression()"``.
+    single-core machines, where a worker pool can only add overhead).
     """
-    if not os.path.exists(path):
-        raise SystemExit(f"simspeed baseline {path!r} not found — run the bench first")
-    with open(path) as f:
-        payload = json.load(f)
-    cell = payload.get("saturation") or {}
+    check_gate(path, "simspeed", _failures, _summary)
+
+
+def _failures(payload: dict):
+    events_per_sec = (payload.get("saturation") or {}).get("events_per_sec", 0.0)
     parallel = payload.get("parallel") or {}
-    failures = []
-    events_per_sec = cell.get("events_per_sec", 0.0)
     if events_per_sec < FLOOR_EVENTS_PER_SEC:
-        failures.append(
+        yield (
             f"events/s {events_per_sec:,.0f} < floor {FLOOR_EVENTS_PER_SEC:,.0f} "
             f"(pre-opt baseline {PREOPT_EVENTS_PER_SEC:,.0f} x target "
             f"{TARGET_SPEEDUP:g}x, halved for machine-speed cushion)"
         )
     if not parallel.get("results_identical"):
-        failures.append("parallel grid results diverged from the serial run")
+        yield "parallel grid results diverged from the serial run"
     if payload.get("cpu_count", 1) > 1:
         serial = parallel.get("serial_wall_s") or 0.0
         fanned = parallel.get("parallel_wall_s") or 0.0
         if fanned > serial * 1.1:
-            failures.append(
+            yield (
                 f"parallel grid wall {fanned:.2f}s > 1.1x serial {serial:.2f}s "
                 f"on a {payload['cpu_count']}-CPU machine"
             )
-    if failures:
-        raise SystemExit("simspeed regression: " + "; ".join(failures))
-    print(
-        f"simspeed baseline ok: {events_per_sec:,.0f} events/s "
+
+
+def _summary(payload: dict) -> str:
+    return (
+        f"{payload['saturation']['events_per_sec']:,.0f} events/s "
         f"({payload.get('speedup_vs_preopt')}x pre-opt), parallel grid identical"
     )

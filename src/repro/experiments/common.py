@@ -1,19 +1,27 @@
 """Shared infrastructure for the per-figure experiment drivers.
 
 Every driver exposes ``run(fast=False) -> ExperimentResult``.  ``fast``
-shrinks durations/sweeps so the driver doubles as a pytest-benchmark
-target; the full mode reproduces the paper-scale sweep.  Results carry
-printable rows plus named (x, y) series and can be dumped to CSV.
+shrinks durations/sweeps so the driver runs inside the test suite
+(``tests/test_figures.py`` checks each figure's claims on the fast run);
+the full mode reproduces the paper-scale sweep.  Results carry printable
+rows plus named (x, y) series and can be dumped to CSV.
+
+The drivers share :func:`sweep`, the one saturation-sweep loop;
+:func:`write_baseline`, the one ``BENCH_*.json`` layout; and
+:func:`check_gate`, the one path every ``bench_*.check_no_regression``
+takes over its baseline.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.bench.benchmarker import BenchmarkResult, ClosedLoopBenchmark
+from repro.bench.sweep import closed_loop_sweep, max_throughput
 from repro.bench.workload import WorkloadSpec
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
@@ -60,6 +68,85 @@ def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)
+
+
+def sweep(
+    result: ExperimentResult,
+    series: str,
+    make: Callable,
+    spec,
+    concurrencies: Sequence[int],
+    duration: float,
+    row: Sequence | None = (),
+    extra: Sequence = (),
+    jobs: int = 1,
+    sweeper: Callable = closed_loop_sweep,
+) -> tuple[float, list[dict]]:
+    """One saturation sweep (warm-up a fifth of ``duration``, 50 ms
+    settle) recorded into ``result``: a ``[*row, clients, *extra, ops/s,
+    mean_ms, p99_ms]`` row per point (none when ``row`` is None) and the
+    (throughput, mean latency) curve as ``result.series[series]``.
+    Returns the knee and the curve as JSON-ready dicts."""
+    points = sweeper(
+        make,
+        spec,
+        concurrencies,
+        duration=duration,
+        warmup=duration * 0.2,
+        settle=0.05,
+        workers=jobs,
+    )
+    if row is not None:
+        for p in points:
+            result.rows.append(
+                [*row, p.concurrency, *extra, round(p.throughput), p.mean_latency_ms, p.p99_latency_ms]
+            )
+    result.series[series] = [(p.throughput, p.mean_latency_ms) for p in points]
+    curve = [
+        {
+            "clients": p.concurrency,
+            "throughput": round(p.throughput, 1),
+            "mean_ms": round(p.mean_latency_ms, 3),
+            "p99_ms": round(p.p99_latency_ms, 3),
+        }
+        for p in points
+    ]
+    return max_throughput(points), curve
+
+
+def write_baseline(payload: dict, output: str) -> None:
+    """Write a ``BENCH_*.json`` baseline in its committed layout."""
+    with open(output, "w") as f:
+        json.dump(payload, f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
+def check_gate(
+    path: str,
+    name: str,
+    failures: Callable[[dict], Iterable[str]],
+    summary: Callable[[dict], str],
+    required: Sequence[str] = (),
+) -> None:
+    """The gate path shared by every ``bench_*.check_no_regression``.
+
+    Raises ``SystemExit`` when the baseline at ``path`` is missing, when
+    one of its ``required`` entries is empty, or with every message
+    ``failures`` yields joined into one ``"<name> regression: ..."``;
+    otherwise prints ``"<name> baseline ok: <summary>"``.  Bounds come
+    from the gate's module, never from the payload it judges.
+    """
+    if not os.path.exists(path):
+        raise SystemExit(f"{name} baseline {path!r} not found — run the bench first")
+    with open(path) as f:
+        payload = json.load(f)
+    for key in required:
+        if not payload.get(key):
+            raise SystemExit(f"{name} baseline {path!r} has no {key!r} entries")
+    found = list(failures(payload))
+    if found:
+        raise SystemExit(f"{name} regression: " + "; ".join(found))
+    print(f"{name} baseline ok: {summary(payload)}")
 
 
 def run_sim_benchmark(

@@ -18,14 +18,13 @@ local commits and even than EPaxos's fast quorum.
 
 from __future__ import annotations
 
-from repro.bench.sweep import closed_loop_sweep, max_throughput
+from repro.bench.parallel import DeploymentFactory
 from repro.bench.workload import WorkloadSpec
 from repro.core.load import load, majority
 from repro.core.protocol_models import MenciusModel, PaxosModel
 from repro.core.topology import lan
-from repro.experiments.common import ExperimentResult, run_sim_benchmark
+from repro.experiments.common import ExperimentResult, run_sim_benchmark, sweep
 from repro.paxi.config import Config
-from repro.paxi.deployment import Deployment
 from repro.protocols.epaxos import EPaxos
 from repro.protocols.mencius import Mencius
 from repro.protocols.paxos import MultiPaxos
@@ -56,16 +55,11 @@ def run(fast: bool = False) -> ExperimentResult:
     # 3. Measured LAN saturation, Mencius vs Paxos and EPaxos.
     peaks = {}
     for name, factory in (("Mencius", Mencius), ("Paxos", MultiPaxos), ("EPaxos", EPaxos)):
-        def make(f=factory):
-            return Deployment(Config.lan(3, 3, seed=85)).start(f)
-
-        points = closed_loop_sweep(
-            make, WorkloadSpec(keys=1000), concurrencies, duration=duration,
-            warmup=duration * 0.2, settle=0.05,
+        make = DeploymentFactory(factory, Config.lan(3, 3, seed=85))
+        peaks[name], _curve = sweep(
+            result, name, make, WorkloadSpec(keys=1000), concurrencies, duration, row=None
         )
-        peaks[name] = max_throughput(points)
         result.rows.append([name, "measured LAN", "max ops/s", round(peaks[name])])
-        result.series[name] = [(p.throughput, p.mean_latency_ms) for p in points]
     # 4. Measured WAN latency, Mencius vs WPaxos (the trade-off).
     wan_duration = 1.0 if fast else 2.0
     for name, factory in (("Mencius", Mencius), ("WPaxos fz=0", WPaxos)):

@@ -8,11 +8,10 @@ the etcd stand-in, on the same substrate — against MultiPaxos.
 
 from __future__ import annotations
 
-from repro.bench.sweep import closed_loop_sweep, max_throughput
+from repro.bench.parallel import DeploymentFactory
 from repro.bench.workload import WorkloadSpec
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, sweep
 from repro.paxi.config import Config
-from repro.paxi.deployment import Deployment
 from repro.protocols.paxos import MultiPaxos
 from repro.protocols.raft import Raft
 
@@ -32,16 +31,8 @@ def run(fast: bool = False) -> ExperimentResult:
     )
     peaks = {}
     for name, factory in systems.items():
-        def make(f=factory):
-            return Deployment(Config.lan(3, 3, seed=33)).start(f)
-
-        points = closed_loop_sweep(
-            make, spec, concurrencies, duration=duration, warmup=duration * 0.2, settle=0.05
-        )
-        for p in points:
-            result.rows.append([name, p.concurrency, round(p.throughput), p.mean_latency_ms, p.p99_latency_ms])
-        result.series[name] = [(p.throughput, p.mean_latency_ms) for p in points]
-        peaks[name] = max_throughput(points)
+        make = DeploymentFactory(factory, Config.lan(3, 3, seed=33))
+        peaks[name], _curve = sweep(result, name, make, spec, concurrencies, duration, row=(name,))
     ratio = peaks["etcd/Raft (reimpl.)"] / peaks["Paxi/Paxos"]
     result.notes.append(
         f"max throughput: Paxos={peaks['Paxi/Paxos']:.0f}/s, "

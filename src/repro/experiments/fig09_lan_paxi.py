@@ -10,9 +10,8 @@ max throughput, with the single-leader protocols bottlenecked near 8k/s.
 from __future__ import annotations
 
 from repro.bench.parallel import DeploymentFactory
-from repro.bench.sweep import closed_loop_sweep, max_throughput
 from repro.bench.workload import WorkloadSpec
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, sweep
 from repro.paxi.config import Config
 from repro.protocols.epaxos import EPaxos
 from repro.protocols.fpaxos import FPaxos
@@ -41,21 +40,9 @@ def run(fast: bool = False, jobs: int = 1) -> ExperimentResult:
     peaks: dict[str, float] = {}
     for name, factory in PROTOCOLS.items():
         make = DeploymentFactory(factory, Config.lan(3, 3, seed=55))
-        points = closed_loop_sweep(
-            make,
-            spec,
-            concurrencies,
-            duration=duration,
-            warmup=duration * 0.2,
-            settle=0.05,
-            workers=jobs,
+        peaks[name], _curve = sweep(
+            result, name, make, spec, concurrencies, duration, row=(name,), jobs=jobs
         )
-        for p in points:
-            result.rows.append(
-                [name, p.concurrency, round(p.throughput), p.mean_latency_ms, p.p99_latency_ms]
-            )
-        result.series[name] = [(p.throughput, p.mean_latency_ms) for p in points]
-        peaks[name] = max_throughput(points)
     ordering = sorted(peaks, key=peaks.get, reverse=True)
     result.notes.append(
         "max throughput: " + ", ".join(f"{n}={peaks[n]:.0f}/s" for n in ordering)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.bench.benchmarker import BenchmarkResult, ClosedLoopBenchmark
@@ -69,6 +71,16 @@ def columns_agree(request, monkeypatch):
         return result
 
     monkeypatch.setattr(module, "check_history", checked)
+
+
+@pytest.fixture(scope="session")
+def fast_run():
+    """``fast_run(name)``: the experiment driver's ``--fast`` result, run
+    once per test session however many tests read it (so readers must not
+    mutate it)."""
+    from repro.experiments import EXPERIMENTS
+
+    return functools.cache(lambda name: EXPERIMENTS[name](True))
 
 
 @pytest.fixture
