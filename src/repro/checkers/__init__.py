@@ -1,25 +1,6 @@
 """Offline correctness checkers: linearizability, consensus, and the
-relaxed-consistency guarantees (bounded staleness, session)."""
+relaxed-consistency guarantees (bounded staleness, session).
 
-from repro.checkers.linearizability import check_history, check_history_graph, CheckResult, Anomaly
-from repro.checkers.consensus import check_deployment, common_prefix_violations, ConsensusResult
-from repro.checkers.staleness import (
-    check_bounded_staleness,
-    check_session,
-    observed_staleness,
-    RelaxedCheckResult,
-)
-
-__all__ = [
-    "check_history",
-    "check_history_graph",
-    "CheckResult",
-    "Anomaly",
-    "check_deployment",
-    "common_prefix_violations",
-    "ConsensusResult",
-    "check_bounded_staleness",
-    "check_session",
-    "observed_staleness",
-    "RelaxedCheckResult",
-]
+Import from the submodules (``repro.checkers.linearizability``, ...); the
+package re-exports nothing.
+"""

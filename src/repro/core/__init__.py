@@ -1,127 +1,7 @@
 """Analytic prong: queueing models, order statistics, and the paper's
-distilled formulas (sections 3 and 6)."""
+distilled formulas (sections 3 and 6).
 
-from repro.core.topology import Topology, RttDistribution, lan, aws_wan
-from repro.core.queueing import MM1, MD1, MG1, GG1, QueueModel, make_model
-from repro.core.order_stats import (
-    expected_kth_normal,
-    expected_kth_normal_blom,
-    kth_smallest,
-    normal_quantile,
-)
-from repro.core.service import (
-    RoundWork,
-    ServiceParams,
-    paxos_service_time,
-    paxos_leader_work,
-    paxos_follower_work,
-    paxos_batched_leader_work,
-    paxos_batched_service_time,
-    max_throughput,
-)
-from repro.core.protocol_models import (
-    ModelPoint,
-    ProtocolModel,
-    PaxosModel,
-    FPaxosModel,
-    BatchedPaxosModel,
-    EPaxosModel,
-    WPaxosModel,
-    WanKeeperModel,
-    VPaxosModel,
-    MenciusModel,
-    quorum_delay_ms,
-)
-from repro.core.load import (
-    load,
-    load_two_term,
-    capacity,
-    majority,
-    load_paxos,
-    load_epaxos,
-    load_wpaxos,
-    batched_load,
-    batched_capacity,
-    batched_load_paxos,
-    batched_load_epaxos,
-    batched_load_wpaxos,
-    expected_batch_size,
-)
-from repro.core.latency import (
-    expected_latency,
-    expected_batch_delay,
-    batched_expected_latency,
-    FormulaInputs,
-    epaxos_inputs,
-    single_leader_inputs,
-)
-from repro.core.overload import FiniteQueueModel, RetryAmplificationModel
-from repro.core.advisor import (
-    DeploymentProfile,
-    Recommendation,
-    recommend,
-    all_paths,
-    PARAMETERS_EXPLORED,
-)
-
-__all__ = [
-    "Topology",
-    "RttDistribution",
-    "lan",
-    "aws_wan",
-    "MM1",
-    "MD1",
-    "MG1",
-    "GG1",
-    "QueueModel",
-    "make_model",
-    "expected_kth_normal",
-    "expected_kth_normal_blom",
-    "kth_smallest",
-    "normal_quantile",
-    "RoundWork",
-    "ServiceParams",
-    "paxos_service_time",
-    "paxos_leader_work",
-    "paxos_follower_work",
-    "paxos_batched_leader_work",
-    "paxos_batched_service_time",
-    "max_throughput",
-    "ModelPoint",
-    "ProtocolModel",
-    "PaxosModel",
-    "FPaxosModel",
-    "BatchedPaxosModel",
-    "EPaxosModel",
-    "WPaxosModel",
-    "WanKeeperModel",
-    "VPaxosModel",
-    "MenciusModel",
-    "quorum_delay_ms",
-    "load",
-    "load_two_term",
-    "capacity",
-    "majority",
-    "load_paxos",
-    "load_epaxos",
-    "load_wpaxos",
-    "batched_load",
-    "batched_capacity",
-    "batched_load_paxos",
-    "batched_load_epaxos",
-    "batched_load_wpaxos",
-    "expected_batch_size",
-    "expected_latency",
-    "expected_batch_delay",
-    "batched_expected_latency",
-    "FormulaInputs",
-    "epaxos_inputs",
-    "single_leader_inputs",
-    "FiniteQueueModel",
-    "RetryAmplificationModel",
-    "DeploymentProfile",
-    "Recommendation",
-    "recommend",
-    "all_paths",
-    "PARAMETERS_EXPLORED",
-]
+Import from the submodules (``repro.core.topology``,
+``repro.core.protocol_models``, ...); the package re-exports nothing, so
+importing one model loads only what it needs.
+"""

@@ -21,16 +21,36 @@ event sequence is::
 Forwarded or retried requests repeat ``server_enqueue``/``handler`` once
 per hop; the breakdown helpers use the serving pair (the last one at the
 replica that sent the reply).  Every span ends exactly once: ``reply_recv``
-on success, ``failed`` when the client gives up — the invariants the
+on success, ``gave_up`` when the client gives up — the invariants the
 property tests assert (no orphan spans, monotone timestamps).
+
+The :class:`Tracer` keeps its events and spans in columns, a few dozen
+bytes per event; readers get :class:`Span` and :class:`SpanEvent` values
+built from a row when it is read (see :class:`Spans`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Hashable
+import math
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
+from operator import index as _as_index
+from typing import Any, Hashable, Iterator
 
 SpanKey = tuple[Hashable, int]
+
+#: Event name codes the runtime stamps; other names get the next free code.
+_CANONICAL = (
+    "submit", "server_enqueue", "handler", "quorum",
+    "reply_sent", "reply_recv", "gave_up", "retry",
+)  # fmt: skip
+_ENQUEUE, _HANDLER, _QUORUM, _REPLY_SENT, _REPLY_RECV = map(
+    _CANONICAL.index, ("server_enqueue", "handler", "quorum", "reply_sent", "reply_recv")
+)
+
+#: Span states, one byte per span.
+_OPEN, _DONE, _FAILED = 0, 1, 2
 
 
 @dataclass(slots=True)
@@ -49,88 +69,24 @@ class SpanEvent:
 
 @dataclass(slots=True)
 class Span:
-    """The life of one client request, in virtual time.
-
-    One per traced request and one :class:`SpanEvent` per hop, so both are
-    slotted: neither carries a ``__dict__`` or takes ad-hoc attributes.
-    """
+    """The life of one client request, in virtual time, as read from a
+    :class:`Tracer`'s row: a value, kept by no one once dropped."""
 
     client: Hashable
     request_id: int
     op: str
     key: Any
     submitted_at: float
-    events: list[SpanEvent] = field(default_factory=list)
-    done: bool = False
-    failed: bool = False
+    events: tuple[SpanEvent, ...]
+    done: bool
+    failed: bool
 
     @property
     def span_key(self) -> SpanKey:
         return (self.client, self.request_id)
 
-    @property
-    def completed_at(self) -> float | None:
-        return self.events[-1].t if self.done and self.events else None
-
-    def mark(self, name: str, t: float, actor: Hashable, service: float | None = None) -> None:
-        self.events.append(SpanEvent(name, t, actor, service))
-
-    def first(self, name: str) -> SpanEvent | None:
-        for event in self.events:
-            if event.name == name:
-                return event
-        return None
-
-    def last(self, name: str, before: float | None = None) -> SpanEvent | None:
-        found = None
-        for event in self.events:
-            if event.name == name and (before is None or event.t <= before):
-                found = event
-        return found
-
     def monotone(self) -> bool:
         return all(a.t <= b.t for a, b in zip(self.events, self.events[1:]))
-
-    def breakdown(self) -> dict[str, float] | None:
-        """Map the span onto the paper's ``wQ / ts / DL / DQ`` decomposition.
-
-        Uses the serving hop: the last ``server_enqueue``/``handler`` pair
-        emitted by the replica that sent the reply.  Returns ``None`` for
-        spans missing the canonical events (failed or un-annotated
-        protocols).
-
-        - ``DL``  = client->replica wire time + reply wire time,
-        - ``wQ``  = queue wait of the request message at the replica,
-        - ``ts``  = the request's own service charge plus commit-to-reply
-          processing (execution + reply serialization queueing),
-        - ``DQ``  = handler -> quorum: the replication round trip.
-        """
-        if not self.done or self.failed:
-            return None
-        reply_sent = self.last("reply_sent")
-        reply_recv = self.last("reply_recv")
-        if reply_sent is None or reply_recv is None:
-            return None
-        enqueue = self.last("server_enqueue", before=reply_sent.t)
-        handler = self.last("handler", before=reply_sent.t)
-        quorum = self.last("quorum", before=reply_sent.t)
-        if enqueue is None or handler is None or handler.service is None:
-            return None
-        if handler.t < enqueue.t:  # unmatched pair (e.g. retry mid-flight)
-            return None
-        t0 = self.submitted_at
-        wq = max(0.0, handler.t - enqueue.t - handler.service)
-        dl = max(0.0, enqueue.t - t0) + max(0.0, reply_recv.t - reply_sent.t)
-        dq = max(0.0, quorum.t - handler.t) if quorum is not None else 0.0
-        commit_at = quorum.t if quorum is not None else handler.t
-        ts = handler.service + max(0.0, reply_sent.t - commit_at)
-        return {
-            "wq": wq,
-            "ts": ts,
-            "dl": dl,
-            "dq": dq,
-            "total": reply_recv.t - t0,
-        }
 
     def to_dict(self) -> dict:
         return {
@@ -145,24 +101,104 @@ class Span:
         }
 
 
+class Spans(Sequence):
+    """A read-only sequence of a tracer's ended spans, in the order they
+    ended.  Each :class:`Span` is built when it is accessed; spans that
+    end after the view was taken are outside it."""
+
+    __slots__ = ("_tracer", "_stop")
+
+    def __init__(self, tracer: Tracer) -> None:
+        self._tracer = tracer
+        self._stop = len(tracer.ended)
+
+    def __len__(self) -> int:
+        return self._stop
+
+    def __getitem__(self, position: int) -> Span:
+        position = _as_index(position)
+        if position < 0:
+            position += self._stop
+        if not 0 <= position < self._stop:
+            raise IndexError("span index out of range")
+        return self._tracer.span(self._tracer.ended[position])
+
+    def __iter__(self) -> Iterator[Span]:
+        span, ended = self._tracer.span, self._tracer.ended
+        for position in range(self._stop):
+            yield span(ended[position])
+
+    def __repr__(self) -> str:
+        return f"Spans({self._stop} spans)"
+
+
 class Tracer:
     """Collects spans.  Disabled by default; every hook checks ``enabled``
-    first, so the tracing seams cost one attribute load when off."""
+    first, so the tracing seams cost one attribute load when off.
+
+    Two append-only tables of columns.  Event ``e``: its virtual time
+    ``times[e]``, its ``services[e]`` (NaN when it carries none), a name
+    code ``names[e]`` into ``name_table``, an actor index ``actors[e]``
+    into ``actor_table``, and ``links[e]``, the span's previous event (-1
+    at its first).  Span ``s``: its last event ``tails[s]``, whose chain
+    of links leads back to its first, ``submit`` (that event's actor is
+    the client and its time the submission), ``request_ids[s]``,
+    ``ops[s]``, ``keys[s]`` and a state byte (open, done, failed).
+    ``open`` maps a span key to its row while the request is in flight;
+    ``ended`` lists rows in the order they ended.
+    """
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self.open: dict[SpanKey, Span] = {}
-        self.finished: list[Span] = []
+        self.open: dict[SpanKey, int] = {}
         self.unmatched_events = 0
+        self.times = array("d")
+        self.services = array("d")
+        self.names = bytearray()
+        self.actors = array("I")
+        self.links = array("i")
+        self.name_table = list(_CANONICAL)
+        self.actor_table: list[Hashable] = []
+        self._name_codes = {name: code for code, name in enumerate(_CANONICAL)}
+        self._actor_indices: dict[Hashable, int] = {}
+        self.tails = array("I")
+        self.request_ids = array("q")
+        self.ops: list[str] = []
+        self.keys: list[Any] = []
+        self.states = bytearray()
+        self.ended = array("I")
+
+    def _append_event(
+        self, name: str, t: float, actor: Hashable, service: float | None, previous: int
+    ) -> int:
+        """Append one event after ``previous``, its span's last so far (-1
+        for a span's first), and return its index."""
+        code = self._name_codes.get(name)
+        if code is None:
+            code = self._name_codes[name] = len(self.name_table)
+            self.name_table.append(name)
+        actor_index = self._actor_indices.get(actor)
+        if actor_index is None:
+            actor_index = self._actor_indices[actor] = len(self.actor_table)
+            self.actor_table.append(actor)
+        self.times.append(t)
+        self.services.append(math.nan if service is None else service)
+        self.names.append(code)
+        self.actors.append(actor_index)
+        self.links.append(previous)
+        return len(self.links) - 1
 
     # -- lifecycle --------------------------------------------------------
 
     def begin(self, client: Hashable, request_id: int, t: float, op: str, key: Any) -> None:
         if not self.enabled:
             return
-        span = Span(client, request_id, op, key, t)
-        span.mark("submit", t, client)
-        self.open[span.span_key] = span
+        self.open[(client, request_id)] = len(self.states)
+        self.tails.append(self._append_event("submit", t, client, None, -1))
+        self.request_ids.append(request_id)
+        self.ops.append(op)
+        self.keys.append(key)
+        self.states.append(_OPEN)
 
     def event(
         self,
@@ -174,37 +210,31 @@ class Tracer:
     ) -> None:
         if not self.enabled:
             return
-        span = self.open.get(span_key)
-        if span is None:
+        row = self.open.get(span_key)
+        if row is None:
             # Late messages for an already-completed request (duplicate
             # replies, retries racing the original) are normal; count them
             # so the property tests can assert nothing *else* goes missing.
             self.unmatched_events += 1
             return
-        span.mark(name, t, actor, service)
+        self.tails[row] = self._append_event(name, t, actor, service, self.tails[row])
 
     def end(self, span_key: SpanKey, t: float, actor: Hashable) -> None:
-        if not self.enabled:
-            return
-        span = self.open.pop(span_key, None)
-        if span is None:
-            self.unmatched_events += 1
-            return
-        span.mark("reply_recv", t, actor)
-        span.done = True
-        self.finished.append(span)
+        self._finish(span_key, "reply_recv", t, actor, _DONE)
 
     def fail(self, span_key: SpanKey, t: float, actor: Hashable) -> None:
+        self._finish(span_key, "gave_up", t, actor, _FAILED)
+
+    def _finish(self, span_key: SpanKey, name: str, t: float, actor: Hashable, state: int) -> None:
         if not self.enabled:
             return
-        span = self.open.pop(span_key, None)
-        if span is None:
+        row = self.open.pop(span_key, None)
+        if row is None:
             self.unmatched_events += 1
             return
-        span.mark("gave_up", t, actor)
-        span.done = True
-        span.failed = True
-        self.finished.append(span)
+        self.tails[row] = self._append_event(name, t, actor, None, self.tails[row])
+        self.states[row] = state
+        self.ended.append(row)
 
     # -- queries ----------------------------------------------------------
 
@@ -212,15 +242,119 @@ class Tracer:
     def open_count(self) -> int:
         return len(self.open)
 
-    def completed(self) -> list[Span]:
-        return [span for span in self.finished if not span.failed]
+    @property
+    def finished(self) -> Spans:
+        """The ended spans, successful and failed, in the order they ended."""
+        return Spans(self)
+
+    def _chain(self, row: int) -> list[int]:
+        """Span ``row``'s event indices, in the order they were stamped."""
+        chain = []
+        links = self.links
+        event = self.tails[row]
+        while event >= 0:
+            chain.append(event)
+            event = links[event]
+        chain.reverse()
+        return chain
+
+    def span(self, row: int) -> Span:
+        """Span ``row`` as a :class:`Span` value."""
+        times, services, names, actors = self.times, self.services, self.names, self.actors
+        name_table, actor_table = self.name_table, self.actor_table
+        chain = self._chain(row)
+        events = tuple(
+            SpanEvent(
+                name_table[names[e]],
+                times[e],
+                actor_table[actors[e]],
+                None if math.isnan(services[e]) else services[e],
+            )
+            for e in chain
+        )
+        state = self.states[row]
+        head = chain[0]
+        return Span(
+            actor_table[actors[head]],
+            self.request_ids[row],
+            self.ops[row],
+            self.keys[row],
+            times[head],
+            events,
+            state != _OPEN,
+            state == _FAILED,
+        )
+
+    def _breakdown(self, chain: list[int]) -> dict[str, float] | None:
+        """Map a span's events (``chain``, in order) onto the paper's
+        ``wQ / ts / DL / DQ`` decomposition.
+
+        Uses the serving hop: the last ``server_enqueue``/``handler`` pair
+        stamped no later than the last ``reply_sent``.  Returns ``None`` for
+        spans missing the canonical events (un-annotated protocols).
+
+        - ``DL``  = client->replica wire time + reply wire time,
+        - ``wQ``  = queue wait of the request message at the replica,
+        - ``ts``  = the request's own service charge plus commit-to-reply
+          processing (execution + reply serialization queueing),
+        - ``DQ``  = handler -> quorum: the replication round trip.
+        """
+        times, names = self.times, self.names
+        sent = received = -1
+        for e in chain:
+            code = names[e]
+            if code == _REPLY_SENT:
+                sent = e
+            elif code == _REPLY_RECV:
+                received = e
+        if sent < 0 or received < 0:
+            return None
+        cutoff = times[sent]
+        enqueue = handler = quorum = -1
+        for e in chain:
+            if times[e] <= cutoff:
+                code = names[e]
+                if code == _ENQUEUE:
+                    enqueue = e
+                elif code == _HANDLER:
+                    handler = e
+                elif code == _QUORUM:
+                    quorum = e
+        if enqueue < 0 or handler < 0:
+            return None
+        service = self.services[handler]
+        if math.isnan(service):
+            return None
+        t_enqueue, t_handler = times[enqueue], times[handler]
+        if t_handler < t_enqueue:  # unmatched pair (e.g. retry mid-flight)
+            return None
+        t0 = times[chain[0]]
+        t_sent, t_received = times[sent], times[received]
+        wq = max(0.0, t_handler - t_enqueue - service)
+        dl = max(0.0, t_enqueue - t0) + max(0.0, t_received - t_sent)
+        dq = max(0.0, times[quorum] - t_handler) if quorum >= 0 else 0.0
+        commit_at = times[quorum] if quorum >= 0 else t_handler
+        ts = service + max(0.0, t_sent - commit_at)
+        return {
+            "wq": wq,
+            "ts": ts,
+            "dl": dl,
+            "dq": dq,
+            "total": t_received - t0,
+        }
 
     def breakdowns(self, since: float | None = None) -> list[dict[str, float]]:
+        """The decomposition of every successful span submitted at or after
+        ``since``, in the order the spans ended."""
         out = []
-        for span in self.finished:
-            if since is not None and span.submitted_at < since:
+        times, states = self.times, self.states
+        for row in self.ended:
+            if states[row] != _DONE:
                 continue
-            decomposition = span.breakdown()
+            chain = self._chain(row)
+            if since is not None and times[chain[0]] < since:
+                continue
+            decomposition = self._breakdown(chain)
             if decomposition is not None:
                 out.append(decomposition)
         return out
@@ -228,6 +362,6 @@ class Tracer:
     def to_json(self) -> dict:
         return {
             "finished": [span.to_dict() for span in self.finished],
-            "open": [span.to_dict() for span in self.open.values()],
+            "open": [self.span(row).to_dict() for row in self.open.values()],
             "unmatched_events": self.unmatched_events,
         }

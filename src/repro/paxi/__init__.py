@@ -5,48 +5,7 @@ blocks — configuration, quorum systems, networking, a multi-version
 key-value store, a client library, and a benchmarker — so that a protocol
 implementation only supplies its message types and replica logic.  This
 package reproduces that architecture on top of :mod:`repro.sim`.
+
+Import from the submodules (``repro.paxi.config``,
+``repro.paxi.deployment``, ...); the package re-exports nothing.
 """
-
-from repro.paxi.ids import NodeID, grid_ids
-from repro.paxi.message import Batch, Command, ClientRequest, ClientReply, Message
-from repro.paxi.quorum import (
-    MajorityQuorum,
-    ThresholdQuorum,
-    FastQuorum,
-    GridQuorum,
-    GroupQuorum,
-)
-from repro.paxi.config import Config
-from repro.paxi.node import Batcher, Replica
-from repro.paxi.protocol import Protocol
-from repro.paxi.deployment import Deployment
-from repro.paxi.client import Client
-from repro.paxi.session import Result, Session
-from repro.paxi.kvstore import MultiVersionStore
-from repro.paxi.history import HistoryRecorder, Operation
-
-__all__ = [
-    "NodeID",
-    "grid_ids",
-    "Command",
-    "Batch",
-    "ClientRequest",
-    "ClientReply",
-    "Message",
-    "MajorityQuorum",
-    "ThresholdQuorum",
-    "FastQuorum",
-    "GridQuorum",
-    "GroupQuorum",
-    "Config",
-    "Replica",
-    "Protocol",
-    "Batcher",
-    "Deployment",
-    "Client",
-    "Session",
-    "Result",
-    "MultiVersionStore",
-    "HistoryRecorder",
-    "Operation",
-]

@@ -1,37 +1,35 @@
 """Protocol implementations over the Paxi framework.
 
 One module per protocol the paper evaluates; :data:`PROTOCOLS` maps the
-paper's names to classes for registries and CLIs.
+paper's names to classes for registries and CLIs.  It is built on first
+access, so importing one protocol (``repro.protocols.paxos``) does not
+import the other seven.
 """
 
-from repro.protocols.epaxos import EPaxos
-from repro.protocols.fpaxos import FPaxos
-from repro.protocols.mencius import Mencius
-from repro.protocols.paxos import MultiPaxos
-from repro.protocols.raft import Raft
-from repro.protocols.vpaxos import VPaxos
-from repro.protocols.wankeeper import WanKeeper
-from repro.protocols.wpaxos import WPaxos
+from importlib import import_module
 
-PROTOCOLS = {
-    "Paxos": MultiPaxos,
-    "FPaxos": FPaxos,
-    "Raft": Raft,
-    "EPaxos": EPaxos,
-    "WPaxos": WPaxos,
-    "WanKeeper": WanKeeper,
-    "VPaxos": VPaxos,
-    "Mencius": Mencius,
+#: Paper name -> (module under ``repro.protocols``, class name).
+_REGISTRY = {
+    "Paxos": ("paxos", "MultiPaxos"),
+    "FPaxos": ("fpaxos", "FPaxos"),
+    "Raft": ("raft", "Raft"),
+    "EPaxos": ("epaxos", "EPaxos"),
+    "WPaxos": ("wpaxos", "WPaxos"),
+    "WanKeeper": ("wankeeper", "WanKeeper"),
+    "VPaxos": ("vpaxos", "VPaxos"),
+    "Mencius": ("mencius", "Mencius"),
 }
 
-__all__ = [
-    "MultiPaxos",
-    "FPaxos",
-    "Raft",
-    "EPaxos",
-    "WPaxos",
-    "WanKeeper",
-    "VPaxos",
-    "Mencius",
-    "PROTOCOLS",
-]
+
+def __getattr__(name: str):
+    if name != "PROTOCOLS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global PROTOCOLS
+    PROTOCOLS = {
+        paper: getattr(import_module(f"{__name__}.{module}"), cls)
+        for paper, (module, cls) in _REGISTRY.items()
+    }
+    return PROTOCOLS
+
+
+__all__ = ["PROTOCOLS"]

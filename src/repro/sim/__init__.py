@@ -10,20 +10,6 @@ discrete-event simulator.  It provides:
 - :mod:`repro.sim.server` — a simulated machine with a single CPU+NIC
   processing queue (the abstraction the paper's model assumes, section 3.2),
 - :mod:`repro.sim.cluster` — assembly of servers, network, and topology.
+
+Import from the submodules; the package re-exports nothing.
 """
-
-from repro.sim.clock import EventLoop
-from repro.sim.random import RandomStreams
-from repro.sim.network import Network, FaultPlan
-from repro.sim.server import Server, ServiceProfile
-from repro.sim.cluster import Cluster
-
-__all__ = [
-    "EventLoop",
-    "RandomStreams",
-    "Network",
-    "FaultPlan",
-    "Server",
-    "ServiceProfile",
-    "Cluster",
-]

@@ -6,6 +6,8 @@ level and not inside a function, where such an import is easy to miss.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,6 +59,33 @@ def test_the_package_imports_only_the_standard_library_and_itself():
             if top and top != "repro" and top not in sys.stdlib_module_names:
                 offenders.append(f"{path.relative_to(SRC.parent)} imports {name}")
     assert not offenders, "\n".join(offenders)
+
+
+@pytest.mark.parametrize("package", ["core", "checkers", "paxi", "sim"])
+def test_package_init_is_a_docstring_only(package):
+    """Callers import from the submodules; a package re-exports nothing."""
+    tree = ast.parse((SRC / package / "__init__.py").read_text())
+    assert len(tree.body) == 1 and isinstance(tree.body[0], ast.Expr), package
+
+
+def test_importing_one_protocol_loads_only_what_it_uses():
+    """``repro.protocols`` builds its registry on first access, and
+    ``repro.core`` imports nothing itself, so one protocol and its config
+    load neither the other protocols nor the analytic models."""
+    code = (
+        "import sys, repro.protocols.paxos, repro.paxi.config\n"
+        "print('\\n'.join(m for m in sys.modules if m.startswith('repro.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "repro.protocols.paxos" in loaded
+    others = ("wpaxos", "vpaxos", "wankeeper", "mencius", "group")
+    unwanted = [name for name in loaded if name.startswith("repro.core.")]
+    unwanted.remove("repro.core.topology")
+    unwanted += [name for name in loaded if name.split(".")[-1] in others]
+    assert not unwanted, unwanted
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ maps, tuples and sets the same way, and the operation history kept one
 ``Operation`` object per row where it now keeps columns.  What is kept per
 operation costs bytes, not objects: latency samples are packed doubles, a
 Raft entry is one pair shared by every log and WAL record that holds it,
-and WAL records and spans are slotted.  The guard counts objects on short
+WAL records are slotted, and a traced request is a few packed fields per
+event in the tracer's columns.  The guard counts objects on short
 seeded runs of two lengths — it does not weigh the process — so it is
 deterministic and runs in the quick loop.
 """
@@ -29,7 +30,8 @@ from repro.paxi.client import Client
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.paxi.history import HistoryRecorder, Operation
-from repro.obs.tracing import Span, SpanEvent
+from repro.paxi.ids import NodeID
+from repro.obs.tracing import Tracer
 from repro.paxi import node
 from repro.paxi.replies import ReplyTable
 from repro.protocols.epaxos import EPaxos
@@ -376,12 +378,47 @@ def test_run_state_sample_costs_at_most_20_bytes():
 
 
 def test_per_operation_records_are_slotted():
-    span = Span(("client", 1), 1, "GET", "k", 0.0)
-    span.mark("submit", 0.0, ("client", 1))
+    """A WAL record is slotted; a span and its events, read from the
+    tracer's columns, are slotted values that take no ad-hoc attribute."""
+    tracer = Tracer(enabled=True)
+    tracer.begin(("client", 1), 1, 0.0, "GET", "k")
+    tracer.end((("client", 1), 1), 1.0, ("client", 1))
+    span = tracer.finished[0]
     for record in (WalRecord("append", 1, None), span, span.events[0]):
         assert not hasattr(record, "__dict__"), type(record).__name__
-    with pytest.raises(AttributeError):
-        span.note = "ad hoc"
+    for value in (span, span.events[0]):
+        with pytest.raises(AttributeError):
+            value.note = "ad hoc"
+
+
+def test_traced_request_costs_at_most_36_bytes_per_event():
+    """Measured over 10,000 six-event requests fed through the tracer's
+    hooks, with the clients, keys and times made before tracing starts;
+    the span's own row is included in the per-event share."""
+    requests = 10_000
+    clients = [("client", c) for c in range(8)]
+    replicas = [NodeID(1, n) for n in range(1, 4)]
+    keys = [f"key-{i % 100}" for i in range(requests)]
+    span_keys = [(clients[i % 8], i) for i in range(requests)]
+    times = [i * 1e-4 for i in range(6 * requests)]
+    tracer = Tracer(enabled=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(requests):
+            client, span_key, replica = clients[i % 8], span_keys[i], replicas[i % 3]
+            t = 6 * i
+            tracer.begin(client, i, times[t], "PUT" if i % 10 == 0 else "GET", keys[i])
+            tracer.event(span_key, "server_enqueue", times[t + 1], replica)
+            tracer.event(span_key, "handler", times[t + 2], replica, service=times[t + 1])
+            tracer.event(span_key, "quorum", times[t + 3], replica)
+            tracer.event(span_key, "reply_sent", times[t + 4], replica)
+            tracer.end(span_key, times[t + 5], client)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tracer.finished) == requests and tracer.open_count == 0
+    assert grown / (6 * requests) <= 36, grown / (6 * requests)
 
 
 def test_raft_entry_is_one_pair_in_every_log_and_wal_record():
