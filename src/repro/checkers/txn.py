@@ -40,10 +40,10 @@ def _visible_anywhere(cluster: "ShardedCluster", key: Hashable, value) -> bool:
     """Is ``value`` in ``key``'s committed chain on any replica of any
     group?  (After a rebalance the chain lives in the new owner, but stale
     copies in the old group are fine — hence "anywhere" for presence and
-    for absence checks alike.)"""
+    for absence checks alike.)  Reads each chain in place."""
     for group in cluster.groups:
         for replica in group.replicas.values():
-            if value in replica.store.history(key):
+            if value in replica.store.chain(key):
                 return True
     return False
 

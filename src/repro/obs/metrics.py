@@ -133,7 +133,9 @@ class MetricsHub:
     def snapshot(self) -> dict:
         """JSON-ready per-node dump (cumulative since cluster start)."""
         out: dict = {}
-        for address in set(self._nodes) | set(self._servers):
+        # Nodes, then servers with no node entry, each in insertion order:
+        # the key order must not follow the process's hash salt.
+        for address in {**self._nodes, **self._servers}:
             entry = (
                 self._nodes[address].to_dict() if address in self._nodes else NodeMetrics().to_dict()
             )

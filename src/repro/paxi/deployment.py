@@ -49,6 +49,10 @@ class Deployment:
             loop=loop,
         )
         self.history = HistoryRecorder()
+        #: One append-only version chain per key for the whole group: each
+        #: replica's store holds a prefix of it (or forks off it when its
+        #: state machine diverges), see :mod:`repro.paxi.kvstore`.
+        self.book: dict[Hashable, list] = {}
         self.replicas: dict[NodeID, "Replica"] = {}
         self.clients: list["Client"] = []
         #: Open-loop workload engines driving this deployment register here

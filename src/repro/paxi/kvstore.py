@@ -1,11 +1,22 @@
 """In-memory multi-version key-value store (paper section 4.1, "Data store").
 
-Each replica owns a private store used as its deterministic state machine.
-Every write creates a new version, and the full per-key version history is
+Each replica owns a store used as its deterministic state machine.  Every
+write creates a new version, and the full per-key version history is
 retained so the consensus checker can compare state-machine histories across
 nodes (the paper's consensus checker verifies all nodes' per-record
-histories share a common prefix).  A key's chain is the plain list of the
-values written to it, oldest first: version ``n`` is ``chain[n - 1]``.
+histories share a common prefix).  A key's chain is the list of the values
+written to it, oldest first: version ``n`` is ``chain[n - 1]``.
+
+Correct replicas apply the same values in the same order, so their chains
+are prefixes of one another and a group stores each chain once: the
+:class:`~repro.paxi.deployment.Deployment` owns the *book*, one append-only
+list per key, and a replica's store keeps per key only how many versions it
+has applied, ``n``; its chain is ``book[key][:n]``.  A replica writing at
+position ``n`` appends to the book when it is the first to get there, and
+otherwise finds the value already there and just advances ``n``.  A replica
+that writes a different value **forks**: from then on it keeps a private
+list for that key, so a divergent replica reaches the checkers with exactly
+the chain it built.
 """
 
 from __future__ import annotations
@@ -31,10 +42,17 @@ class CasFailed:
 
 
 class MultiVersionStore:
-    """A deterministic multi-version map from keys to version chains."""
+    """A deterministic multi-version map from keys to version chains, each
+    held as a prefix of the group's book (or as a fork of it)."""
 
-    def __init__(self) -> None:
-        self._chains: dict[Hashable, list[Any]] = {}
+    def __init__(self, book: dict[Hashable, list[Any]] | None = None) -> None:
+        #: The group's chains, shared by every store built on it; a store
+        #: built without one (a unit test) makes a private book.
+        self._book: dict[Hashable, list[Any]] = {} if book is None else book
+        #: Versions applied per written key, in first-write order.
+        self._applied: dict[Hashable, int] = {}
+        #: This store's own chain for each key on which it left the book.
+        self._forks: dict[Hashable, list[Any]] = {}
         self.executions = 0
 
     def execute(self, command: Command) -> Any:
@@ -46,37 +64,67 @@ class MultiVersionStore:
         as an acknowledgment.
         """
         self.executions += 1
-        chain = self._chains.get(command.key)
+        key = command.key
+        n = self._applied.get(key, 0)
+        forks = self._forks
+        chain = forks[key] if forks and key in forks else self._book.get(key)
         if command.is_read:
-            return chain[-1] if chain else None
+            return chain[n - 1] if n else None
         if command.op == CAS:
-            current = chain[-1] if chain else None
+            current = chain[n - 1] if n else None
             if current != command.expect:
                 return CasFailed(current)
+        value = command.value
         if chain is None:
-            chain = []
-            self._chains[command.key] = chain
-        chain.append(command.value)
-        return command.value
+            self._book[key] = [value]
+        elif n == len(chain):
+            chain.append(value)
+        elif chain[n] is not value and chain[n] != value:
+            forks[key] = chain[:n] + [value]
+        self._applied[key] = n + 1
+        return value
+
+    def _values(self, key: Hashable) -> list[Any]:
+        """The list this store's chain for a written ``key`` is a prefix of."""
+        forks = self._forks
+        return forks[key] if forks and key in forks else self._book[key]
 
     def read(self, key: Hashable) -> Any:
         """Current value of ``key`` without counting as an execution."""
-        chain = self._chains.get(key)
-        return chain[-1] if chain else None
+        n = self._applied.get(key)
+        return self._values(key)[n - 1] if n else None
 
     def version(self, key: Hashable) -> int:
         """Number of committed writes to ``key``."""
-        chain = self._chains.get(key)
-        return len(chain) if chain else 0
+        return self._applied.get(key, 0)
 
     def history(self, key: Hashable) -> list[Any]:
         """All values ever written to ``key``, oldest first."""
-        return list(self._chains.get(key, ()))
+        n = self._applied.get(key)
+        return self._values(key)[:n] if n else []
 
     def chain(self, key: Hashable) -> Sequence[Any]:
-        """:meth:`history` without the copy, for readers that only look:
-        the live chain (empty when ``key`` was never written)."""
-        return self._chains.get(key, ())
+        """:meth:`history` without the copy when this store is not behind
+        the list it reads (empty when ``key`` was never written)."""
+        n = self._applied.get(key)
+        if not n:
+            return ()
+        values = self._values(key)
+        return values if n == len(values) else values[:n]
+
+    def _join(self, key: Hashable, values: Sequence[Any]) -> None:
+        """Make ``values`` this store's chain for ``key``: a prefix of the
+        book when the two agree (extending it when ``values`` is longer),
+        a fork of it otherwise."""
+        values = list(values)
+        book = self._book.setdefault(key, [])
+        shared = min(len(book), len(values))
+        self._forks.pop(key, None)
+        if book[:shared] == values[:shared]:
+            book.extend(values[shared:])
+        else:
+            self._forks[key] = values
+        self._applied[key] = len(values)
 
     def adopt(self, key: Hashable, values: list[Any]) -> None:
         """Replace ``key``'s chain with ``values`` if it is an extension.
@@ -87,10 +135,8 @@ class MultiVersionStore:
         histories remain common-prefix consistent across all nodes.
         A shorter (stale) incoming chain is ignored.
         """
-        current = self._chains.get(key, [])
-        if len(values) <= len(current):
-            return
-        self._chains[key] = list(values)
+        if len(values) > self.version(key):
+            self._join(key, values)
 
     def dump(self) -> dict[Hashable, list[Any]]:
         """Full per-key histories, for snapshots / state transfer.
@@ -99,15 +145,18 @@ class MultiVersionStore:
         restored replica stays common-prefix consistent with its peers
         under the consensus checker.
         """
-        return {key: list(chain) for key, chain in self._chains.items()}
+        return {key: self._values(key)[:n] for key, n in self._applied.items()}
 
     def restore(self, dump: dict[Hashable, list[Any]]) -> None:
         """Replace the store's contents with a :meth:`dump` (state transfer
         into a wiped or snapshot-restored replica)."""
-        self._chains = {key: list(values) for key, values in dump.items()}
+        self._applied = {}
+        self._forks = {}
+        for key, values in dump.items():
+            self._join(key, values)
 
     def keys(self) -> list[Hashable]:
-        return list(self._chains)
+        return list(self._applied)
 
     def __len__(self) -> int:
-        return len(self._chains)
+        return len(self._applied)

@@ -50,6 +50,12 @@ class _ClassTraits(dict):
 _CLASS_TRAITS = _ClassTraits()
 
 
+#: One int object per distinct batched-record size (above the small-int
+#: cache), so the records of one size share it instead of holding an int
+#: each.  Bounded by the number of distinct batch lengths.
+_RECORD_SIZES: dict[int, int] = {}
+
+
 def wal_record_bytes(command: Any) -> int:
     """WAL record size for a log entry carrying ``command``.
 
@@ -58,7 +64,8 @@ def wal_record_bytes(command: Any) -> int:
     over a whole batch without under-charging disk bandwidth.
     """
     if isinstance(command, Batch):
-        return WAL_RECORD_BYTES + command.extra_bytes()
+        size = WAL_RECORD_BYTES + command.extra_bytes()
+        return _RECORD_SIZES.setdefault(size, size)
     return WAL_RECORD_BYTES
 
 
@@ -168,7 +175,7 @@ class Replica:
         self.deployment = deployment
         self.id = node_id
         self.config = deployment.config
-        self.store = MultiVersionStore()
+        self.store = MultiVersionStore(deployment.book)
         self._handlers: dict[type, Callable[[Hashable, Any], None]] = {}
         self._server = deployment.attach_replica(self)
         self.loop = deployment.cluster.loop

@@ -291,8 +291,10 @@ class TestConsensusChecker:
 
         monkeypatch.setattr(MultiVersionStore, "history", copied)
         assert check_deployment(dep).ok
-        replica = dep.replicas[NodeID(1, 2)]
-        replica.store._chains["k"][1] = "forged"
+        store = dep.replicas[NodeID(1, 2)].store
+        forged = store.dump()
+        forged["k"][1] = "forged"
+        store.restore(forged)
         assert check_deployment(dep).violations == [
             PrefixViolation("k", NodeID(1, 1), NodeID(1, 2), 1, 1, "forged"),
             PrefixViolation("k", NodeID(1, 2), NodeID(1, 3), 1, "forged", 1),

@@ -9,10 +9,11 @@ maps, tuples and sets the same way, and the operation history kept one
 ``Operation`` object per row where it now keeps columns.  What is kept per
 operation costs bytes, not objects: latency samples are packed doubles, a
 Raft entry is one pair shared by every log and WAL record that holds it,
-WAL records are slotted, and a traced request is a few packed fields per
-event in the tracer's columns.  The guard counts objects on short
-seeded runs of two lengths — it does not weigh the process — so it is
-deterministic and runs in the quick loop.
+WAL records are slotted and share one size int per size, a traced request
+is a few packed fields per event in the tracer's columns, and a write is
+one entry in its group's book, not one per replica.  The guard counts
+objects on short seeded runs of two lengths — it does not weigh the
+process — so it is deterministic and runs in the quick loop.
 """
 
 import gc
@@ -31,8 +32,9 @@ from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
 from repro.paxi.history import HistoryRecorder, Operation
 from repro.paxi.ids import NodeID
+from repro.paxi.message import Batch, Command
 from repro.obs.tracing import Tracer
-from repro.paxi import node
+from repro.paxi import kvstore, node
 from repro.paxi.replies import ReplyTable
 from repro.protocols.epaxos import EPaxos
 from repro.protocols.fpaxos import FPaxos
@@ -43,7 +45,7 @@ from repro.protocols.vpaxos import VPaxos
 from repro.protocols.wankeeper import WanKeeper
 from repro.protocols.wpaxos import WPaxos
 from repro.shard.placement import ShardSpec
-from repro.sim.storage import WalRecord
+from repro.sim.storage import WAL_RECORD_BYTES, WalRecord
 
 from tests.conftest import run_protocol
 
@@ -145,6 +147,63 @@ def _retained_bytes(run):
         return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+
+
+def _kvstore_bytes():
+    """Traced bytes allocated in ``paxi/kvstore.py`` and still held."""
+    held = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, kvstore.__file__)])
+    return sum(stat.size for stat in held.statistics("filename"))
+
+
+def test_group_keeps_a_write_in_at_most_16_bytes():
+    """Nine MultiPaxos replicas apply every write, and the group's stores
+    grow by one book entry per write, not by a list slot per replica
+    (79 B when each replica kept its own chain).  Measured from the end
+    of the warm-up, once every key has its per-replica entry, to the end
+    of the run; a write is a version in the group's book."""
+    dep = Deployment(Config.lan(3, 3, seed=9))
+    marks = []
+
+    def mark():
+        marks.append((_kvstore_bytes(), sum(map(len, dep.book.values()))))
+
+    tracemalloc.start()
+    try:
+        dep.start(MultiPaxos)
+        bench = ClosedLoopBenchmark(dep, WorkloadSpec(keys=50, write_ratio=1.0), 16)
+        dep.cluster.loop.call_at(0.1, mark)
+        bench.run(duration=0.25, warmup=0.05, settle=0.05)
+        mark()
+    finally:
+        tracemalloc.stop()
+    (bytes_before, writes_before), (bytes_after, writes_after) = marks
+    assert writes_before > 300 and writes_after - writes_before > 1500
+    per_write = (bytes_after - bytes_before) / (writes_after - writes_before)
+    assert per_write <= 16, per_write
+
+
+@pytest.mark.parametrize("protocol", [MultiPaxos, Raft])
+def test_rebooted_and_wiped_replicas_share_the_book_again(protocol):
+    """After a durable run in which one replica reboots (WAL replay) and
+    another is wiped (state transfer), every replica's chain is the
+    group's book itself: no replica kept a private copy."""
+    config = Config.lan(
+        3, 3, seed=41, durability="fsync", snapshot_interval=25,
+        election_timeout=0.15, catchup_snapshot_gap=16,
+    )  # fmt: skip
+    dep = Deployment(config).start(protocol)
+    rebooted, wiped = NodeID(1, 1), NodeID(3, 3)
+    dep.reboot(rebooted, downtime=0.1, at=0.3)
+    dep.wipe(wiped, downtime=0.1, at=0.6)
+    bench = ClosedLoopBenchmark(dep, WorkloadSpec(keys=25), CLIENTS, retry_timeout=0.4)
+    assert bench.run(duration=1.0, warmup=0.0, settle=0.05).completed > 100
+    dep.run_for(1.0)
+    assert dep.verify() == (True, True)
+    assert dep.disk_for(rebooted).wipes == 0 and dep.disk_for(wiped).wipes == 1
+    assert len(dep.book) == 25
+    for node_id, replica in dep.replicas.items():
+        for key, chain in dep.book.items():
+            assert replica.store.chain(key) is chain, (node_id, key)
 
 
 def test_epaxos_keeps_a_seq_per_executed_instance():
@@ -442,6 +501,18 @@ def test_raft_entry_is_one_pair_in_every_log_and_wal_record():
                 assert record.data is replica.log[replica._pos(record.slot)]
                 appended += 1
     assert appended > 3 * len(leader.log) // 2
+
+
+def test_wal_records_of_one_size_share_one_int():
+    """A batched record's size is above the small-int cache, so each
+    record would otherwise keep an int object of its own."""
+    def batch(size, tag):
+        return Batch(tuple(Command.put(f"{tag}-{i}", i) for i in range(size)))
+
+    sizes = [node.wal_record_bytes(batch(8, tag)) for tag in "abc"]
+    assert sizes[0] == WAL_RECORD_BYTES + 7 * Batch.PER_COMMAND_BYTES > 256
+    assert sizes[1] is sizes[0] and sizes[2] is sizes[0]
+    assert node.wal_record_bytes(batch(9, "d")) == sizes[0] + Batch.PER_COMMAND_BYTES
 
 
 def _count_wal_work(monkeypatch):

@@ -11,9 +11,14 @@ tolerance for EPaxos under conflicts.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.service import paxos_follower_work, paxos_leader_work
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
@@ -227,3 +232,36 @@ def test_reboot_sink_deliveries_are_not_counted_as_received():
     deployment.run_for(1.0)
     _drive_sequential(deployment, LEADER, keys=[106], settle=0.0)
     assert victim.messages_received() > received_before
+
+
+_SNAPSHOT_SCRIPT = """
+import json
+from repro.paxi.config import Config
+from repro.paxi.deployment import Deployment
+from repro.paxi.message import Command
+from repro.protocols.paxos import MultiPaxos
+
+deployment = Deployment(Config.lan(1, 3, seed=3)).start(MultiPaxos)
+for value in range(3):
+    deployment.new_client().invoke(Command.put("k", value))
+deployment.run_for(0.05)
+print(json.dumps(deployment.cluster.obs.metrics.snapshot()))
+"""
+
+
+def test_metrics_snapshot_order_does_not_follow_the_hash_salt():
+    """Two processes with different string-hash salts dump one seeded run's
+    metrics to the same bytes (no ``sort_keys``): client addresses hash
+    their ``"client"`` tag, so a set-ordered snapshot moves them around."""
+    dumps = []
+    for salt in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parent.parent)}
+        env["PYTHONHASHSEED"] = salt
+        dumps.append(
+            subprocess.run(
+                [sys.executable, "-c", _SNAPSHOT_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+        )  # fmt: skip
+    assert '"(\'client\', 1)"' in dumps[0]
+    assert dumps[0] == dumps[1]

@@ -1,13 +1,20 @@
 """Unit tests for the multi-version store and history recording."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.checkers.consensus import check_deployment
+from repro.paxi.config import Config
+from repro.paxi.deployment import Deployment
 from repro.paxi.history import HistoryRecorder, Operation
 from repro.paxi.kvstore import CasFailed, MultiVersionStore
 from repro.paxi.message import Command
+from repro.protocols.paxos import MultiPaxos
+
+from tests.test_checkers import _pairwise_prefix_violations
 
 
 class TestStore:
@@ -96,6 +103,88 @@ class TestStore:
         incoming.append("v3")
         store.history("k").append("scribble")
         assert store.history("k") == ["v1", "v2"] and store.version("k") == 2
+
+
+def _put(store, key, value):
+    return store.execute(Command.put(key, value))
+
+
+class TestBook:
+    """Stores built on one book hold prefixes of its chains; a store that
+    writes a different value at a position forks that key."""
+
+    def test_stores_on_one_book_share_its_chains(self):
+        book = {}
+        leader, follower = MultiVersionStore(book), MultiVersionStore(book)
+        for value in ("v0", "v1"):
+            _put(leader, "k", value)
+        _put(follower, "k", "v0")
+        assert book == {"k": ["v0", "v1"]}
+        assert leader.chain("k") is book["k"]
+        assert follower.chain("k") == follower.history("k") == ["v0"]
+        assert follower.read("k") == "v0" and follower.version("k") == 1
+        _put(follower, "k", "v1")
+        assert follower.chain("k") is book["k"] and book == {"k": ["v0", "v1"]}
+
+    def test_a_divergent_write_forks_only_its_store(self):
+        book = {}
+        first, second, rogue = (MultiVersionStore(book) for _ in range(3))
+        for store in (first, second, rogue):
+            _put(store, "k", "v0")
+        _put(first, "k", "v1")
+        _put(rogue, "k", "r1")  # the book holds v1 at this position
+        _put(second, "k", "v1")
+        _put(rogue, "k", "r2")
+        assert rogue.execute(Command.cas("k", "v1", "r3")) == CasFailed("r2")
+        for store in (first, second):
+            _put(store, "k", "v2")
+        assert book == {"k": ["v0", "v1", "v2"]}
+        assert first.chain("k") is book["k"] and second.chain("k") is book["k"]
+        assert rogue.history("k") == ["v0", "r1", "r2"]
+        assert rogue.read("k") == "r2" and rogue.version("k") == 3
+        # A state transfer from a correct peer rejoins the book.
+        rogue.restore(first.dump())
+        assert rogue.chain("k") is book["k"]
+        _put(rogue, "k", "v3")
+        assert first.history("k") == ["v0", "v1", "v2"] and book["k"][-1] == "v3"
+
+    def test_restore_and_adopt_extend_or_fork_the_book(self):
+        book = {}
+        store, peer = MultiVersionStore(book), MultiVersionStore(book)
+        store.restore({"a": [1, 2], "b": [3]})
+        assert book == {"a": [1, 2], "b": [3]}
+        peer.adopt("a", [1, 2, 4])
+        assert book["a"] == [1, 2, 4] and peer.chain("a") is book["a"]
+        assert store.history("a") == [1, 2]
+        peer.adopt("b", [9, 9])
+        assert book["b"] == [3] and peer.history("b") == [9, 9]
+        assert store.chain("b") is book["b"]
+
+    def test_consensus_check_sees_forks_as_plain_lists(self):
+        """Nine replicas write generated chains, some with a planted
+        divergence, in a random interleaving, so a divergent replica is
+        sometimes the one that extends the book.  ``check_deployment``
+        reports exactly what the pairwise scan reports on the plain lists."""
+        rng = random.Random(7)
+        deployment = Deployment(Config.lan(3, 3, seed=1)).start(MultiPaxos)
+        stores = {node: replica.store for node, replica in deployment.replicas.items()}
+        want = []
+        for key in range(300):
+            base = [f"{key}.{i}" for i in range(rng.randrange(1, 10))]
+            chains = {node: base[: rng.randrange(len(base) + 1)] for node in stores}
+            for chain in chains.values():
+                if chain and rng.random() < 0.1:
+                    chain[rng.randrange(len(chain))] = rng.choice(base + ["x"])
+            turns = [node for node, chain in chains.items() for _ in chain]
+            rng.shuffle(turns)
+            for node in turns:
+                store = stores[node]
+                _put(store, key, chains[node][store.version(key)])
+            want.extend(_pairwise_prefix_violations(chains, key))
+        order = lambda v: (v.key, v.node_a, v.node_b)  # noqa: E731
+        got = check_deployment(deployment).violations
+        assert sorted(got, key=order) == sorted(want, key=order)
+        assert 50 < len({v.key for v in want}) < 250  # both outcomes well covered
 
 
 class TestOperation:

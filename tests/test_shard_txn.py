@@ -10,6 +10,7 @@ import pytest
 from repro.checkers.txn import check_txn_atomicity
 from repro.errors import TxnAborted
 from repro.paxi.config import Config
+from repro.paxi.kvstore import MultiVersionStore
 from repro.protocols.paxos import MultiPaxos
 from repro.shard.cluster import ShardedCluster
 from repro.shard.placement import ShardSpec, lock_key
@@ -73,6 +74,28 @@ class TestCommitAndAbort:
         assert check.ok, check.violations
         ok, groups_ok = cluster.verify()
         assert ok and groups_ok
+
+    def test_check_reads_chains_in_place(self, monkeypatch):
+        """The audit looks every write of a committed and of an aborted
+        transaction up in each replica's chain without copying it."""
+        cluster = make_cluster()
+        machines = [
+            ShardedTxnRuntime(cluster).begin(writes, [])
+            for writes in ({"x": "a1", "y": "a2"}, {"y": "b1", "z": "b2"})
+        ]
+        for _ in range(2000):
+            if all(m.finished is not None for m in machines):
+                break
+            cluster.run_for(0.005)
+        assert sorted(m.finished.ok for m in machines) == [False, True]
+        cluster.run_for(0.3)
+
+        def copied(store, key):
+            raise AssertionError("the txn checker copied a chain")
+
+        monkeypatch.setattr(MultiVersionStore, "history", copied)
+        check = check_txn_atomicity(cluster)
+        assert check.ok and check.checked == 2, check.violations
 
     def test_sync_runtime_raises_typed_abort(self):
         cluster = make_cluster()
