@@ -18,34 +18,25 @@ import sys
 
 from repro.bench.benchmarker import ClosedLoopBenchmark
 from repro.bench.workload import WorkloadSpec
+from repro.errors import ConfigError
 from repro.paxi.config import Config
 from repro.paxi.deployment import Deployment
-from repro.protocols.epaxos import EPaxos
-from repro.protocols.fpaxos import FPaxos
-from repro.protocols.mencius import Mencius
-from repro.protocols.paxos import MultiPaxos
-from repro.protocols.raft import Raft
-from repro.protocols.vpaxos import VPaxos
-from repro.protocols.wankeeper import WanKeeper
-from repro.protocols.wpaxos import WPaxos
+from repro.protocols import canonical_name
 
-PROTOCOLS = {
-    "paxos": MultiPaxos,
-    "fpaxos": FPaxos,
-    "raft": Raft,
-    "epaxos": EPaxos,
-    "mencius": Mencius,
-    "wpaxos": WPaxos,
-    "wankeeper": WanKeeper,
-    "vpaxos": VPaxos,
-}
+
+def _protocol(name: str) -> str:
+    try:
+        return canonical_name(name)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench", description="Run a Paxi-style benchmark."
     )
-    parser.add_argument("--protocol", choices=sorted(PROTOCOLS), default="paxos")
+    parser.add_argument("--protocol", type=_protocol, default="paxos",
+                        help="a protocol's paper name, in any case (paxos, WPaxos, ...)")
     parser.add_argument("--zones", type=int, default=3)
     parser.add_argument("--nodes-per-zone", type=int, default=3)
     parser.add_argument("--wan", nargs="+", metavar="REGION", default=None,
@@ -105,6 +96,8 @@ def _execute(args: argparse.Namespace) -> int:
         config = Config.wan(tuple(args.wan), args.nodes_per_zone, seed=args.seed, **batching)
     else:
         config = Config.lan(args.zones, args.nodes_per_zone, seed=args.seed, **batching)
+    from repro.protocols import PROTOCOLS
+
     deployment = Deployment(config).start(PROTOCOLS[args.protocol])
     spec = WorkloadSpec(
         keys=args.keys,

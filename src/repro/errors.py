@@ -104,20 +104,3 @@ class TxnAborted(TxnError):
         self.txn_id = txn_id
         self.reason = reason
 
-
-class CoordinatorCrashed(TxnError):
-    """The 2PC coordinator crashed mid-transaction (fault injection).
-
-    The outcome is *unknown* until
-    :meth:`~repro.shard.cluster.ShardedCluster.recover_txns` runs: a
-    transaction that had logged its commit decision rolls forward,
-    anything earlier aborts and releases its locks.
-    """
-
-    def __init__(self, txn_id: str, phase: str) -> None:
-        super().__init__(
-            f"coordinator crashed during transaction {txn_id} ({phase}); "
-            "outcome unknown until recovery"
-        )
-        self.txn_id = txn_id
-        self.phase = phase

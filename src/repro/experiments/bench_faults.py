@@ -22,7 +22,7 @@ Failover timing comes from the φ-accrual detector with the Jacobson
 adaptive election timeout (``params: detector=True`` — see
 ``repro.paxi.detector``), not a hand-tuned ``election_timeout``: the
 timeout is learned from observed heartbeat intervals (SRTT + 4·RTTVAR,
-scaled by the protocol's ``adaptive_multiplier``), so the same benchmark
+scaled by ``ADAPTIVE_MULTIPLIER``), so the same benchmark
 config stays honest if the heartbeat cadence or topology changes.
 
 The results land in ``BENCH_faults.json``::

@@ -107,15 +107,17 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
     cpu_count = os.cpu_count() or 1
     # More workers than cores just adds scheduler churn (and on 1-CPU
     # machines, pool overhead): clamp, but record what was asked for.
-    requested = jobs if jobs > 1 else min(4, cpu_count)
-    workers = max(1, min(requested, cpu_count))
+    workers = max(1, min(jobs, cpu_count))
 
     cell = _cell(duration)
     speedup = cell["events_per_sec"] / PREOPT_EVENTS_PER_SEC
 
     seeds = (7, 19, 101, 211)
     serial_wall, serial_results = _timed_grid(seeds, workers=1)
-    parallel_wall, parallel_results = _timed_grid(seeds, workers=workers)
+    if workers > 1:
+        parallel_wall, parallel_results = _timed_grid(seeds, workers=workers)
+    else:  # --jobs 1 runs serially: there is no second grid to compare
+        parallel_wall, parallel_results = serial_wall, serial_results
     identical = serial_results == parallel_results
 
     payload = {
@@ -129,7 +131,7 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
         "speedup_vs_preopt": round(speedup, 2),
         "parallel": {
             "grid_jobs": len(seeds),
-            "requested_workers": requested,
+            "requested_workers": jobs,
             "workers": workers,
             "serial_wall_s": round(serial_wall, 3),
             "parallel_wall_s": round(parallel_wall, 3),
@@ -165,9 +167,9 @@ def run(fast: bool = False, output: str = OUTPUT_FILE, jobs: int = 1) -> Experim
     result.notes.append(
         "parallel grid results identical to serial: " + str(identical)
     )
-    if requested != workers:
+    if jobs != workers:
         result.notes.append(
-            f"--jobs {requested} clamped to {workers} (cpu_count {cpu_count})"
+            f"--jobs {jobs} clamped to {workers} (cpu_count {cpu_count})"
         )
     if cpu_count == 1:
         result.notes.append(

@@ -1,9 +1,11 @@
 """Cluster, protocol, and benchmark configuration (paper section 4.1).
 
 A :class:`Config` carries everything a deployment needs: the topology, the
-node IDs and their placement, the machine service profile, the seed, and a
-free-form parameter mapping for protocol-specific knobs (quorum sizes,
-fault-tolerance levels, stealing policies, ...).
+node IDs and their placement, the machine service profile, the seed, the
+typed knobs every protocol shares, and a ``params`` mapping for the
+protocol-specific ones (quorum sizes, fault-tolerance levels, stealing
+policies, ...).  :data:`PARAMS` declares every ``params`` key once, with its
+default; ``Config`` rejects any other key on every construction route.
 
 Like Paxi, configurations can be managed "via a JSON file distributed to
 every node": :meth:`Config.to_json` / :meth:`Config.from_json` round-trip
@@ -13,7 +15,7 @@ the standard deployments (LAN grids and AWS WAN grids).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from repro.core import topology as topo
@@ -27,6 +29,72 @@ from repro.sim.storage import DURABILITY_MODES, DiskProfile
 #: streams across shards never line up with each other).
 SHARD_SEED_STRIDE = 9973
 
+#: Every protocol parameter a ``params`` entry may set: name -> (default,
+#: what it does).  ``Config.param(name)`` returns the default when the key
+#: is unset; a ``None`` default the protocol derives from the deployment.
+#: Adding a parameter is adding a row here.
+PARAMS: dict[str, tuple[Any, str]] = {
+    # The leader-log protocols: MultiPaxos, FPaxos, Raft.
+    "leader": (None, "node that campaigns at start-up (None: the first node)"),
+    "heartbeat_interval": (0.02, "seconds between leader heartbeats"),
+    "election_timeout": (
+        None,
+        "follower timeout in seconds before campaigning (None: the protocol's, "
+        "failover off for MultiPaxos unless the detector is on, 0.15 for Raft)",
+    ),
+    "lease_duration": (
+        None,
+        "leader lease in seconds on each node's own clock; enables "
+        "read_mode='lease' (None: no leases, docs/READS.md)",
+    ),
+    "max_clock_skew": (0.0, "clock drift bound in seconds the lease math discounts"),
+    "detector": (
+        False,
+        "phi-accrual failure detector, adaptive election timeout and planned "
+        "handoff of a degraded leader (docs/FAULTS.md)",
+    ),
+    "phi_threshold": (8.0, "suspicion level at which a silent leader counts as failed"),
+    "slow_ratio": (
+        2.5,
+        "heartbeat-cadence stretch over the healthy baseline at which the "
+        "leader counts as degraded and a handoff is solicited",
+    ),
+    "catchup_snapshot_gap": (
+        64,
+        "slots a laggard trails by before catch-up ships a snapshot instead "
+        "of entries; also the executed slots compaction keeps",
+    ),
+    "thrifty": (False, "MultiPaxos: the leader sends P2a to a minimal quorum only"),
+    "relaxed_reads": (
+        False,
+        "MultiPaxos: untagged reads are served from the local store "
+        "(bounded staleness; session consistency with version tokens)",
+    ),
+    "q2_size": (3, "FPaxos phase-2 quorum size; phase 1 is n - q2_size + 1"),
+    # The leaderless and multi-leader protocols.
+    "fast_quorum_size": (None, "EPaxos fast quorum (None: ceil(3n/4))"),
+    "fz": (0, "WPaxos zone fault tolerance"),
+    "f": (None, "WPaxos per-zone fault tolerance (None: (nodes per zone - 1) // 2)"),
+    "steal_threshold": (
+        3,
+        "WPaxos consecutive non-owned accesses before stealing (1: at once)",
+    ),
+    "leaders_per_zone": (1, "WPaxos nodes per zone allowed to lead"),
+    "master_zone": (
+        None,
+        "VPaxos / WanKeeper zone of the master (None: the second zone, or the only one)",
+    ),
+    # Every replica.
+    "priority_lanes": (
+        False,
+        "protocol messages drain before queued client requests",
+    ),
+    "protocol": (
+        None,
+        "JSON route only: the protocol a CLI runs, spelled as the registry does",
+    ),
+}
+
 #: Knobs that live in the nested ``replication`` section of the JSON schema.
 _REPLICATION_KEYS = (
     "batch_window",
@@ -39,6 +107,8 @@ _REPLICATION_KEYS = (
 
 #: Admission-control knobs live in the nested ``admission`` JSON section.
 _ADMISSION_KEYS = ("max_inflight", "queue_limit", "shed_policy")
+_PROFILE_KEYS = ("t_in", "t_out", "bandwidth_bps", "default_message_bytes")
+_DISK_KEYS = ("fsync_latency", "write_bandwidth_bps")
 
 #: What a replica does with a client request it will not queue.
 SHED_POLICIES = ("reject", "drop_oldest", "deadline")
@@ -105,6 +175,8 @@ class Config:
     #: shard gets its *own* grid of this shape — see ``Config.for_shard``.
     shards: ShardSpec | None = None
     def __post_init__(self) -> None:
+        """The one validator: every route (``lan`` / ``wan``, a direct
+        ``Config(...)``, ``from_dict`` / ``from_json``) ends here."""
         if len(self.node_ids) != self.topology.n_nodes:
             raise ConfigError(
                 f"{len(self.node_ids)} node ids but topology places "
@@ -112,6 +184,29 @@ class Config:
             )
         if len(set(self.node_ids)) != len(self.node_ids):
             raise ConfigError("duplicate node ids")
+        unknown = sorted(set(self.params) - PARAMS.keys())
+        typed = [name for name in unknown if name in _KNOBS]
+        if typed:
+            raise ConfigError(
+                f"{typed} are typed configuration fields, not protocol params; "
+                "move them out of 'params' (in JSON, into the 'replication' or "
+                "'admission' section)"
+            )
+        if unknown:
+            raise ConfigError(_unknown_params(unknown))
+        # An unset q2_size is FPaxos's to check: only FPaxos reads it.
+        _validate_quorum(self.params.get("q2_size"), self.n)
+        _validate_lease(self.param("lease_duration"), self.param("max_clock_skew"))
+        if self.batch_window is not None and (
+            not isinstance(self.batch_window, (int, float)) or isinstance(self.batch_window, bool)
+        ):
+            raise ConfigError(
+                f"batch_window must be a number of seconds or None, got {self.batch_window!r}"
+            )
+        for name in ("batch_size", "pipeline_depth", "snapshot_interval"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.batch_window is not None and self.batch_window < 0:
             raise ConfigError(
                 f"batch_window must be >= 0 seconds, got {self.batch_window!r}: "
@@ -144,7 +239,7 @@ class Config:
                     "snapshot_interval requires durability != 'none': "
                     "snapshots only exist on a durable disk"
                 )
-            if not isinstance(self.snapshot_interval, int) or self.snapshot_interval < 1:
+            if self.snapshot_interval < 1:
                 raise ConfigError(
                     f"snapshot_interval must be a positive integer number of "
                     f"slots or None, got {self.snapshot_interval!r}"
@@ -233,7 +328,13 @@ class Config:
             raise ConfigError(f"no nodes in zone {zone}")
         return self.site_of(members[0])
 
-    def param(self, name: str, default: Any = None) -> Any:
+    def param(self, name: str) -> Any:
+        """Protocol parameter ``name``: its ``params`` entry, else the
+        :data:`PARAMS` default."""
+        try:
+            default = PARAMS[name][0]
+        except KeyError:
+            raise ConfigError(_unknown_params([name])) from None
         return self.params.get(name, default)
 
     # ------------------------------------------------------------------
@@ -282,89 +383,30 @@ class Config:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def lan(
-        zones: int = 3,
-        nodes_per_zone: int = 3,
-        seed: int = 0,
-        profile: ServiceProfile | None = None,
-        batch_window: float | None = None,
-        batch_size: int = 1,
-        pipeline_depth: int | None = None,
-        durability: str = "none",
-        disk: DiskProfile | None = None,
-        snapshot_interval: int | None = None,
-        shards: ShardSpec | None = None,
-        max_inflight: int | None = None,
-        queue_limit: int | None = None,
-        shed_policy: str = "reject",
-        **params: Any,
-    ) -> "Config":
+    def lan(zones: int = 3, nodes_per_zone: int = 3, seed: int = 0, **knobs: Any) -> "Config":
         """A single-site LAN cluster (paper section 5.2: 9 nodes).
 
         Zones are logical here — WPaxos still forms a 3x3 grid, but every
-        node sees LAN round-trip times.
+        node sees LAN round-trip times.  ``knobs`` are typed ``Config``
+        fields and :data:`PARAMS` entries.
         """
-        ids = grid_ids(zones, nodes_per_zone)
-        return Config(
-            topology=topo.lan(zones * nodes_per_zone),
-            node_ids=ids,
-            profile=profile if profile is not None else ServiceProfile(),
-            seed=seed,
-            params=dict(params),
-            batch_window=batch_window,
-            batch_size=batch_size,
-            pipeline_depth=pipeline_depth,
-            durability=durability,
-            disk=disk,
-            snapshot_interval=snapshot_interval,
-            shards=shards,
-            max_inflight=max_inflight,
-            queue_limit=queue_limit,
-            shed_policy=shed_policy,
-        )
+        return _grid(topo.lan(zones * nodes_per_zone), zones, nodes_per_zone, seed, knobs)
 
     @staticmethod
     def wan(
         regions: tuple[str, ...] = ("VA", "OH", "CA"),
         nodes_per_zone: int = 3,
         seed: int = 0,
-        profile: ServiceProfile | None = None,
-        batch_window: float | None = None,
-        batch_size: int = 1,
-        pipeline_depth: int | None = None,
-        durability: str = "none",
-        disk: DiskProfile | None = None,
-        snapshot_interval: int | None = None,
-        shards: ShardSpec | None = None,
-        max_inflight: int | None = None,
-        queue_limit: int | None = None,
-        shed_policy: str = "reject",
-        **params: Any,
+        **knobs: Any,
     ) -> "Config":
         """A multi-region WAN cluster; zone ``i`` lives in ``regions[i-1]``.
 
         The paper's WAN experiments use 3 regions x 3 nodes for the
         locality/conflict studies and 5 regions x 1 node for the EPaxos
-        model (Figure 12).
+        model (Figure 12).  ``knobs`` as for :meth:`lan`.
         """
-        ids = grid_ids(len(regions), nodes_per_zone)
-        return Config(
-            topology=topo.aws_wan(regions, nodes_per_zone),
-            node_ids=ids,
-            profile=profile if profile is not None else ServiceProfile(),
-            seed=seed,
-            params=dict(params),
-            batch_window=batch_window,
-            batch_size=batch_size,
-            pipeline_depth=pipeline_depth,
-            durability=durability,
-            disk=disk,
-            snapshot_interval=snapshot_interval,
-            shards=shards,
-            max_inflight=max_inflight,
-            queue_limit=queue_limit,
-            shed_policy=shed_policy,
-        )
+        topology = topo.aws_wan(regions, nodes_per_zone)
+        return _grid(topology, len(regions), nodes_per_zone, seed, knobs)
 
     # ------------------------------------------------------------------
     # JSON round trip (Paxi distributes configuration as a JSON file)
@@ -451,11 +493,11 @@ class Config:
         """Build a validated :class:`Config` from a plain mapping.
 
         Accepts the :meth:`to_json` schema plus an optional ``protocol``
-        name (validated against the registry and kept in ``params`` for
-        CLIs to consume).  Raises :class:`~repro.errors.ConfigError` with
-        an actionable message on any inconsistency: unknown keys, unknown
-        protocol, a quorum system that cannot intersect, a negative batch
-        window, and so on.
+        name (matched against the registry and kept in ``params`` for
+        CLIs to consume).  This checks the JSON shape only (sections,
+        unknown section keys, node-id decoding); ``Config`` validates the
+        values as on every other route.  Errors are
+        :class:`~repro.errors.ConfigError`s that name the field and the fix.
         """
         if not isinstance(payload, dict):
             raise ConfigError(
@@ -472,17 +514,7 @@ class Config:
                 f"valid keys are {sorted(known)}"
             )
 
-        replication = payload.get("replication") or {}
-        if not isinstance(replication, dict):
-            raise ConfigError(
-                f"'replication' must be a mapping, got {replication!r}"
-            )
-        bad_replication = sorted(set(replication) - set(_REPLICATION_KEYS))
-        if bad_replication:
-            raise ConfigError(
-                f"unknown replication key(s) {bad_replication}; "
-                f"valid keys are {sorted(_REPLICATION_KEYS)}"
-            )
+        replication = _section(payload, "replication", _REPLICATION_KEYS)
         deployment = payload.get("deployment", "lan")
         if deployment not in ("lan", "wan"):
             raise ConfigError(
@@ -508,139 +540,95 @@ class Config:
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
-        profile_dict = payload.get("profile") or {}
-        if not isinstance(profile_dict, dict):
-            raise ConfigError(f"profile must be a mapping, got {profile_dict!r}")
-        profile_keys = {"t_in", "t_out", "bandwidth_bps", "default_message_bytes"}
-        bad_profile = sorted(set(profile_dict) - profile_keys)
-        if bad_profile:
-            raise ConfigError(
-                f"unknown profile key(s) {bad_profile}; "
-                f"valid keys are {sorted(profile_keys)}"
-            )
-        profile = ServiceProfile(**profile_dict)
-
+        profile = ServiceProfile(**_section(payload, "profile", _PROFILE_KEYS))
         params = _params_from_json(payload.get("params") or {})
-        migrated = sorted(
-            k for k in ("batch_window", "batch_size", "pipeline_depth") if k in params
-        )
-        if migrated:
-            raise ConfigError(
-                f"{migrated} are typed configuration fields, not protocol params; "
-                "move them out of 'params' into the 'replication' section"
-            )
-        n = zones * nodes_per_zone
-        protocol = payload.get("protocol")
-        if protocol is not None:
-            params["protocol"] = _validate_protocol(protocol)
-        _validate_quorum(params, n)
-        _validate_lease(params)
+        if payload.get("protocol") is not None:
+            from repro.protocols import canonical_name  # builds no protocol
 
-        batch_window = replication.get("batch_window")
-        batch_size = replication.get("batch_size", 1)
-        pipeline_depth = replication.get("pipeline_depth")
-        if batch_window is not None and not isinstance(batch_window, (int, float)):
-            raise ConfigError(
-                f"batch_window must be a number of seconds or null, got {batch_window!r}"
-            )
-        for name, value in (("batch_size", batch_size), ("pipeline_depth", pipeline_depth)):
-            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        durability = replication.get("durability", "none")
-        if durability is None:
-            durability = "none"
-        if durability not in DURABILITY_MODES:
-            raise ConfigError(
-                f"durability must be one of {DURABILITY_MODES}, got {durability!r}"
-            )
-        disk_dict = replication.get("disk")
+            params["protocol"] = canonical_name(payload["protocol"])
         disk = None
-        if disk_dict is not None:
-            if not isinstance(disk_dict, dict):
-                raise ConfigError(f"disk must be a mapping, got {disk_dict!r}")
-            disk_keys = {"fsync_latency", "write_bandwidth_bps"}
-            bad_disk = sorted(set(disk_dict) - disk_keys)
-            if bad_disk:
-                raise ConfigError(
-                    f"unknown disk key(s) {bad_disk}; valid keys are {sorted(disk_keys)}"
-                )
+        if replication.get("disk") is not None:
+            disk_dict = _section(replication, "disk", _DISK_KEYS)
             try:
                 disk = DiskProfile(**disk_dict)
             except Exception as exc:  # SimulationError or bad field types
                 raise ConfigError(f"invalid disk profile {disk_dict!r}: {exc}") from exc
-        snapshot_interval = replication.get("snapshot_interval")
-        if snapshot_interval is not None and (
-            not isinstance(snapshot_interval, int) or isinstance(snapshot_interval, bool)
-        ):
-            raise ConfigError(
-                f"snapshot_interval must be an integer or null, got {snapshot_interval!r}"
-            )
-        admission = payload.get("admission") or {}
-        if not isinstance(admission, dict):
-            raise ConfigError(f"'admission' must be a mapping, got {admission!r}")
-        bad_admission = sorted(set(admission) - set(_ADMISSION_KEYS))
-        if bad_admission:
-            raise ConfigError(
-                f"unknown admission key(s) {bad_admission}; "
-                f"valid keys are {sorted(_ADMISSION_KEYS)}"
-            )
-        shards_dict = payload.get("shards")
-        shards = ShardSpec.from_dict(shards_dict) if shards_dict is not None else None
-        common = {
-            "nodes_per_zone": nodes_per_zone,
-            "seed": payload.get("seed", 0),
-            "profile": profile,
-            "batch_window": batch_window,
-            "batch_size": 1 if batch_size is None else batch_size,
-            "pipeline_depth": pipeline_depth,
-            "durability": durability,
-            "disk": disk,
-            "snapshot_interval": snapshot_interval,
-            "shards": shards,
-            "max_inflight": admission.get("max_inflight"),
-            "queue_limit": admission.get("queue_limit"),
-            "shed_policy": admission.get("shed_policy") or "reject",
-        }
+        admission = _section(payload, "admission", _ADMISSION_KEYS)
+        shards = payload.get("shards")
         if deployment == "lan":
-            return Config.lan(zones=zones, **common, **params)
-        return Config.wan(regions=tuple(regions), **common, **params)
+            topology = topo.lan(zones * nodes_per_zone)
+        else:
+            topology = topo.aws_wan(tuple(regions), nodes_per_zone)
+        return Config(
+            topology=topology,
+            node_ids=grid_ids(zones, nodes_per_zone),
+            profile=profile,
+            seed=payload.get("seed", 0),
+            params=params,
+            batch_window=replication.get("batch_window"),
+            batch_size=_or(replication.get("batch_size"), 1),
+            pipeline_depth=replication.get("pipeline_depth"),
+            durability=_or(replication.get("durability"), "none"),
+            disk=disk,
+            snapshot_interval=replication.get("snapshot_interval"),
+            max_inflight=admission.get("max_inflight"),
+            queue_limit=admission.get("queue_limit"),
+            shed_policy=admission.get("shed_policy") or "reject",
+            shards=ShardSpec.from_dict(shards) if shards is not None else None,
+        )
 
 
-def _validate_protocol(name: Any) -> str:
-    """Resolve a protocol name case-insensitively against the registry."""
-    from repro.protocols import PROTOCOLS  # runtime import: avoids a cycle
+#: The typed fields a ``lan`` / ``wan`` keyword may set; every other
+#: keyword is a protocol parameter.
+_KNOBS = frozenset(f.name for f in fields(Config)) - {"topology", "node_ids", "seed", "params"}
 
-    if isinstance(name, str):
-        for canonical in PROTOCOLS:
-            if canonical.lower() == name.lower():
-                return canonical
-    raise ConfigError(
-        f"unknown protocol {name!r}; valid protocols are {sorted(PROTOCOLS)}"
+
+def _grid(
+    topology: topo.Topology, zones: int, nodes_per_zone: int, seed: int, knobs: dict[str, Any]
+) -> Config:
+    """A rectangular grid deployment; ``knobs`` split into typed fields
+    and protocol params."""
+    typed = {name: value for name, value in knobs.items() if name in _KNOBS}
+    params = {name: value for name, value in knobs.items() if name not in _KNOBS}
+    return Config(topology, grid_ids(zones, nodes_per_zone), seed=seed, params=params, **typed)
+
+
+def _section(payload: dict[str, Any], name: str, keys: tuple[str, ...]) -> dict[str, Any]:
+    """The JSON mapping ``payload[name]`` (empty when absent), holding only ``keys``."""
+    section = payload.get(name) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be a mapping, got {section!r}")
+    bad = sorted(set(section) - set(keys))
+    if bad:
+        raise ConfigError(f"unknown {name} key(s) {bad}; valid keys are {sorted(keys)}")
+    return section
+
+
+def _or(value: Any, default: Any) -> Any:
+    """A JSON ``null`` means the field's default."""
+    return default if value is None else value
+
+
+def _unknown_params(names: list[str]) -> str:
+    return (
+        f"unknown protocol param(s) {names}; valid params are {sorted(PARAMS)} "
+        "(each is declared once, with its default, in repro.paxi.config.PARAMS)"
     )
 
 
-def _validate_quorum(params: dict[str, Any], n: int) -> None:
-    """Reject phase-1/phase-2 quorum sizes that cannot intersect."""
-    q2 = params.get("q2_size")
+def _validate_quorum(q2: Any, n: int) -> None:
+    """Reject a phase-2 quorum no n-node deployment can form.  FPaxos's
+    phase-1 quorum is n - q2_size + 1, so every valid pair intersects."""
     if q2 is None:
         return
-    if not isinstance(q2, int) or isinstance(q2, bool) or q2 < 1:
+    if not isinstance(q2, int) or isinstance(q2, bool) or not 1 <= q2 <= n:
         raise ConfigError(
-            f"q2_size must be a positive integer, got {q2!r}"
-        )
-    q1 = params.get("q1_size", n - q2 + 1)
-    if q1 + q2 <= n:
-        raise ConfigError(
-            f"quorum system cannot intersect: q1_size={q1} + q2_size={q2} <= n={n}, "
-            "so a phase-1 and a phase-2 quorum can be disjoint and safety is lost; "
-            f"choose sizes with q1 + q2 > {n} (e.g. q1_size={n - q2 + 1})"
+            f"q2_size must be an integer in [1, {n}] for {n} nodes, got {q2!r}"
         )
 
 
-def _validate_lease(params: dict[str, Any]) -> None:
+def _validate_lease(lease: Any, skew: Any) -> None:
     """Reject lease parameters that void the lease safety argument."""
-    lease = params.get("lease_duration")
-    skew = params.get("max_clock_skew", 0.0)
     if skew and lease is None:
         raise ConfigError(
             "max_clock_skew was given but lease_duration is unset; "

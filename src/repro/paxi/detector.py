@@ -111,10 +111,6 @@ class PhiAccrualDetector:
         self._delay_baseline: float | None = None
 
     @property
-    def last_arrival(self) -> float | None:
-        return self._last_arrival
-
-    @property
     def samples(self) -> int:
         return len(self._intervals)
 

@@ -205,11 +205,11 @@ class Replica:
             if self.config.admission_enabled
             else None
         )
-        # Priority lane (params: priority_lanes=True): protocol-internal
+        # Priority lane (param priority_lanes=True): protocol-internal
         # messages drain before queued client requests, so a saturated
         # replica still answers heartbeats / Phase-1 / catch-up promptly
         # instead of starving them behind the data-plane backlog.
-        self._priority_lanes = bool(self.config.param("priority_lanes", False))
+        self._priority_lanes = bool(self.config.param("priority_lanes"))
         #: Why this incarnation exists: None for a fresh start,
         #: "reboot" (disk intact) or "wipe" (disk lost) after a restart.
         self.restart_reason = deployment.restart_context(node_id)

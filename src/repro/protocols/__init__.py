@@ -8,6 +8,8 @@ import the other seven.
 
 from importlib import import_module
 
+from repro.errors import ConfigError
+
 #: Paper name -> (module under ``repro.protocols``, class name).
 _REGISTRY = {
     "Paxos": ("paxos", "MultiPaxos"),
@@ -32,4 +34,16 @@ def __getattr__(name: str):
     return PROTOCOLS
 
 
-__all__ = ["PROTOCOLS"]
+def canonical_name(name: object) -> str:
+    """``name`` as the registry spells it, matched case-insensitively
+    (``"paxos"`` -> ``"Paxos"``); imports no protocol."""
+    if isinstance(name, str):
+        for paper in _REGISTRY:
+            if paper.lower() == name.lower():
+                return paper
+    raise ConfigError(
+        f"unknown protocol {name!r}; valid protocols are {sorted(_REGISTRY)}"
+    )
+
+
+__all__ = ["PROTOCOLS", "canonical_name"]

@@ -133,17 +133,15 @@ class _Instance:
 class EPaxos(Protocol):
     """An EPaxos replica.
 
-    Recognized config params:
-
-    - ``fast_quorum_size``: override the default ``ceil(3N/4)``.
+    Config param ``fast_quorum_size`` (:data:`repro.paxi.config.PARAMS`)
+    overrides the default ``ceil(3N/4)``.
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
         super().__init__(deployment, node_id)
         n = self.config.n
-        self.fast_quorum_size: int = self.config.param(
-            "fast_quorum_size", math.ceil(3 * n / 4)
-        )
+        configured = self.config.param("fast_quorum_size")
+        self.fast_quorum_size: int = math.ceil(3 * n / 4) if configured is None else configured
         self.slow_quorum_size: int = n // 2 + 1
         self._instances: dict[InstanceID, _Instance] = {}  # not yet executed
         self._executed: dict[InstanceID, int] = {}  # executed here -> its seq

@@ -27,15 +27,14 @@ from repro.protocols.paxos import MultiPaxos
 class FPaxos(MultiPaxos):
     """MultiPaxos with flexible (threshold) quorums.
 
-    Recognized config params (in addition to MultiPaxos's):
-
-    - ``q2_size``: phase-2 quorum size (default 3, the paper's
-      "FPaxos 9 Nodes (|q2|=3)" configuration).
+    Config param ``q2_size`` (in addition to MultiPaxos's,
+    :data:`repro.paxi.config.PARAMS`): the phase-2 quorum size, 3 by
+    default — the paper's "FPaxos 9 Nodes (|q2|=3)" configuration.
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
         n = deployment.config.n
-        q2 = deployment.config.param("q2_size", 3)
+        q2 = deployment.config.param("q2_size")
         if not 1 <= q2 <= n:
             raise ConfigError(f"q2_size {q2} outside [1, {n}]")
         self.q2_size = q2

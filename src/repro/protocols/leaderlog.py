@@ -30,7 +30,18 @@ from repro.paxi.lease import FollowerGrant, LeaderLease
 from repro.paxi.message import Batch, ClientReply, ClientRequest, Message
 from repro.paxi.protocol import Protocol
 from repro.paxi.quorum import MajorityQuorum, Quorum
-from repro.protocols.log import RequestInfo
+from repro.protocols.log import RETRANSMIT_TIMEOUT, RequestInfo
+
+#: With the detector on, the election delay is the adaptive estimate times
+#: this.
+ADAPTIVE_MULTIPLIER = 4.0
+#: Distinct followers that must report a degraded leader within
+#: HANDOFF_VOTE_WINDOW seconds before it steps aside (two, so one follower
+#: behind a bad link cannot trigger a handoff on its own).
+HANDOFF_VOTES = 2
+HANDOFF_VOTE_WINDOW = 0.5
+#: Seconds between two handoffs of one leader (no handoff ping-pong).
+HANDOFF_COOLDOWN = 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,44 +96,16 @@ class LeaderLog(Protocol):
     leading or recovering; MultiPaxos lets it lapse until the next leader
     message).
 
-    Recognized config params (shared by MultiPaxos, FPaxos and Raft):
-
-    - ``leader``: node that campaigns at start-up (default: first node);
-    - ``heartbeat_interval``: seconds between leader heartbeats (0.02);
-    - ``election_timeout``: base follower timeout before campaigning (the
-      default is the protocol's);
-    - ``retransmit_timeout``: retry period for protocol retransmissions,
-      the handoff drain deadline and ``Handoff`` re-sends (default 0.3);
-    - ``lease_duration``: leader lease length in seconds on each node's own
-      clock (default ``None`` = leases disabled).  Enables
-      ``read_mode="lease"`` reads served from the leader's local store
-      while a grant quorum's promises are in force (see
-      :mod:`repro.paxi.lease` and ``docs/READS.md``);
-    - ``max_clock_skew``: bound on per-node clock drift the lease math
-      discounts (default 0.0; a ``skew`` fault larger than this voids the
-      lease safety argument — by design, for the adversarial tests);
-    - ``detector``: enable the φ-accrual failure detector (default False).
-      Followers grade the leader's sender-stamped heartbeats; elections
-      switch from the fixed ``election_timeout`` to a Jacobson adaptive
-      timeout, a spurious expiry is vetoed while φ still reads healthy, and
-      a *degraded* (alive-but-slow) leader is handed off without an
-      availability gap;
-    - ``phi_threshold``: suspicion level at which a silent leader counts as
-      failed (default 8.0 — a 1-in-10^8 silence); ``phi_window`` (64) and
-      ``detector_min_samples`` (8) size the accrual window;
-    - ``slow_ratio``: heartbeat-cadence stretch (recent mean over frozen
-      healthy baseline) at which the leader counts as degraded and a
-      handoff is solicited (default 2.5);
-    - ``adaptive_multiplier`` (4.0) / ``adaptive_ceiling`` (2.0 s): the
-      election delay is the adaptive estimate times the multiplier, and
-      the estimate never exceeds the ceiling;
-    - ``handoff``: allow the planned-handoff reaction (default True when
-      the detector is on; False detects but never reacts);
-    - ``handoff_votes``: distinct followers that must report degradation
-      within ``handoff_vote_window`` seconds (default 0.5) before the
-      leader steps aside (default 2, so one follower behind a bad link
-      cannot trigger a handoff on its own); ``handoff_cooldown`` (1.0 s)
-      spaces successive handoffs.
+    Config params (shared by MultiPaxos, FPaxos and Raft; declared with
+    their defaults in :data:`repro.paxi.config.PARAMS`): ``leader``,
+    ``heartbeat_interval``, ``election_timeout``, ``lease_duration`` and
+    ``max_clock_skew`` (leader leases, :mod:`repro.paxi.lease` and
+    ``docs/READS.md``), and ``detector`` with its ``phi_threshold`` and
+    ``slow_ratio``: the φ-accrual failure detector, under which elections
+    use a Jacobson adaptive timeout, a spurious expiry is vetoed while φ
+    still reads healthy, and a *degraded* (alive-but-slow) leader is
+    handed off without an availability gap once ``HANDOFF_VOTES``
+    followers agree.
 
     Per-command read paths (``Command.read_mode``, reachable through
     ``Session(consistency=...)``): ``"lease"`` as above (falls back to a
@@ -196,13 +179,14 @@ class LeaderLog(Protocol):
         ``election_timeout`` is the protocol's default when the config
         sets none (``None`` = no failover without the detector)."""
         super().__init__(deployment, node_id)
-        params = self.config.params
-        self.initial_leader: NodeID = params.get("leader", self.config.node_ids[0])
-        self.heartbeat_interval: float | None = params.get("heartbeat_interval", 0.02)
-        self.election_timeout: float | None = params.get(
-            "election_timeout", election_timeout
+        param = self.config.param
+        leader = param("leader")
+        self.initial_leader: NodeID = self.config.node_ids[0] if leader is None else leader
+        self.heartbeat_interval: float | None = param("heartbeat_interval")
+        configured = param("election_timeout")
+        self.election_timeout: float | None = (
+            election_timeout if configured is None else configured
         )
-        self.retransmit_timeout: float = params.get("retransmit_timeout", 0.3)
         self.leader_hint: NodeID | None = self.initial_leader
         #: Learner mode after a wipe (or a reboot without a disk).
         self.recovering = False
@@ -218,8 +202,8 @@ class LeaderLog(Protocol):
         # Leader leases and the non-default read paths (all strictly
         # opt-in: with lease_duration unset and no read_mode commands,
         # none of this machinery sends a byte or draws a random number).
-        self.lease_duration: float | None = params.get("lease_duration")
-        self.max_clock_skew: float = params.get("max_clock_skew", 0.0)
+        self.lease_duration: float | None = param("lease_duration")
+        self.max_clock_skew: float = param("max_clock_skew")
         if self.lease_duration is not None:
             self._lease: LeaderLease | None = LeaderLease(
                 self.clock,
@@ -251,24 +235,15 @@ class LeaderLog(Protocol):
         # Gray-failure detection and planned handoff (strictly opt-in:
         # with ``detector`` unset nothing below allocates a timer, sends a
         # message, or draws a random number).
-        self.detector_enabled: bool = bool(params.get("detector", False))
-        self.handoff_enabled: bool = bool(params.get("handoff", True))
-        self.handoff_votes_needed: int = params.get("handoff_votes", 2)
-        self.handoff_vote_window: float = params.get("handoff_vote_window", 0.5)
-        self.handoff_cooldown: float = params.get("handoff_cooldown", 1.0)
+        self.detector_enabled: bool = bool(param("detector"))
         if self.detector_enabled:
             self._monitor: NodeHealthMonitor | None = NodeHealthMonitor(
-                phi_threshold=params.get("phi_threshold", 8.0),
-                slow_ratio=params.get("slow_ratio", 2.5),
-                window=params.get("phi_window", 64),
-                min_samples=params.get("detector_min_samples", 8),
+                phi_threshold=param("phi_threshold"), slow_ratio=param("slow_ratio")
             )
             self._adaptive: AdaptiveTimeout | None = AdaptiveTimeout(
                 initial=self.election_timeout or 0.15,
                 floor=2.0 * (self.heartbeat_interval or 0.02),
-                ceiling=params.get("adaptive_ceiling", 2.0),
             )
-            self.adaptive_multiplier: float = params.get("adaptive_multiplier", 4.0)
         else:
             self._monitor = None
             self._adaptive = None
@@ -546,7 +521,7 @@ class LeaderLog(Protocol):
         fixed ``election_timeout`` otherwise."""
         adaptive = self._adaptive
         if adaptive is not None and adaptive.samples >= 4:
-            return adaptive.timeout * self.adaptive_multiplier
+            return adaptive.timeout * ADAPTIVE_MULTIPLIER
         return self.election_timeout if self.election_timeout is not None else 0.15
 
     def _election_expired(self) -> None:
@@ -589,13 +564,13 @@ class LeaderLog(Protocol):
         interval = self._monitor.observe(src, now, delay=delay)
         if interval is not None and self._adaptive is not None:
             self._adaptive.observe(interval)
-        if not self.handoff_enabled or self.active or self.recovering:
+        if self.active or self.recovering:
             return
         if self.now < self._handoff_request_after:
             return
         if self._monitor.assess(src, now) != DEGRADED:
             return
-        self._handoff_request_after = self.now + self.handoff_vote_window / 2.0
+        self._handoff_request_after = self.now + HANDOFF_VOTE_WINDOW / 2.0
         self.handoff_requests_sent += 1
         self.send(src, HandoffRequest(epoch=epoch))
 
@@ -608,18 +583,17 @@ class LeaderLog(Protocol):
             or self.recovering
             or self._handing_off
             or m.epoch != self.epoch
-            or not self.handoff_enabled
         ):
             return
         now = self.now
         if now < self._handoff_cooldown_until:
             return
-        horizon = now - self.handoff_vote_window
+        horizon = now - HANDOFF_VOTE_WINDOW
         self._handoff_votes = {
             peer: at for peer, at in self._handoff_votes.items() if at >= horizon
         }
         self._handoff_votes[src] = now
-        if len(self._handoff_votes) >= self.handoff_votes_needed:
+        if len(self._handoff_votes) >= HANDOFF_VOTES:
             self._begin_handoff(src)
 
     def _begin_handoff(self, successor: NodeID) -> None:
@@ -635,7 +609,7 @@ class LeaderLog(Protocol):
         self._handing_off = True
         self._handoff_successor = successor
         self._handoff_votes = {}
-        self._handoff_cooldown_until = self.now + self.handoff_cooldown
+        self._handoff_cooldown_until = self.now + HANDOFF_COOLDOWN
         if self.batcher is not None:
             self.batcher.flush()
         while self._proposal_queue:
@@ -646,7 +620,7 @@ class LeaderLog(Protocol):
             # crashed follower holding an entry open), resume normal
             # leadership rather than wedging the group in a half-handoff.
             self.set_timer(
-                self.retransmit_timeout,
+                RETRANSMIT_TIMEOUT,
                 lambda: self._handoff_drain_expired(successor),
             )
 
@@ -683,7 +657,7 @@ class LeaderLog(Protocol):
         epoch = self.epoch
         self.send(successor, Handoff(epoch=epoch))
         self.set_timer(
-            self.retransmit_timeout,
+            RETRANSMIT_TIMEOUT,
             lambda: self._retransmit_handoff(successor, epoch, 3),
         )
         self._forward_pending()
@@ -714,7 +688,7 @@ class LeaderLog(Protocol):
             return
         self.send(successor, Handoff(epoch=epoch))
         self.set_timer(
-            self.retransmit_timeout,
+            RETRANSMIT_TIMEOUT,
             lambda: self._retransmit_handoff(successor, epoch, attempts - 1),
         )
 

@@ -102,6 +102,11 @@ EntrySnapshot = tuple[int, Ballot, EntryCommand, Any, bool]
 
 #: Most slots one fill request asks for.
 FILL_BATCH = 64
+#: Seconds a proposed slot (or a fill request, or a handoff) waits for its
+#: answers before it is sent again.
+RETRANSMIT_TIMEOUT = 0.3
+#: Seconds between a multi-leader protocol's watermark / retransmit ticks.
+FLUSH_INTERVAL = 0.02
 
 
 def merge_snapshots(into: dict[int, EntrySnapshot], snapshots: Iterable[EntrySnapshot]) -> None:

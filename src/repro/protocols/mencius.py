@@ -35,7 +35,7 @@ from repro.paxi.message import ClientReply, ClientRequest, Command, Message
 from repro.paxi.protocol import Protocol
 from repro.paxi.quorum import MajorityQuorum
 from repro.protocols.ballot import ZERO
-from repro.protocols.log import CommandLog, Entry, RequestInfo
+from repro.protocols.log import FLUSH_INTERVAL, RETRANSMIT_TIMEOUT, CommandLog, Entry, RequestInfo
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,14 +70,10 @@ class MSkip(Message):
 class Mencius(Protocol):
     """A Mencius replica.
 
-    Recognized config params:
-
-    - ``skip_flush_interval``: the retransmit tick (default 0.02 s).
-      Each tick re-sends the accepts still short of a majority after
-      ``retransmit_timeout``; skips are announced when they happen, not on
-      this tick;
-    - ``retransmit_timeout``: how long an accept waits for its votes
-      before it is re-sent (default 0.3 s).
+    Mencius takes no protocol parameters (:data:`repro.paxi.config.PARAMS`).
+    Every ``FLUSH_INTERVAL`` it re-sends the accepts still short of a
+    majority after ``RETRANSMIT_TIMEOUT``; skips are announced when they
+    happen, not on this tick.
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
@@ -85,19 +81,17 @@ class Mencius(Protocol):
         self.order = list(self.config.node_ids)
         self.index = self.order.index(node_id)
         self.n = len(self.order)
-        self.flush_interval: float = self.config.param("skip_flush_interval", 0.02)
         # Slots are 0-based (index, index+N, ... are ours) and need no
         # ballots: each has one pre-agreed proposer.  A skipped slot is a
         # committed no-op (``command is None``).
         self.log = CommandLog(execute_index=0)
         self.next_own_slot = self.index
-        self.retransmit_timeout: float = self.config.param("retransmit_timeout", 0.3)
 
         self.register(MAccept, self.on_accept)
         self.register(MAcceptAck, self.on_accept_ack)
         self.register(MCommit, self.on_commit)
         self.register(MSkip, self.on_skip)
-        self.set_timer(self.flush_interval, self._flush_tick)
+        self.set_timer(FLUSH_INTERVAL, self._flush_tick)
 
     # ------------------------------------------------------------------
     # Slot arithmetic
@@ -212,6 +206,6 @@ class Mencius(Protocol):
     # ------------------------------------------------------------------
 
     def _flush_tick(self) -> None:
-        for slot, entry, behind in self.log.due(self.now, self.retransmit_timeout, self.peers, ZERO):
+        for slot, entry, behind in self.log.due(self.now, RETRANSMIT_TIMEOUT, self.peers, ZERO):
             self.multicast(behind, MAccept(slot=slot, command=entry.command, request=entry.request))
-        self.set_timer(self.flush_interval, self._flush_tick)
+        self.set_timer(FLUSH_INTERVAL, self._flush_tick)

@@ -50,6 +50,7 @@ from repro.protocols.ballot import Ballot, ZERO
 from repro.protocols.leaderlog import LeaderLog
 from repro.sim.storage import Snapshot
 from repro.protocols.log import (
+    RETRANSMIT_TIMEOUT,
     Acceptor,
     CommandLog,
     Entry,
@@ -58,6 +59,9 @@ from repro.protocols.log import (
     entry_pairs,
     request_infos,
 )
+
+#: Committed entries one CatchupReply carries (the requester re-asks).
+CATCHUP_MAX_ENTRIES = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,35 +174,25 @@ class MultiPaxos(LeaderLog, Acceptor):
     flush, and bounds how many uncommitted slots it keeps in flight.
 
     The read paths, leases, the failure detector, election timing and the
-    planned handoff — and their config params — are
-    :class:`~repro.protocols.leaderlog.LeaderLog`'s.  MultiPaxos's own:
-
-    - ``election_timeout``: defaults to ``None`` = failover disabled (the
-      paper's steady-state benchmarks) unless the detector is on;
-    - ``thrifty``: leader sends P2a only to a minimal quorum (default False,
-      the paper's full-replication evaluation setting);
-    - ``relaxed_reads``: serve reads from any replica's local state machine
-      without a consensus round (default False).  This implements the
-      paper's section-7 future work: consistency relaxes from
-      linearizability to bounded staleness, and to session consistency
-      (read-your-writes + monotonic reads) when clients send version
-      tokens (``Client.session_reads``);
-    - ``catchup_snapshot_gap`` (64) / ``catchup_max_entries`` (256): when a
-      catch-up donor ships a snapshot instead of log entries, and how many
-      committed entries one reply carries.  Every replica also keeps that
-      many executed slots when it compacts its log below the cluster floor.
+    planned handoff — and their parameters — are
+    :class:`~repro.protocols.leaderlog.LeaderLog`'s.  MultiPaxos's own
+    params (:data:`repro.paxi.config.PARAMS`): ``election_timeout`` is off
+    by default (the paper's steady-state benchmarks) unless the detector
+    is on; ``thrifty`` sends P2a to a minimal quorum only;
+    ``relaxed_reads`` is the paper's section-7 future work, consistency
+    relaxed to bounded staleness, or session consistency when clients send
+    version tokens (``Client.session_reads``); ``catchup_snapshot_gap``
+    is the lag at which a catch-up donor ships a snapshot instead of
+    entries, and the executed slots a replica keeps when it compacts.
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
         super().__init__(deployment, node_id, stream="paxos", election_timeout=None)
-        params = self.config.params
-        self.thrifty: bool = bool(params.get("thrifty", False))
-        self.relaxed_reads: bool = bool(params.get("relaxed_reads", False))
+        self.thrifty: bool = bool(self.config.param("thrifty"))
+        self.relaxed_reads: bool = bool(self.config.param("relaxed_reads"))
         #: Catch-up donors ship a snapshot instead of log entries once the
         #: requester is this many slots behind the donor's executed frontier.
-        self.catchup_snapshot_gap: int = params.get("catchup_snapshot_gap", 64)
-        #: Committed entries per CatchupReply (the requester re-asks).
-        self.catchup_max_entries: int = params.get("catchup_max_entries", 256)
+        self.catchup_snapshot_gap: int = self.config.param("catchup_snapshot_gap")
 
         self.log = CommandLog()
         if self._lease is not None:
@@ -535,7 +529,7 @@ class MultiPaxos(LeaderLog, Acceptor):
     def _on_watermark(self, upto: int, ballot: Ballot, leader: Hashable) -> None:
         """Commit what the leader's watermark certifies (CommandLog's rule),
         fetch the rest from it, and execute."""
-        need = self.log.apply_watermark(upto, ballot, self.now, self.retransmit_timeout)
+        need = self.log.apply_watermark(upto, ballot, self.now, RETRANSMIT_TIMEOUT)
         if need:
             self.send(leader, FillRequest(slots=need))
         self._advance_execution()
@@ -627,7 +621,7 @@ class MultiPaxos(LeaderLog, Acceptor):
         )
         self._compact(floor)
         # Re-send what lost its race with the network (drops, partitions).
-        due = self.log.due(self.now, self.retransmit_timeout, self.phase2_targets(), self.ballot)
+        due = self.log.due(self.now, RETRANSMIT_TIMEOUT, self.phase2_targets(), self.ballot)
         for slot, entry, behind in due:
             self.multicast(
                 behind,
@@ -733,7 +727,7 @@ class MultiPaxos(LeaderLog, Acceptor):
                 continue
             entries.append((slot, entry.ballot, entry.command, entry.request, True))
             commands += len(entry.command) if isinstance(entry.command, Batch) else 1
-            if len(entries) >= self.catchup_max_entries:
+            if len(entries) >= CATCHUP_MAX_ENTRIES:
                 break
         self.send(
             src,

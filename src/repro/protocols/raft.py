@@ -39,6 +39,8 @@ LogRecord = tuple[int, EntryCommand, Any]
 LogEntry = tuple[int, LogRecord]
 
 FOLLOWER, CANDIDATE, LEADER = "follower", "candidate", "leader"
+#: Minimum seconds between snapshot transfers to the same follower.
+SNAPSHOT_RETRANSMIT = 0.3
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,19 +121,16 @@ class Raft(LeaderLog):
     indices it keeps in flight.
 
     The read paths, leases, the failure detector, election timing and the
-    planned handoff — and their config params — are
+    planned handoff — and their parameters — are
     :class:`~repro.protocols.leaderlog.LeaderLog`'s.  A lease read here is
     lease-based ReadIndex: served locally by the leader once its term-start
     no-op barrier is applied.  A handoff additionally waits for the
     successor's ``matchIndex`` to reach the transfer point — a successor
     missing entries could not win the election the handoff solicits.
-    Raft's own params:
-
-    - ``election_timeout``: defaults to 0.15 s (failover is always on);
-    - ``catchup_snapshot_gap`` (64): the leader switches from log repair to
-      snapshot transfer once a follower trails the commit frontier by this
-      many entries; ``snapshot_retransmit`` (0.3 s) is the minimum interval
-      between transfers to the same follower.
+    Raft's own params (:data:`repro.paxi.config.PARAMS`):
+    ``election_timeout`` defaults to 0.15 s (failover is always on), and
+    ``catchup_snapshot_gap`` is the lag at which the leader switches from
+    log repair to snapshot transfer.
     """
 
     #: A Raft leader (or learner) keeps its election timer ticking idle.
@@ -139,12 +138,9 @@ class Raft(LeaderLog):
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
         super().__init__(deployment, node_id, stream="raft", election_timeout=0.15)
-        params = self.config.params
         #: The leader switches from log repair to snapshot transfer once a
         #: follower's nextIndex trails the commit frontier by this many slots.
-        self.catchup_snapshot_gap: int = params.get("catchup_snapshot_gap", 64)
-        #: Minimum interval between snapshot transfers to the same follower.
-        self.snapshot_retransmit: float = params.get("snapshot_retransmit", 0.3)
+        self.catchup_snapshot_gap: int = self.config.param("catchup_snapshot_gap")
 
         self.term = 0
         self.state = FOLLOWER
@@ -405,7 +401,7 @@ class Raft(LeaderLog):
     def _send_snapshot(self, peer: NodeID) -> None:
         """InstallSnapshot-style state transfer to a lagging follower."""
         last = self._snap_sent.get(peer)
-        if last is not None and self.now - last < self.snapshot_retransmit:
+        if last is not None and self.now - last < SNAPSHOT_RETRANSMIT:
             return  # a transfer is plausibly in flight; don't storm
         self._snap_sent[peer] = self.now
         upto = self.last_applied

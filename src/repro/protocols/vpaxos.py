@@ -25,9 +25,11 @@ from repro.paxi.ids import NodeID
 from repro.paxi.message import ClientReply, ClientRequest, Command, Message
 from repro.paxi.protocol import Protocol
 from repro.protocols.group import GroupEngine
-from repro.protocols.log import RequestInfo
+from repro.protocols.log import FLUSH_INTERVAL, RequestInfo
 
 CMD, ADOPT = "cmd", "adopt"
+#: Consecutive local accesses before a zone leader asks for a reassignment.
+REASSIGN_THRESHOLD = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,23 +106,19 @@ class _MappingInfo:
 class VPaxos(Protocol):
     """A Vertical Paxos replica.
 
-    Recognized config params:
-
-    - ``master_zone``: zone hosting the configuration master (default 2);
-    - ``reassign_threshold``: consecutive local accesses before requesting
-      a reassignment (default 3);
-    - ``flush_interval``: group commit-watermark period (default 0.02 s).
+    Config param ``master_zone`` (:data:`repro.paxi.config.PARAMS`): the
+    zone hosting the configuration master (by default the second zone).
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
         super().__init__(deployment, node_id)
         zones = self.config.zones
-        default_master = zones[1] if len(zones) > 1 else zones[0]
-        self.master_zone: int = self.config.param("master_zone", default_master)
-        self.reassign_threshold: int = self.config.param("reassign_threshold", 3)
-        flush = self.config.param("flush_interval", 0.02)
+        master_zone = self.config.param("master_zone")
+        if master_zone is None:
+            master_zone = zones[1] if len(zones) > 1 else zones[0]
+        self.master_zone: int = master_zone
         self.group = GroupEngine(
-            self, self.config.ids_in_zone(self.id.zone), self._execute_item, flush
+            self, self.config.ids_in_zone(self.id.zone), self._execute_item, FLUSH_INTERVAL
         )
         self.is_zone_leader = self.group.is_leader
         self.is_master = self.is_zone_leader and self.id.zone == self.master_zone
@@ -194,7 +192,7 @@ class VPaxos(Protocol):
 
     def _note_access(self, key: Hashable, origin_zone: int) -> None:
         """Owner-side three-consecutive policy: the owner sees every access
-        to its objects; when one *remote* zone makes ``reassign_threshold``
+        to its objects; when one *remote* zone makes ``REASSIGN_THRESHOLD``
         consecutive requests, hand the object over via the master."""
         if origin_zone == self.id.zone:
             self._streak.pop(key, None)
@@ -204,7 +202,7 @@ class VPaxos(Protocol):
             count += 1
         else:
             last_zone, count = origin_zone, 1
-        if count >= self.reassign_threshold and key not in self._releasing:
+        if count >= REASSIGN_THRESHOLD and key not in self._releasing:
             self._streak.pop(key, None)
             self.send(
                 self.master_leader,

@@ -11,7 +11,7 @@ Two consensus layers:
 
 Token policy, per the paper: when multiple zones keep requesting the same
 object, the master retracts the token and performs the commands at level-2;
-once access locality settles (``grant_threshold`` consecutive requests from
+once access locality settles (``GRANT_THRESHOLD`` consecutive requests from
 one zone), the master passes the token down to that zone to restore local
 latency.  Token transfers carry the object's committed history so per-key
 state-machine histories stay common-prefix consistent across groups.
@@ -32,9 +32,11 @@ from repro.paxi.ids import NodeID
 from repro.paxi.message import ClientReply, ClientRequest, Command, Message
 from repro.paxi.protocol import Protocol
 from repro.protocols.group import GroupEngine
-from repro.protocols.log import RequestInfo
+from repro.protocols.log import FLUSH_INTERVAL, RequestInfo
 
 MASTER = "MASTER"  # token-holder marker for the master level
+#: Consecutive same-zone requests before the master passes a token down.
+GRANT_THRESHOLD = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,24 +97,20 @@ class _TokenInfo:
 class WanKeeper(Protocol):
     """A WanKeeper replica (zone member, zone leader, or master leader).
 
-    Recognized config params:
-
-    - ``master_zone``: zone hosting the level-2 master (default 2 — Ohio in
-      the paper's VA/OH/CA deployment);
-    - ``grant_threshold``: consecutive same-zone requests before the master
-      passes a token down (default 3);
-    - ``flush_interval``: group commit-watermark period (default 0.02 s).
+    Config param ``master_zone`` (:data:`repro.paxi.config.PARAMS`): the
+    zone hosting the level-2 master (by default the second zone — Ohio in
+    the paper's VA/OH/CA deployment).
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
         super().__init__(deployment, node_id)
         zones = self.config.zones
-        default_master = zones[1] if len(zones) > 1 else zones[0]
-        self.master_zone: int = self.config.param("master_zone", default_master)
-        self.grant_threshold: int = self.config.param("grant_threshold", 3)
-        flush = self.config.param("flush_interval", 0.02)
+        master_zone = self.config.param("master_zone")
+        if master_zone is None:
+            master_zone = zones[1] if len(zones) > 1 else zones[0]
+        self.master_zone: int = master_zone
         self.group = GroupEngine(
-            self, self.config.ids_in_zone(self.id.zone), self._execute_item, flush
+            self, self.config.ids_in_zone(self.id.zone), self._execute_item, FLUSH_INTERVAL
         )
         self.is_zone_leader = self.group.is_leader
         self.is_master = self.is_zone_leader and self.id.zone == self.master_zone
@@ -191,7 +189,7 @@ class WanKeeper(Protocol):
             return
         if info.holder == MASTER:
             if (
-                info.streak >= self.grant_threshold
+                info.streak >= GRANT_THRESHOLD
                 and m.origin_zone != self.master_zone
             ):
                 self._grant(key, info, m)

@@ -31,7 +31,15 @@ from repro.paxi.message import ClientReply, ClientRequest, Command, Message
 from repro.paxi.protocol import Protocol
 from repro.paxi.quorum import GridQuorum, Quorum
 from repro.protocols.ballot import Ballot, ZERO
-from repro.protocols.log import Acceptor, CommandLog, Entry, EntrySnapshot, RequestInfo
+from repro.protocols.log import (
+    FLUSH_INTERVAL,
+    RETRANSMIT_TIMEOUT,
+    Acceptor,
+    CommandLog,
+    Entry,
+    EntrySnapshot,
+    RequestInfo,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,18 +120,10 @@ class _ObjectState(Acceptor):
 class WPaxos(Protocol):
     """A WPaxos replica.
 
-    Recognized config params:
-
-    - ``fz``: zone fault tolerance (default 0);
-    - ``f``: per-zone fault tolerance (default ``(R-1)//2``);
-    - ``steal_threshold``: consecutive non-owned accesses before stealing
-      (default 3; 1 = steal immediately);
-    - ``leaders_per_zone``: nodes per zone allowed to lead (default 1);
-    - ``flush_interval``: watermark broadcast and retransmit period
-      (default 0.02 s);
-    - ``retransmit_timeout``: how long an accept waits for its votes
-      before it is re-sent, and a fill request for its reply before it is
-      asked again (default 0.3 s).
+    Config params (:data:`repro.paxi.config.PARAMS`): ``fz`` and ``f``,
+    the zone and per-zone fault tolerance the grid quorums are built for;
+    ``steal_threshold``, the consecutive non-owned accesses before a
+    leader steals an object; ``leaders_per_zone``.
     """
 
     def __init__(self, deployment: Deployment, node_id: NodeID) -> None:
@@ -132,12 +132,11 @@ class WPaxos(Protocol):
         per_zone = self.config.n // zones
         if zones * per_zone != self.config.n:
             raise ConfigError("WPaxos needs a rectangular zone grid")
-        self.fz: int = self.config.param("fz", 0)
-        self.f: int = self.config.param("f", (per_zone - 1) // 2)
-        self.steal_threshold: int = self.config.param("steal_threshold", 3)
-        self.leaders_per_zone: int = self.config.param("leaders_per_zone", 1)
-        self.flush_interval: float = self.config.param("flush_interval", 0.02)
-        self.retransmit_timeout: float = self.config.param("retransmit_timeout", 0.3)
+        self.fz: int = self.config.param("fz")
+        f = self.config.param("f")
+        self.f: int = (per_zone - 1) // 2 if f is None else f
+        self.steal_threshold: int = self.config.param("steal_threshold")
+        self.leaders_per_zone: int = self.config.param("leaders_per_zone")
         self.objects: dict[Hashable, _ObjectState] = {}
 
         self.register(WP1a, self.on_p1a)
@@ -149,7 +148,7 @@ class WPaxos(Protocol):
         self.register(WFillReply, self.on_fill_reply)
 
         if self.is_leader_node:
-            self.set_timer(self.flush_interval, self._flush_tick)
+            self.set_timer(FLUSH_INTERVAL, self._flush_tick)
 
     # ------------------------------------------------------------------
     # Roles
@@ -338,7 +337,7 @@ class WPaxos(Protocol):
         # the scan drops them).
         now = self.now
         for key, state in self.objects.items():
-            for slot, entry, behind in state.log.due(now, self.retransmit_timeout, self.peers, state.promised):
+            for slot, entry, behind in state.log.due(now, RETRANSMIT_TIMEOUT, self.peers, state.promised):
                 self.multicast(
                     behind,
                     WP2a(
@@ -350,7 +349,7 @@ class WPaxos(Protocol):
                         commit_upto=state.log.commit_upto(),
                     ),
                 )
-        self.set_timer(self.flush_interval, self._flush_tick)
+        self.set_timer(FLUSH_INTERVAL, self._flush_tick)
 
     def on_flush(self, src: Hashable, m: WFlush) -> None:
         for key, upto in m.watermarks:
@@ -360,7 +359,7 @@ class WPaxos(Protocol):
         # Only the owner's watermark certifies values chosen under its
         # ballot; one from anyone else commits nothing (CommandLog's rule).
         ballot = state.promised if state.promised.owner == origin else None
-        need = state.log.apply_watermark(upto, ballot, self.now, self.retransmit_timeout)
+        need = state.log.apply_watermark(upto, ballot, self.now, RETRANSMIT_TIMEOUT)
         if need:
             self.send(origin, WFillRequest(key=key, slots=need))
         self._advance_execution(state)

@@ -160,12 +160,6 @@ class _RoutedClient:
     def outstanding(self) -> int:
         return sum(c.outstanding for c in self._per_shard.values())
 
-    # Fault-command passthroughs (the Session facade calls these through
-    # ``deployment.crash`` etc., which ShardedCluster also provides).
-
-    def shards_touched(self) -> list[int]:
-        return sorted(self._per_shard)
-
 
 class _MergedHistory:
     """Read-only union of the per-group operation histories.

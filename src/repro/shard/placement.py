@@ -307,9 +307,6 @@ class HashPlacement(PlacementMap):
         self.spec._check_shard(shard, f"rebalance of bucket {bucket}")
         self._bucket_to_shard[bucket] = shard
 
-    def buckets_of(self, shard: int) -> list[int]:
-        return [b for b, s in enumerate(self._bucket_to_shard) if s == shard]
-
 
 class RangePlacement(PlacementMap):
     """Contiguous integer ranges, each owned by one shard.  Static."""

@@ -82,10 +82,6 @@ class FaultPlan:
         if end > self._window_end:
             self._window_end = end
 
-    def possibly_active(self, now: float) -> bool:
-        """False when no rule's window can contain ``now``."""
-        return self._window_start <= now < self._window_end
-
     def drop(self, src: Address | None, dst: Address | None, start: float, duration: float) -> None:
         """Drop every message from ``src`` to ``dst`` during the window."""
         self._rules.append(_FaultRule("drop", src, dst, start, start + duration))

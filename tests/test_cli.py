@@ -48,8 +48,14 @@ class TestBenchCli:
         with pytest.raises(SystemExit):
             bench_main(["--protocol", "zab"])
 
+    @pytest.mark.parametrize("spelling", ["paxos", "Paxos", "pAxOs"])
+    def test_protocol_name_is_case_insensitive(self, spelling, capsys):
+        args = ["--protocol", spelling, "--clients", "2", "--duration", "0.1", "--keys", "20"]
+        assert bench_main(args) == 0
+        assert "protocol:    Paxos on 9 nodes" in capsys.readouterr().out
+
     def test_every_registered_protocol_runs(self, capsys):
-        from repro.bench.__main__ import PROTOCOLS
+        from repro.protocols import PROTOCOLS
 
         for name in PROTOCOLS:
             assert (

@@ -61,8 +61,12 @@ def test_from_dict_canonicalizes_protocol_name():
 
 
 def test_from_dict_rejects_non_intersecting_quorum():
-    with pytest.raises(ConfigError, match="cannot intersect"):
+    # FPaxos's phase-1 quorum is n - q2_size + 1, so a non-intersecting
+    # pair cannot be spelt: q1_size is no parameter, and q2_size must fit.
+    with pytest.raises(ConfigError, match="unknown protocol param.*q1_size"):
         Config.from_dict({"params": {"q2_size": 2, "q1_size": 3}})
+    with pytest.raises(ConfigError, match=r"q2_size must be an integer in \[1, 9\]"):
+        Config.from_dict({"params": {"q2_size": 10}})
     # A valid FPaxos-style quorum passes.
     cfg = Config.from_dict({"params": {"q2_size": 3}})
     assert cfg.params["q2_size"] == 3
@@ -115,6 +119,26 @@ def test_from_json_rejects_malformed_text():
         Config.from_json("{not json")
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"lease_durration": 0.5},
+        {"retransmit_timeout": 0.3},  # a constant now, not a parameter
+        {"handoff": False},
+    ],
+)
+def test_from_dict_rejects_undeclared_params(params):
+    with pytest.raises(ConfigError, match="unknown protocol param"):
+        Config.from_dict({"params": params})
+
+
+def test_from_dict_replication_null_means_default():
+    cfg = Config.from_dict({"replication": {"batch_size": None, "durability": None}})
+    assert (cfg.batch_size, cfg.durability) == (1, "none")
+    with pytest.raises(ConfigError, match="batch_size"):
+        Config.from_dict({"replication": {"batch_size": 0}})
+
+
 def test_constructor_validates_typed_batch_fields():
     with pytest.raises(ConfigError, match="batch_size"):
         Config.lan(3, 3, batch_size=0)
@@ -122,3 +146,8 @@ def test_constructor_validates_typed_batch_fields():
         Config.lan(3, 3, batch_window=-1.0)
     with pytest.raises(ConfigError, match="pipeline_depth"):
         Config.lan(3, 3, pipeline_depth=0)
+    # The type checks the JSON route applies hold on the keyword route too.
+    with pytest.raises(ConfigError, match="batch_size must be an integer"):
+        Config.lan(3, 3, batch_size="lots")
+    with pytest.raises(ConfigError, match="batch_window must be a number"):
+        Config.lan(3, 3, batch_window="soon")

@@ -89,6 +89,64 @@ def test_importing_one_protocol_loads_only_what_it_uses():
 
 
 # ----------------------------------------------------------------------
+# One parameter table: repro.paxi.config.PARAMS declares every protocol
+# parameter once, and every read goes through Config.param.
+# ----------------------------------------------------------------------
+
+
+def _param_reads() -> dict[str, list[str]]:
+    """Declared-name -> where ``<...>.param("name")`` reads it in ``src/repro``."""
+    reads: dict[str, list[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func, first = node.func, node.args[0]
+            bound = getattr(func, "id", None) == "param"  # ``param = self.config.param``
+            if (getattr(func, "attr", None) == "param" or bound) and isinstance(
+                first, ast.Constant
+            ):
+                reads.setdefault(first.value, []).append(f"{path.name}:{node.lineno}")
+    return reads
+
+
+def test_every_param_read_names_a_declared_key_and_every_key_is_read():
+    from repro.paxi.config import PARAMS
+
+    reads = _param_reads()
+    undeclared = {name: where for name, where in reads.items() if name not in PARAMS}
+    assert not undeclared, f"reads of undeclared params: {undeclared}"
+    # ``protocol`` is the one key nothing reads: the JSON route fills it in
+    # for CLIs.
+    unread = sorted(set(PARAMS) - set(reads) - {"protocol"})
+    assert not unread, f"declared but never read: {unread}"
+    assert "protocol" not in reads
+
+
+def test_no_protocol_reads_config_params_directly():
+    offenders = []
+    for path in sorted(PROTOCOLS_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "params":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "read config.params instead of config.param(name): " + ", ".join(
+        offenders
+    )
+
+
+def test_the_config_module_imports_no_protocol():
+    code = (
+        "import sys, repro.paxi.config\n"
+        "print('\\n'.join(m for m in sys.modules if m.startswith('repro.protocols')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert loaded == [], loaded
+
+
+# ----------------------------------------------------------------------
 # One leader-log layer: the read paths, election timing and the planned
 # handoff live in repro.protocols.leaderlog, not in each protocol.
 # ----------------------------------------------------------------------

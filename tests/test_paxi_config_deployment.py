@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.paxi.config import Config
+from repro.paxi.config import PARAMS, Config
 from repro.paxi.deployment import Deployment
 from repro.paxi.ids import NodeID, grid_ids
 from repro.paxi.message import ClientReply, ClientRequest, Command
@@ -42,7 +42,43 @@ class TestConfig:
     def test_params_passthrough(self):
         cfg = Config.lan(1, 3, q2_size=2)
         assert cfg.param("q2_size") == 2
-        assert cfg.param("missing", "dflt") == "dflt"
+        assert cfg.param("fz") == PARAMS["fz"][0]  # unset: the declared default
+        with pytest.raises(ConfigError, match="unknown protocol param"):
+            cfg.param("missing")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Config.lan(1, 3, lease_durration=0.5),
+            lambda: Config(topo.lan(3), grid_ids(1, 3), params={"lease_durration": 0.5}),
+            lambda: Config.from_dict({"params": {"lease_durration": 0.5}}),
+        ],
+        ids=["keyword", "direct", "json"],
+    )
+    def test_misspelt_param_rejected_on_every_route(self, build):
+        with pytest.raises(ConfigError, match="lease_durration"):
+            build()
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            (dict(lease_duration=0.1, max_clock_skew=0.2), "lease window"),
+            (dict(max_clock_skew=0.01), "lease_duration is unset"),
+            (dict(q2_size=4), "q2_size"),
+        ],
+    )
+    def test_param_conflicts_rejected_on_every_route(self, params, match):
+        with pytest.raises(ConfigError, match=match):
+            Config.lan(1, 3, **params)
+        with pytest.raises(ConfigError, match=match):
+            Config(topo.lan(3), grid_ids(1, 3), params=params)
+        with pytest.raises(ConfigError, match=match):
+            Config.from_dict({"zones": 1, "params": params})
+
+    def test_keyword_route_splits_typed_fields_from_params(self):
+        cfg = Config.lan(1, 3, 7, batch_size=4, queue_limit=8, fz=1)
+        assert (cfg.seed, cfg.batch_size, cfg.queue_limit) == (7, 4, 8)
+        assert cfg.params == {"fz": 1}
 
     def test_mismatched_ids_and_topology(self):
         with pytest.raises(ConfigError):

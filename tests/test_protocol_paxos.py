@@ -199,9 +199,12 @@ class TestFPaxos:
     def test_invalid_q2(self):
         from repro.errors import ConfigError
 
-        cfg = Config.lan(3, 3, seed=1, q2_size=10)
-        with pytest.raises(ConfigError):
-            Deployment(cfg).start(FPaxos)
+        # An explicit q2_size is checked when the Config is built ...
+        with pytest.raises(ConfigError, match="q2_size"):
+            Config.lan(3, 3, seed=1, q2_size=10)
+        # ... the default (3) when FPaxos starts on a smaller cluster.
+        with pytest.raises(ConfigError, match="q2_size"):
+            Deployment(Config.lan(1, 2, seed=1)).start(FPaxos)
 
     def test_correct_under_load(self):
         cfg = Config.lan(3, 3, seed=3, q2_size=3)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.queueing import MD1, MM1
+from repro.errors import ConfigError
 from repro.paxi.config import Config
 from repro.sim.clock import EventLoop
 from repro.sim.server import Server
@@ -79,7 +80,12 @@ def test_md1_formula_is_an_unbiased_predictor(rho, seed):
     q2=st.integers(1, 4),
 )
 def test_config_json_roundtrip_property(zones, per_zone, seed, q2):
-    """Any grid configuration round-trips through JSON losslessly."""
+    """Any grid configuration round-trips through JSON losslessly; one
+    whose phase-2 quorum outnumbers its nodes is refused when built."""
+    if q2 > zones * per_zone:
+        with pytest.raises(ConfigError, match="q2_size"):
+            Config.lan(zones, per_zone, seed=seed, q2_size=q2)
+        return
     original = Config.lan(zones, per_zone, seed=seed, q2_size=q2)
     restored = Config.from_json(original.to_json())
     assert restored.node_ids == original.node_ids
